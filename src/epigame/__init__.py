@@ -7,7 +7,10 @@ The layers, bottom up:
   and the lattice of restrictions (per-player strategy subsets).
 - :mod:`epigame.conditions` — a first-order language for optimality
   conditions ("this strategy is a best response", "not dominated", ...),
-  with syntactic analyses (closed / positive / context-safe).
+  with syntactic analyses (closed / positive / context-safe) and a naive
+  reference evaluator.
+- :mod:`epigame.optimality` — the fast optimality kernel: which strategies
+  of a player satisfy a condition in a context.
 - :mod:`epigame.operators` — each condition induces an elimination operator
   on restrictions; iterate to a fixpoint, check monotonicity, compare
   operators.
@@ -51,6 +54,7 @@ from .operators import (
     iterate,
     lemma_inclusion_check,
 )
+from .optimality import optimal_strategies
 from .proofs import check_proof, parse_proof, standard_lemmas
 
 __version__ = "0.1.0"
@@ -80,6 +84,7 @@ __all__ = [
     "iterate",
     "lemma_inclusion_check",
     "models",
+    "optimal_strategies",
     "parse_game",
     "parse_lo",
     "parse_model",

@@ -14,12 +14,24 @@ Three conditions are built in:
 * ``lsd`` — the focus is not strictly dominated within the context,
 * ``gsd`` — the focus is not strictly dominated by any strategy of the full game,
 * ``gbr`` — the focus is a best response, within the context, against the full game.
+
+Two evaluators share the core AST.  :func:`satisfies` (and :func:`models`)
+is the naive reference: quantifiers range over full profiles and payoffs
+are compared as fractions.  :func:`epigame.optimality.optimal_strategies` is the fast path
+used by the elimination operators and the modal layer; on closed,
+context-safe conditions it decides every strategy of the owner at once and
+agrees with the reference.  It rests on *quantifier projection*: a bound
+profile is seen only through its owner component and its opponents'
+partial profile, a component compared by ``>=`` ranges over its whole
+domain, and one read only through ``C(.)`` ranges over one representative
+inside the context and one outside, since the formula sees nothing of it
+but that membership bit.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, is_dataclass
 from functools import lru_cache
 from itertools import product
 from typing import Iterator, Mapping
@@ -82,24 +94,41 @@ class UnboundVariableError(ValueError):
 # ---------------------------------------------------------------------------
 # Lexer / parser
 
-_TOKEN_RE = re.compile(r">=|->|[()@.>]|[A-Za-z_][A-Za-z_0-9]*|\S")
+#: The deepest formula either parser accepts, counted two ways: parentheses
+#: and prefix operators open at once while reading, and levels of the
+#: expanded syntax tree.  The parsers and every evaluator recurse once per
+#: level (a few frames per parenthesis), so this keeps all of them well
+#: inside Python's default recursion limit.
+MAX_NESTING = 64
 
 
-def _tokenize(text: str) -> list[tuple[str, int, int]]:
-    tokens = []
-    for lineno, line in enumerate(text.splitlines() or [""], start=1):
-        for match in _TOKEN_RE.finditer(line):
-            tokens.append((match.group(), lineno, match.start() + 1))
-    lastline = text.count("\n") + 1
-    lastcol = len(text.splitlines()[-1]) + 1 if text.splitlines() else 1
-    tokens.append(("", lastline, lastcol))  # end marker
-    return tokens
+class _DescentParser:
+    """Recursive-descent skeleton shared by the condition and modal parsers.
 
+    It holds the token cursor, the ``->`` / ``or`` / ``and`` ladder
+    (``->`` associates to the right, the others to the left, all expanded
+    into negation and conjunction) and the nesting bound.  Subclasses give
+    the token pattern, their ``Neg`` and ``Conj`` node types and
+    :meth:`primary`, which reads one operand.
+    """
 
-class _LoParser:
+    token_re: re.Pattern
+    neg: type
+    conj: type
+
     def __init__(self, text: str):
-        self.tokens = _tokenize(text)
+        lines = text.splitlines()
+        self.tokens = [
+            (match.group(), lineno, match.start() + 1)
+            for lineno, line in enumerate(lines or [""], start=1)
+            for match in self.token_re.finditer(line)
+        ]
+        self.tokens.append(("", len(lines) or 1, len(lines[-1]) + 1 if lines else 1))
         self.pos = 0
+        self.open = 0
+        # id -> (node, tree height) of every node built so far; holding the
+        # node keeps its id from being reused while the parse lasts
+        self.heights: dict[int, tuple[object, int]] = {}
 
     def peek(self) -> str:
         return self.tokens[self.pos][0]
@@ -118,40 +147,79 @@ class _LoParser:
             raise self.error(f"expected {token!r}")
         self.advance()
 
-    def parse(self) -> FormulaO:
+    def too_deep(self) -> FormulaSyntaxError:
+        return self.error(f"formula nested deeper than {MAX_NESTING} levels")
+
+    def built(self, node):
+        """Record the tree height of a node made from recorded parts."""
+        height = self._height(node)
+        if height > MAX_NESTING:
+            raise self.too_deep()
+        self.heights[id(node)] = (node, height)
+        return node
+
+    def _height(self, node) -> int:
+        known = self.heights.get(id(node))
+        if known is not None:
+            return known[1]
+        parts = [value for value in vars(node).values() if is_dataclass(value)]
+        return 1 + max(map(self._height, parts), default=0)
+
+    def parse(self):
         formula = self.implication()
         if self.peek() != "":
             raise self.error(f"unexpected {self.peek()!r}")
         return formula
 
-    def implication(self) -> FormulaO:
+    def implication(self):
         left = self.disjunction()
-        if self.peek() == "->":
-            self.advance()
-            right = self.implication()
-            return Neg(Conj(left, Neg(right)))
-        return left
+        if self.peek() != "->":
+            return left
+        self.advance()
+        right = self.deeper(self.implication)
+        return self.built(self.neg(self.conj(left, self.neg(right))))
 
-    def disjunction(self) -> FormulaO:
+    def disjunction(self):
         left = self.conjunction()
         while self.peek() == "or":
             self.advance()
             right = self.conjunction()
-            left = Neg(Conj(Neg(left), Neg(right)))
+            left = self.built(self.neg(self.conj(self.neg(left), self.neg(right))))
         return left
 
-    def conjunction(self) -> FormulaO:
+    def conjunction(self):
         left = self.unary()
         while self.peek() == "and":
             self.advance()
-            left = Conj(left, self.unary())
+            left = self.built(self.conj(left, self.unary()))
         return left
 
-    def unary(self) -> FormulaO:
+    def unary(self):
+        return self.deeper(self.primary)
+
+    def deeper(self, parse):
+        """Run ``parse`` one nesting level down, refusing to pass the bound."""
+        if self.open == MAX_NESTING:
+            raise self.too_deep()
+        self.open += 1
+        result = parse()
+        self.open -= 1
+        return result
+
+    def primary(self):
+        raise NotImplementedError
+
+
+class _LoParser(_DescentParser):
+    token_re = re.compile(r">=|->|[()@.>]|[A-Za-z_][A-Za-z_0-9]*|\S")
+    neg = Neg
+    conj = Conj
+
+    def primary(self) -> FormulaO:
         tok = self.peek()
         if tok == "not":
             self.advance()
-            return Neg(self.unary())
+            return self.built(Neg(self.unary()))
         if tok in ("exists", "forall"):
             return self.quantifier()
         if tok == "(":
@@ -175,10 +243,12 @@ class _LoParser:
         self.expect(".")
         body = self.implication()
         if kind == "exists":
-            return Exists(var, Conj(CtxAtom(var), body)) if bounded else Exists(var, body)
-        if bounded:
-            return Neg(Exists(var, Conj(CtxAtom(var), Neg(body))))
-        return Neg(Exists(var, Neg(body)))
+            formula = Exists(var, Conj(CtxAtom(var), body)) if bounded else Exists(var, body)
+        elif bounded:
+            formula = Neg(Exists(var, Conj(CtxAtom(var), Neg(body))))
+        else:
+            formula = Neg(Exists(var, Neg(body)))
+        return self.built(formula)
 
     def atom(self) -> FormulaO:
         if self.peek() == "C":
@@ -335,8 +405,11 @@ def satisfies(
 ) -> bool:
     """Evaluate a condition for ``owner`` under the given variable assignment.
 
-    Quantifiers range over all profiles of the full game; ``C(t)`` asks
-    whether every component of t's profile lies in the context.
+    This is the naive reference evaluator, kept as the definition that
+    :func:`epigame.optimality.optimal_strategies` is tested against: quantifiers range over
+    all profiles of the full game, payoffs are compared as fractions, and
+    ``C(t)`` asks whether every component of t's profile lies in the
+    context.
     """
     game = model.game
     if not 0 <= owner < game.n:

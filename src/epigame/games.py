@@ -10,8 +10,10 @@ printed output use 1-based indices.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
 from typing import Iterable, Iterator, Mapping
 
@@ -78,6 +80,15 @@ class Game:
         """All strategy profiles, in the order induced by the strategy lists."""
         return product(*self.strategies)
 
+    def preferences(self, player: int) -> Preferences:
+        """The player's payoff comparisons as bitmasks, built on first use
+        and kept with the game."""
+        return self._preference_tables[player]
+
+    @cached_property
+    def _preference_tables(self) -> tuple[Preferences, ...]:
+        return tuple(Preferences.of(self, i) for i in self.players)
+
     def full_restriction(self) -> Restriction:
         return Restriction(self, tuple(frozenset(names) for names in self.strategies))
 
@@ -86,6 +97,49 @@ class Game:
         if len(components) != self.n:
             raise ValueError(f"expected {self.n} components, got {len(components)}")
         return Restriction(self, tuple(frozenset(c) for c in components))
+
+
+@dataclass(frozen=True)
+class Preferences:
+    """One player's payoffs, compared once and stored as bitmasks.
+
+    The partial profiles of everyone else are numbered in
+    :func:`itertools.product` order over their strategy lists; the
+    player's own strategies are numbered by position, strategy k being
+    bit k of a mask.  ``at_least[r][t]`` is the mask of own strategies
+    whose payoff against opponents' profile r is at least strategy t's.
+    """
+
+    at_least: tuple[tuple[int, ...], ...]
+
+    @classmethod
+    def of(cls, game: Game, player: int) -> Preferences:
+        # integer ranks of the player's distinct payoffs, so the k^2
+        # comparisons per opponents' profile compare ints, not Fractions
+        values = sorted({payoff[player] for payoff in game.payoffs.values()})
+        rank = {value: k for k, value in enumerate(values)}
+        at_least = []
+        for rest in product(*game.strategies[:player], *game.strategies[player + 1 :]):
+            ranks = [
+                rank[game.payoff(player, rest[:player] + (s,) + rest[player:])]
+                for s in game.strategies[player]
+            ]
+            at_least.append(tuple(_mask(r >= pivot for r in ranks) for pivot in ranks))
+        return cls(tuple(at_least))
+
+    @cached_property
+    def at_most(self) -> tuple[tuple[int, ...], ...]:
+        """``at_most[r][t]``: the mask of own strategies whose payoff against
+        r is at most t's.  Built from ``at_least`` on first use, as the
+        builtin conditions never need it."""
+        return tuple(
+            tuple(_mask(row[s] >> t & 1 for s in range(len(row))) for t in range(len(row)))
+            for row in self.at_least
+        )
+
+
+def _mask(bits: Iterable[bool]) -> int:
+    return sum(1 << k for k, bit in enumerate(bits) if bit)
 
 
 def profile_with(profile: Profile, player: int, strategy: str) -> Profile:
@@ -206,6 +260,9 @@ def parse_game(text: str) -> Game:
     n: int | None = None
     strategies: dict[int, tuple[str, ...]] = {}
     payoffs: dict[Profile, tuple[Fraction, ...]] = {}
+    # a game repeats a few names and payoff values many times: names are
+    # interned and equal payoff texts share one Fraction
+    rationals: dict[str, Fraction] = {}
     last_line = 0
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -234,7 +291,7 @@ def parse_game(text: str) -> Game:
                 raise GameFormatError(f"player index {player} out of range 1..{n}", lineno)
             if player in strategies:
                 raise GameFormatError(f"duplicate strategies line for player {player}", lineno)
-            names = tuple(body.split())
+            names = tuple(map(sys.intern, body.split()))
             if not names:
                 raise GameFormatError(f"player {player} has no strategies", lineno)
             if len(set(names)) != len(names):
@@ -246,7 +303,7 @@ def parse_game(text: str) -> Game:
             head, sep, body = line.partition(":")
             if not sep:
                 raise GameFormatError("expected 'payoff <profile> : <values>'", lineno)
-            profile = tuple(head[len("payoff") :].split())
+            profile = tuple(map(sys.intern, head[len("payoff") :].split()))
             if len(profile) != n:
                 raise GameFormatError(f"profile needs {n} strategies", lineno)
             for i, s in enumerate(profile):
@@ -258,7 +315,10 @@ def parse_game(text: str) -> Game:
             if len(values) != n:
                 raise GameFormatError(f"expected {n} payoffs", lineno)
             try:
-                payoffs[profile] = tuple(_parse_rational(v) for v in values)
+                for v in values:
+                    if v not in rationals:
+                        rationals[v] = _parse_rational(v)
+                payoffs[profile] = tuple(rationals[v] for v in values)
             except ValueError as exc:
                 raise GameFormatError(str(exc), lineno) from None
         else:

@@ -22,13 +22,9 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .beliefs import BeliefModel, Event, game_of_event
-from .conditions import (
-    ConditionRegistry,
-    FormulaSyntaxError,
-    OptimalityModel,
-    models,
-)
+from .conditions import ConditionRegistry, _DescentParser
 from .games import Game, Restriction
+from .optimality import optimal_strategies
 
 
 class ModalError(ValueError):
@@ -113,84 +109,31 @@ def common_belief_formula(body: FormulaNu) -> FormulaNu:
 # ---------------------------------------------------------------------------
 # Parser
 
-_NU_TOKEN_RE = re.compile(r"->|[()\[\].,]|[A-Za-z_][A-Za-z_0-9]*|\d+|\S")
+class _NuParser(_DescentParser):
+    token_re = re.compile(r"->|[()\[\].,]|[A-Za-z_][A-Za-z_0-9]*|\d+|\S")
+    neg = Neg
+    conj = Conj
 
-
-class _NuParser:
-    def __init__(self, text: str):
-        self.tokens = []
-        for lineno, line in enumerate(text.splitlines() or [""], start=1):
-            for match in _NU_TOKEN_RE.finditer(line):
-                self.tokens.append((match.group(), lineno, match.start() + 1))
-        lines = text.splitlines()
-        self.tokens.append(("", len(lines) or 1, (len(lines[-1]) + 1) if lines else 1))
-        self.pos = 0
-
-    def peek(self) -> str:
-        return self.tokens[self.pos][0]
-
-    def error(self, message: str) -> FormulaSyntaxError:
-        _, line, col = self.tokens[self.pos]
-        return FormulaSyntaxError(message, line, col)
-
-    def advance(self) -> str:
-        tok = self.tokens[self.pos][0]
-        self.pos += 1
-        return tok
-
-    def expect(self, token: str) -> None:
-        if self.peek() != token:
-            raise self.error(f"expected {token!r}")
-        self.advance()
-
-    def parse(self) -> FormulaNu:
-        formula = self.implication()
-        if self.peek() != "":
-            raise self.error(f"unexpected {self.peek()!r}")
-        return formula
-
-    def implication(self) -> FormulaNu:
-        left = self.disjunction()
-        if self.peek() == "->":
-            self.advance()
-            return imp(left, self.implication())
-        return left
-
-    def disjunction(self) -> FormulaNu:
-        left = self.conjunction()
-        while self.peek() == "or":
-            self.advance()
-            right = self.conjunction()
-            left = Neg(Conj(Neg(left), Neg(right)))
-        return left
-
-    def conjunction(self) -> FormulaNu:
-        left = self.unary()
-        while self.peek() == "and":
-            self.advance()
-            left = Conj(left, self.unary())
-        return left
-
-    def unary(self) -> FormulaNu:
+    def primary(self) -> FormulaNu:
         tok = self.peek()
         if tok == "not":
             self.advance()
-            return Neg(self.unary())
+            return self.built(Neg(self.unary()))
         if tok == "box":
             self.advance()
-            return Box(None, self.unary())
+            return self.built(Box(None, self.unary()))
         if tok == "[":
             self.advance()
             player = self.player_index()
             self.expect("]")
-            return Box(player, self.unary())
+            return self.built(Box(player, self.unary()))
         if tok == "CB":
             self.advance()
-            return common_belief_formula(self.unary())
+            return self.built(common_belief_formula(self.unary()))
         if tok == "O":
             self.advance()
             name, player = self.condition_ref()
-            return Opt(name, player, self.unary())
+            return self.built(Opt(name, player, self.unary()))
         if tok == "rat":
             self.advance()
             name, player = self.condition_ref()
@@ -199,12 +142,12 @@ class _NuParser:
             self.advance()
             self.expect("X")
             self.expect(".")
-            return Nu(self.implication())
+            return self.built(Nu(self.implication()))
         if tok == "forall":
             self.advance()
             self.expect("X")
             self.expect(".")
-            return ForallX(self.implication())
+            return self.built(ForallX(self.implication()))
         if tok == "X":
             self.advance()
             return X
@@ -366,28 +309,24 @@ class _Evaluator:
         self.registry = registry
         self.second_order = second_order
         self.universe = model.universe
-        # (condition, player, strategy, context key) -> bool; safe to share
-        # between models of the same game, so sweeps may pass one in.
-        self._optimal_cache: dict[tuple, bool] = (
+        # (condition, player, context sets) -> the player's optimal
+        # strategies; safe to share between models of the same game, so
+        # sweeps may pass one in.
+        self._optimal_cache: dict[tuple, frozenset[str]] = (
             optimal_cache if optimal_cache is not None else {}
         )
         self._rat_cache: dict[tuple[str, int], Event] = {}
 
     def condition_holds(self, name: str, player: int, strategy: str, context: Restriction) -> bool:
-        key = (name, player, strategy, context.key())
-        cached = self._optimal_cache.get(key)
-        if cached is not None:
-            return cached
-        info = self.registry.get(name)
-        if not info.analysis.context_safe:
-            raise ModalError(f"condition {name!r} is not context-safe")
-        game = self.model.game
-        focus = tuple(
-            strategy if i == player else game.strategies[i][0] for i in game.players
-        )
-        result = models(OptimalityModel(game, context, focus), player, info.formula)
-        self._optimal_cache[key] = result
-        return result
+        key = (name, player, context.sets)
+        survivors = self._optimal_cache.get(key)
+        if survivors is None:
+            info = self.registry.get(name)
+            if not info.analysis.context_safe:
+                raise ModalError(f"condition {name!r} is not context-safe")
+            survivors = optimal_strategies(self.model.game, player, info.formula, context)
+            self._optimal_cache[key] = survivors
+        return strategy in survivors
 
     def players_of(self, tag: int | None) -> range | tuple[int, ...]:
         if tag is None:
@@ -539,10 +478,16 @@ def check_validity(
 
     Exhaustive over all belief models with up to ``max_states`` states by
     default; with ``samples`` set, checks that many seeded random models
-    instead.  Returns the first countermodel found.
+    instead.  Returns the first countermodel found.  Raises
+    :class:`ModalError` when the search would check no model at all, so a
+    positive verdict is never earned on an empty corpus.
     """
     from . import oracles
 
+    if max_states < 1:
+        raise ModalError(f"models need at least 1 state, got {max_states}")
+    if samples is not None and samples < 1:
+        raise ModalError(f"need at least 1 sampled model, got {samples}")
     registry = registry or ConditionRegistry.standard()
     if samples is None:
         candidates = oracles.enumerate_belief_models(game, max_states)

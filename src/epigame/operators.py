@@ -13,8 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .conditions import FormulaO, OptimalityModel, analyze, builtin, models
+from .conditions import FormulaO, analyze, builtin
 from .games import Game, Restriction, lattice_size, restrictions
+from .optimality import optimal_strategies
 
 
 class OperatorError(ValueError):
@@ -70,18 +71,12 @@ class ConditionOperator(Operator):
         game = self.game
         if restriction.game != game:
             raise OperatorError("restriction belongs to a different game")
-        default = tuple(names[0] for names in game.strategies)
         kept = []
         for player, formula in enumerate(self.conditions):
-            survivors = set()
-            for strategy in game.strategies[player]:
-                if strategy not in restriction.sets[player]:
-                    continue
-                focus = default[:player] + (strategy,) + default[player + 1 :]
-                om = OptimalityModel(game, restriction, focus)
-                if models(om, player, formula):
-                    survivors.add(strategy)
-            kept.append(frozenset(survivors))
+            current = restriction.sets[player]
+            survivors = optimal_strategies(game, player, formula, restriction) & current
+            # an unchanged component keeps its set: stages share what they do not change
+            kept.append(current if len(survivors) == len(current) else survivors)
         return Restriction(game, tuple(kept))
 
     def _iteration_bound(self) -> int:

@@ -1,0 +1,204 @@
+"""The optimality kernel: which strategies of a player satisfy a condition.
+
+:func:`optimal_strategies` is the one place the elimination operators and
+the modal layer ask "does strategy s of player i satisfy condition c in
+context C".  It evaluates the core AST of :mod:`epigame.conditions` with
+quantifier projection (argued in that module's docstring), every
+subformula as a bitmask over the player's strategies, and payoffs compared
+through :meth:`epigame.games.Game.preferences`.  It agrees with the naive
+reference :func:`epigame.conditions.models`, which the tests check.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from functools import lru_cache
+from itertools import product
+from typing import Callable, Iterable
+
+from .conditions import (
+    CONSTANT,
+    Conj,
+    CtxAtom,
+    FormulaO,
+    GeqAtom,
+    Neg,
+    UnboundVariableError,
+    analyze,
+)
+from .games import Game, Preferences, Restriction
+
+# How a compiled formula reads one component of a bound profile.
+_UNREAD, _MEMBERSHIP, _VALUE = 0, 1, 2
+
+
+@dataclass(frozen=True)
+class _Plan:
+    """A closed, context-safe condition compiled for :func:`optimal_strategies`.
+
+    Bound variables are numbered by binder (slots), so shadowing needs no
+    environment copies.  ``reads[slot]`` says how the owner's component and
+    the opponents' partial profile of that variable are read.  Nodes are
+    tuples: ``("in", slot)``, ``("geq", left, right, slot)`` with ``None``
+    for the focus, ``("not", body)``, ``("and", left, right)`` and
+    ``("exists", slot, body)``.
+    """
+
+    tree: tuple
+    reads: tuple[tuple[int, int], ...]
+
+
+@lru_cache(maxsize=256)
+def _plan(formula: FormulaO) -> _Plan:
+    analysis = analyze(formula)
+    if not analysis.closed:
+        raise UnboundVariableError("condition must be closed")
+    if not analysis.context_safe:
+        raise ValueError(
+            "condition must be context-safe (the focus may appear only as a compared term)"
+        )
+    reads: list[list[int]] = []
+
+    def read(slot: int, own: int, others: int) -> None:
+        reads[slot][0] = max(reads[slot][0], own)
+        reads[slot][1] = max(reads[slot][1], others)
+
+    def compile_(f: FormulaO, scope: dict[str, int]) -> tuple:
+        if isinstance(f, CtxAtom):
+            read(scope[f.term], _MEMBERSHIP, _MEMBERSHIP)
+            return ("in", scope[f.term])
+        if isinstance(f, GeqAtom):
+            left, right = (None if t == CONSTANT else scope[t] for t in (f.left, f.right))
+            for slot in (left, right):
+                if slot is not None:
+                    read(slot, _VALUE, _UNREAD)
+            read(scope[f.ctx], _UNREAD, _VALUE)
+            return ("geq", left, right, scope[f.ctx])
+        if isinstance(f, Neg):
+            return ("not", compile_(f.body, scope))
+        if isinstance(f, Conj):
+            return ("and", compile_(f.left, scope), compile_(f.right, scope))
+        slot = len(reads)
+        reads.append([_UNREAD, _UNREAD])
+        return ("exists", slot, compile_(f.body, {**scope, f.var: slot}))
+
+    tree = compile_(formula, {})
+    return _Plan(tree, tuple(map(tuple, reads)))
+
+
+def _domain(read: int, inside: list[bool]) -> Iterable[int]:
+    """The values one component of a bound variable must take: all of them
+    when compared by ``>=``, one per membership bit that occurs when read
+    only by ``C(.)``, and any single one when unread."""
+    if read == _VALUE:
+        return range(len(inside))
+    if read == _MEMBERSHIP:
+        first: dict[bool, int] = {}
+        for k, flag in enumerate(inside):
+            first.setdefault(flag, k)
+        return tuple(first.values())
+    return (0,)
+
+
+@dataclass(slots=True)
+class _Run:
+    """The state one :func:`optimal_strategies` call evaluates under: the
+    player's strategy mask, the context membership of each own strategy
+    and each opponents' profile, every slot's domain and current value,
+    and the player's payoff comparisons."""
+
+    everyone: int
+    own_in: list[bool]
+    others_in: list[bool]
+    domains: list[tuple[Iterable[int], Iterable[int]]]
+    own: list[int]
+    others: list[int]
+    prefs: Preferences
+
+
+def _compile(node: tuple, run: _Run) -> Callable[[], int]:
+    """One closure per node, returning the mask of strategies for which the
+    subformula holds under the current slot values.  The closures hold
+    ``run``'s parts, never each other in a cycle, so a call's garbage is
+    freed as soon as it returns."""
+    everyone, own, others = run.everyone, run.own, run.others
+    op = node[0]
+    if op == "in":
+        slot, own_in, others_in = node[1], run.own_in, run.others_in
+        return lambda: everyone if own_in[own[slot]] and others_in[others[slot]] else 0
+    if op == "geq":
+        _, left, right, slot = node
+        if left is None and right is None:
+            return lambda: everyone
+        if right is None:
+            at_most = run.prefs.at_most
+            return lambda: at_most[others[slot]][own[left]]
+        at_least = run.prefs.at_least
+        if left is None:
+            return lambda: at_least[others[slot]][own[right]]
+        return lambda: everyone if at_least[others[slot]][own[right]] >> own[left] & 1 else 0
+    if op == "not":
+        body = _compile(node[1], run)
+        return lambda: everyone ^ body()
+    if op == "and":
+        first, second = _compile(node[1], run), _compile(node[2], run)
+
+        def conj() -> int:
+            found = first()
+            return found & second() if found else 0
+
+        return conj
+    slot, body = node[1], _compile(node[2], run)
+    own_domain, others_domain = run.domains[slot]
+
+    def exists() -> int:
+        found = 0
+        for own[slot] in own_domain:
+            for others[slot] in others_domain:
+                found |= body()
+                if found == everyone:
+                    return found
+        return found
+
+    return exists
+
+
+def optimal_strategies(
+    game: Game, player: int, formula: FormulaO, context: Restriction
+) -> frozenset[str]:
+    """The player's strategies, inside the context or not, whose focus
+    satisfies a closed, context-safe condition in that context.
+
+    Equal to the strategies s for which :func:`~epigame.conditions.models`
+    holds on any focus profile with s in the player's place, but computed
+    for all strategies at once: every subformula evaluates to a bitmask
+    over the player's strategies, quantifiers range over projected domains
+    and payoffs are compared through the game's
+    :meth:`~epigame.games.Game.preferences` table.
+    """
+    if not 0 <= player < game.n:
+        raise ValueError(f"owner {player} out of range")
+    if context.game != game:
+        raise ValueError("context restricts a different game")
+    plan = _plan(formula)
+    names = game.strategies[player]
+    own_in = [s in context.sets[player] for s in names]
+    # membership of each opponents' partial profile, in the table's order
+    others_in = [
+        all(flags)
+        for flags in product(
+            *([s in context.sets[j] for s in game.strategies[j]] for j in game.players if j != player)
+        )
+    ]
+    domains = [(_domain(own, own_in), _domain(others, others_in)) for own, others in plan.reads]
+    run = _Run(
+        everyone=(1 << len(names)) - 1,
+        own_in=own_in,
+        others_in=others_in,
+        domains=domains,
+        own=[0] * len(domains),
+        others=[0] * len(domains),
+        prefs=game.preferences(player),
+    )
+    mask = _compile(plan.tree, run)()
+    return frozenset(s for k, s in enumerate(names) if mask >> k & 1)

@@ -2,7 +2,9 @@
 
 The functions here deliberately re-implement elimination and common belief
 with plain loops, without the operator or formula machinery, so that a
-disagreement in a cross-check localizes the bug.  The module also bundles
+disagreement in a cross-check localizes the bug; the optimality kernel is
+checked against the naive condition evaluator, applied one focus strategy
+at a time by :func:`naive_optimal_strategies`.  The module also bundles
 the three reference games, generates a deterministic corpus of small games,
 and enumerates or samples belief models for validity sweeps.
 """
@@ -17,6 +19,7 @@ from itertools import product
 from typing import Iterator, Sequence
 
 from .beliefs import BeliefModel, Event
+from .conditions import FormulaO, OptimalityModel, models
 from .games import Game, Profile, Restriction, parse_game, restrictions
 
 GENERATED_SEED = 7120394
@@ -264,6 +267,22 @@ def naive_eliminate(game: Game, condition: str, rounds: int | None = None) -> Re
             for i in game.players
         ]
     return Restriction(game, tuple(frozenset(c) for c in ctx))
+
+
+def naive_optimal_strategies(
+    game: Game, owner: int, formula: FormulaO, context: Restriction
+) -> frozenset[str]:
+    """The owner's strategies whose focus satisfies the condition by the
+    reference evaluator :func:`~epigame.conditions.models`, one focus
+    profile per strategy (everyone else at their first strategy, which a
+    context-safe condition never reads).  The reference that
+    :func:`~epigame.conditions.optimal_strategies` is checked against."""
+    found = set()
+    for strategy in game.strategies[owner]:
+        focus = tuple(strategy if i == owner else game.strategies[i][0] for i in game.players)
+        if models(OptimalityModel(game, context, focus), owner, formula):
+            found.add(strategy)
+    return frozenset(found)
 
 
 def naive_common_belief(model: BeliefModel, event: Event) -> Event:

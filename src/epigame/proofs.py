@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .conditions import ConditionRegistry, FormulaO, FormulaSyntaxError, OptimalityModel, models
-from .games import Game, Profile, Restriction, restrictions
+from .games import Game, Profile, Restriction, lattice_size, restrictions
 from .modal import (
     Box,
     Conj,
@@ -300,15 +300,10 @@ class LemmaRegistry:
         rhs_formula = conditions.get(rhs).formula
         checked = 0
         for index, game in enumerate(corpus):
-            for context in restrictions(game):
-                for focus in game.profiles():
-                    om = OptimalityModel(game, context, focus)
-                    for owner in game.players:
-                        checked += 1
-                        if models(om, owner, lhs_formula) and not models(om, owner, rhs_formula):
-                            raise LemmaRefused(
-                                name, ImplicationWitness(index, context, focus, owner)
-                            )
+            witness = next(implication_counterexamples(game, lhs_formula, rhs_formula), None)
+            if witness is not None:
+                raise LemmaRefused(name, ImplicationWitness(index, *witness))
+            checked += lattice_size(game) * len(list(game.profiles())) * game.n
         lemma = Lemma(name, lhs, rhs, SweepEvidence(len(corpus), checked))
         self._entries[name] = lemma
         return lemma

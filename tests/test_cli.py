@@ -158,6 +158,26 @@ def test_check_valid_json(files, capsys):
     assert payload["countermodel"].startswith("states:")
 
 
+@pytest.mark.parametrize(
+    "mode", [["--exhaustive", "0"], ["--exhaustive", "-1"], ["--random", "0", "2"], ["--random", "5", "0"]]
+)
+def test_check_valid_refuses_an_empty_search(files, capsys, mode):
+    # --exhaustive 1 refutes rat(gbr), so VALID-ON-CORPUS here would be unearned
+    assert main(["check-valid", files["game.game"], "rat(gbr)", *mode]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "at least 1" in captured.err
+    assert captured.err.count("\n") == 1
+
+
+def test_deeply_nested_formula_is_a_usage_error(files, capsys):
+    formula = "not " * 1000 + "rat(gbr)"
+    assert main(["check-valid", files["game.game"], formula, "--exhaustive", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 1, column") and "nested deeper than" in err
+    assert err.count("\n") == 1
+
+
 def test_check_valid_needs_a_search_mode(files):
     with pytest.raises(SystemExit) as exc:
         main(["check-valid", files["game.game"], "rat(gbr)"])

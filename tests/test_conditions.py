@@ -1,10 +1,13 @@
+from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from epigame.beliefs import BeliefModel
 from epigame.conditions import (
     BUILTIN_CONDITION_TEXT,
+    MAX_NESTING,
     ConditionRegistry,
     Conj,
     CtxAtom,
@@ -23,7 +26,21 @@ from epigame.conditions import (
     pretty_lo,
     satisfies,
 )
-from epigame.oracles import enumerate_optimality_models, fig1_left, fig1_right, fig2
+from epigame.games import Game, restrictions
+from epigame.modal import ModalError, Rat, interpret
+from epigame.operators import ConditionOperator, OperatorError, condition_operator, iterate
+from epigame.optimality import optimal_strategies
+from epigame.oracles import (
+    bundled_games,
+    enumerate_optimality_models,
+    fig1_left,
+    fig1_right,
+    fig2,
+    generated_conditions,
+    generated_games,
+    naive_eliminate,
+    naive_optimal_strategies,
+)
 
 
 def test_builtin_asts():
@@ -266,3 +283,140 @@ def test_condition_file_errors():
         parse_condition_file("condition a: C(x)\ncondition a: C(x)")
     with pytest.raises(FormulaSyntaxError, match="line 3"):
         parse_condition_file("# ok\ncondition a: C(x)\ncondition b: C(x")
+
+
+# --- optimality kernel -------------------------------------------------------
+
+
+def test_kernel_matches_reference_on_corpus():
+    conditions = [builtin(n) for n in BUILTIN_CONDITION_TEXT] + list(generated_conditions())
+    checked = 0
+    for game in bundled_games() + generated_games():
+        for context in restrictions(game):
+            for owner in range(game.n):
+                for f in conditions:
+                    expected = naive_optimal_strategies(game, owner, f, context)
+                    assert optimal_strategies(game, owner, f, context) == expected, (
+                        game, context, owner, pretty_lo(f)
+                    )
+                    checked += 1
+    assert checked == 12_480
+
+
+@st.composite
+def tied_games(draw):
+    """Games with 1-3 players, 1-3 strategies each and payoffs in 0..2, so
+    ties are common."""
+    shape = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    strategies = tuple(tuple(f"p{i}s{k}" for k in range(m)) for i, m in enumerate(shape))
+    payoffs = {
+        profile: tuple(Fraction(draw(st.integers(0, 2))) for _ in shape)
+        for profile in product(*strategies)
+    }
+    return Game(strategies, payoffs)
+
+
+@st.composite
+def restriction_of(draw, game):
+    return game.restriction(
+        *(draw(st.sets(st.sampled_from(names))) for names in game.strategies)
+    )
+
+
+safe_vars = st.sampled_from(["x", "y", "z"])
+safe_formulas = st.recursive(
+    st.one_of(
+        st.builds(CtxAtom, safe_vars),
+        st.builds(GeqAtom, st.sampled_from(["o", "x", "y", "z"]), st.sampled_from(["o", "x", "y", "z"]), safe_vars),
+    ),
+    lambda inner: st.one_of(
+        st.builds(Neg, inner),
+        st.builds(Conj, inner, inner),
+        st.builds(Exists, safe_vars, inner),
+    ),
+    max_leaves=8,
+)
+
+
+def closed(formula):
+    for var in sorted(free_variables(formula)):
+        formula = Exists(var, formula)
+    return formula
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_kernel_matches_reference_on_random_games(data):
+    game = data.draw(tied_games())
+    context = data.draw(restriction_of(game))
+    owner = data.draw(st.integers(0, game.n - 1))
+    formula = data.draw(
+        st.one_of(st.sampled_from([builtin(n) for n in BUILTIN_CONDITION_TEXT]), safe_formulas.map(closed))
+    )
+    assert optimal_strategies(game, owner, formula, context) == naive_optimal_strategies(
+        game, owner, formula, context
+    )
+
+
+def guess_game(players, choices):
+    """Guess 2/3 of the average: each player names 0..choices-1 and loses
+    the distance to two thirds of the mean."""
+    strategies = tuple(tuple(f"c{c}" for c in range(choices)) for _ in range(players))
+    payoffs = {}
+    for profile in product(*strategies):
+        numbers = [int(name[1:]) for name in profile]
+        target = Fraction(2, 3) * Fraction(sum(numbers), players)
+        payoffs[profile] = tuple(-abs(c - target) for c in numbers)
+    return Game(strategies, payoffs)
+
+
+@pytest.mark.parametrize("players, choices", [(2, 8), (3, 4)])
+def test_operator_outcome_matches_naive_elimination_on_long_chains(players, choices):
+    game = guess_game(players, choices)
+    for name in BUILTIN_CONDITION_TEXT:
+        trace = iterate(condition_operator(game, name))
+        assert trace.outcome == naive_eliminate(game, name), name
+        # elimination takes several rounds, each against a smaller context
+        assert trace.closure_ordinal >= 2, name
+
+
+def test_kernel_refuses_open_and_context_unsafe_conditions():
+    g = fig1_right()
+    with pytest.raises(UnboundVariableError, match="must be closed"):
+        optimal_strategies(g, 0, parse_lo("C(x)"), g.full_restriction())
+    with pytest.raises(ValueError, match="must be context-safe"):
+        optimal_strategies(g, 0, parse_lo("C(o)"), g.full_restriction())
+    # the callers keep their own errors for the same conditions
+    with pytest.raises(OperatorError, match="must be closed"):
+        ConditionOperator(g, parse_lo("C(x)"))
+    with pytest.raises(OperatorError, match="must be context-safe"):
+        ConditionOperator(g, parse_lo("forall y . o >= y @ o"))
+    registry = ConditionRegistry.standard()
+    registry.register("selfctx", parse_lo("C(o)"))
+    model = BeliefModel(g, ("w",), ({"w": "U"}, {"w": "L"}), ({"w": frozenset({"w"})},) * 2)
+    with pytest.raises(ModalError, match="'selfctx' is not context-safe"):
+        interpret(model, Rat("selfctx", 0), registry=registry)
+
+
+def test_kernel_argument_checks():
+    g, h = fig1_right(), fig1_left()
+    with pytest.raises(ValueError, match="owner 2 out of range"):
+        optimal_strategies(g, 2, builtin("gbr"), g.full_restriction())
+    with pytest.raises(ValueError, match="different game"):
+        optimal_strategies(g, 0, builtin("gbr"), h.full_restriction())
+
+
+# --- nesting bound -----------------------------------------------------------
+
+
+def test_deep_nesting_is_a_syntax_error():
+    with pytest.raises(FormulaSyntaxError, match="nested deeper than") as exc:
+        parse_lo("not " * 1000 + "C(x)")
+    assert (exc.value.line, exc.value.column) == (1, 4 * MAX_NESTING + 1)
+    with pytest.raises(FormulaSyntaxError, match="nested deeper than"):
+        parse_lo("(" * 1000 + "C(x)" + ")" * 1000)
+    # long flat chains build deep trees too
+    with pytest.raises(FormulaSyntaxError, match="nested deeper than"):
+        parse_lo(" and ".join(["C(x)"] * 1000))
+    # right at the bound still parses
+    assert parse_lo("not " * (MAX_NESTING - 1) + "C(x)")

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from epigame.beliefs import BeliefModel, parse_model
-from epigame.conditions import ConditionRegistry, parse_lo
+from epigame.conditions import MAX_NESTING, ConditionRegistry, FormulaSyntaxError, parse_lo
 from epigame.modal import (
     Box,
     Conj,
@@ -74,8 +74,6 @@ def test_parse_precedence():
 
 
 def test_parse_errors():
-    from epigame.conditions import FormulaSyntaxError
-
     for text, message in [
         ("[0] X", "1-based player index"),
         ("rat()", "condition name"),
@@ -86,6 +84,23 @@ def test_parse_errors():
     ]:
         with pytest.raises(FormulaSyntaxError, match=message):
             parse_nu(text)
+
+
+def test_deep_nesting_is_a_syntax_error():
+    with pytest.raises(FormulaSyntaxError, match="nested deeper than") as exc:
+        parse_nu("not " * 1000 + "rat(gbr)")
+    assert (exc.value.line, exc.value.column) == (1, 4 * MAX_NESTING + 1)
+    for text in (
+        "(" * 1000 + "X" + ")" * 1000,
+        "CB " * 1000 + "X",
+        " -> ".join(["X"] * 1000),
+        " or ".join(["X"] * 1000),
+    ):
+        with pytest.raises(FormulaSyntaxError, match="nested deeper than"):
+            parse_nu(text)
+    # right at the bound still parses and evaluates
+    deep = parse_nu("box " * (MAX_NESTING - 1) + "rat(lsd, 1)")
+    assert interpret(single_state_model(), deep) == {"w"}
 
 
 def test_match_imp():
@@ -363,6 +378,13 @@ def test_validity_sampled_mode():
     implication = parse_nu("rat(gbr) -> rat(lsd)")
     report = check_validity(fig1_right(), implication, samples=80, seed=4)
     assert report.valid and report.models_checked == 80
+
+
+def test_validity_refuses_an_empty_search():
+    # no verdict may rest on zero models, though rat(gbr) has countermodels
+    for kwargs in ({"max_states": 0}, {"max_states": -1}, {"samples": 0}, {"samples": 5, "max_states": 0}):
+        with pytest.raises(ModalError, match="at least 1"):
+            check_validity(fig1_right(), Rat("gbr", None), **kwargs)
 
 
 def test_validity_handles_second_order_formulas():
