@@ -4,7 +4,8 @@ models, a modal fixpoint language, and a small proof checker.
 The layers, bottom up:
 
 - :mod:`epigame.games` — finite strategic games with exact rational payoffs
-  and the lattice of restrictions (per-player strategy subsets).
+  and the lattice of restrictions (per-player strategy subsets); the
+  bundled reference games.
 - :mod:`epigame.conditions` — a first-order language for optimality
   conditions ("this strategy is a best response", "not dominated", ...),
   with syntactic analyses (closed / positive / context-safe) and a naive
@@ -15,14 +16,17 @@ The layers, bottom up:
   on restrictions; iterate to a fixpoint, check monotonicity, compare
   operators.
 - :mod:`epigame.beliefs` — finite belief models over a game: states, played
-  strategies, possibility sets, belief and common belief of events.
+  strategies, possibility sets, belief and common belief of events;
+  enumeration and sampling of models for validity sweeps.
 - :mod:`epigame.modal` — a modal language with rationality atoms, belief
   modalities, optimality operators and a greatest-fixpoint binder,
   interpreted over belief models.
 - :mod:`epigame.proofs` — line-by-line checking of derivations in that
-  language, with semantically discharged implication lemmas.
+  language, with semantically discharged implication lemmas; the bundled
+  proof scripts.
 - :mod:`epigame.oracles` — independent brute-force reference implementations
-  and model/game generators used to cross-check everything above.
+  and game/condition generators used to cross-check everything above; no
+  runtime module imports it.
 """
 
 from .beliefs import BeliefModel, common_belief, format_model, parse_model

@@ -9,12 +9,16 @@ restriction of strategies actually played somewhere inside it.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
-from typing import Mapping
+from itertools import product
+from typing import Iterator, Mapping
 
-from .games import Game, Restriction
+from .games import Game, Restriction, subsets
 
 Event = frozenset[str]
+
+MAX_ENUM_STATES = 3
 
 
 class ModelFormatError(ValueError):
@@ -141,6 +145,49 @@ def is_truthful(model: BeliefModel) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# Enumeration and sampling, for validity sweeps
+
+
+def enumerate_belief_models(game: Game, max_states: int) -> Iterator[BeliefModel]:
+    """Every belief model over the game with 1..max_states states, in a
+    fixed order, without duplicates."""
+    if max_states > MAX_ENUM_STATES:
+        raise ValueError(f"exhaustive enumeration is limited to {MAX_ENUM_STATES} states")
+    for count in range(1, max_states + 1):
+        states = tuple(f"w{k + 1}" for k in range(count))
+        play_choices = [list(product(game.strategies[i], repeat=count)) for i in game.players]
+        poss_choices = list(product(subsets(states), repeat=count))
+        for plays_combo in product(*play_choices):
+            plays = tuple(dict(zip(states, chosen)) for chosen in plays_combo)
+            for poss_combo in product(poss_choices, repeat=game.n):
+                possible = tuple(dict(zip(states, chosen)) for chosen in poss_combo)
+                yield BeliefModel(game, states, plays, possible)
+
+
+def sample_belief_models(
+    game: Game, count: int, max_states: int, seed: int = 0
+) -> Iterator[BeliefModel]:
+    """Seeded random models: uniform state count in 1..max_states, uniform
+    strategies, and each possibility set drawn uniformly."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        size = rng.randint(1, max_states)
+        states = tuple(f"w{k + 1}" for k in range(size))
+        plays = tuple(
+            {state: rng.choice(game.strategies[i]) for state in states}
+            for i in game.players
+        )
+        possible = tuple(
+            {
+                state: frozenset(s for s in states if rng.random() < 0.5)
+                for state in states
+            }
+            for i in game.players
+        )
+        yield BeliefModel(game, states, plays, possible)
+
+
+# ---------------------------------------------------------------------------
 # Text format
 
 
@@ -200,6 +247,8 @@ def parse_model(text: str, game: Game) -> BeliefModel:
             for state, value in _parse_pairs(body, lineno):
                 if state not in states:
                     raise ModelFormatError(f"unknown state {state!r}", lineno)
+                if state in entries:
+                    raise ModelFormatError(f"duplicate entry for state {state!r}", lineno)
                 if kind == "plays":
                     entries[state] = value
                 else:

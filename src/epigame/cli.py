@@ -24,7 +24,7 @@ from .conditions import (
     parse_condition_file,
 )
 from .games import GameFormatError, parse_game
-from .modal import ForallX, ModalError, interpret, interpret_so, iter_subformulas, parse_nu
+from .modal import ForallX, ModalError, check_validity, interpret, interpret_so, iter_subformulas, parse_nu
 from .operators import (
     ConditionOperator,
     NoFixpointError,
@@ -117,8 +117,6 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def _cmd_check_valid(args: argparse.Namespace) -> int:
-    from .modal import check_validity
-
     game = parse_game(_read(args.game))
     registry = _load_registry(args.conditions)
     formula = parse_nu(args.formula)

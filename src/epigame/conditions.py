@@ -505,7 +505,7 @@ class ConditionRegistry:
 
 
 def parse_condition_file(text: str) -> dict[str, FormulaO]:
-    """Parse ``condition <name>: <formula>`` lines (# starts a comment)."""
+    """Parse ``condition <name>: <formula>`` lines; a line starting with # is a comment."""
     found: dict[str, FormulaO] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()

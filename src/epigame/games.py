@@ -14,8 +14,9 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from importlib import resources
 from itertools import product
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 Profile = tuple[str, ...]
 
@@ -162,10 +163,6 @@ class Restriction:
             if rogue:
                 raise ValueError(f"unknown strategy {sorted(rogue)[0]!r} for player {i + 1}")
 
-    @classmethod
-    def full(cls, game: Game) -> Restriction:
-        return game.full_restriction()
-
     def _check_same_game(self, other: Restriction) -> None:
         if self.game != other.game:
             raise ValueError("restrictions belong to different games")
@@ -187,9 +184,6 @@ class Restriction:
         """True when every component is empty (the lattice bottom)."""
         return all(not c for c in self.sets)
 
-    def has_empty_component(self) -> bool:
-        return any(not c for c in self.sets)
-
     def ordered(self, player: int) -> tuple[str, ...]:
         """One component as a tuple, in the game's strategy order."""
         return tuple(s for s in self.game.strategies[player] if s in self.sets[player])
@@ -209,20 +203,21 @@ class Restriction:
         return " / ".join(parts)
 
 
+def subsets(items: Sequence[str]) -> Iterator[frozenset[str]]:
+    """Every subset of the items by binary counting over their order: item
+    k is bit k, so the empty set comes first and the full set last."""
+    for mask in range(1 << len(items)):
+        yield frozenset(s for b, s in enumerate(items) if mask >> b & 1)
+
+
 def restrictions(game: Game) -> Iterator[Restriction]:
     """Every restriction of the game, in a fixed canonical order.
 
-    Per player, subsets are enumerated by binary counting over the strategy
-    order (empty set first); players vary with the last one fastest.
+    Per player, subsets are enumerated by :func:`subsets` over the strategy
+    order; players vary with the last one fastest.
     """
-    per_player = []
-    for names in game.strategies:
-        subsets = []
-        for mask in range(1 << len(names)):
-            subsets.append(frozenset(s for b, s in enumerate(names) if mask >> b & 1))
-        per_player.append(subsets)
-    for combo in product(*per_player):
-        yield Restriction(game, tuple(combo))
+    for combo in product(*map(subsets, game.strategies)):
+        yield Restriction(game, combo)
 
 
 def lattice_size(game: Game) -> int:
@@ -233,6 +228,10 @@ def lattice_size(game: Game) -> int:
 
 
 def _parse_rational(text: str) -> Fraction:
+    # Fraction expands exponent notation, so '1e999999999' alone would
+    # build a billion-digit integer
+    if "e" in text or "E" in text:
+        raise ValueError(f"bad rational {text!r}")
     try:
         value = Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
@@ -253,7 +252,8 @@ def parse_game(text: str) -> Game:
         payoff U R : 1 0
         ...
 
-    Payoffs are integers or fractions like ``5/2``.  Every profile needs
+    Payoffs are integers, fractions like ``5/2`` or plain decimals like
+    ``2.5``; exponent notation is refused.  Every profile needs
     exactly one payoff line.  Raises :class:`GameFormatError` with a 1-based
     line number on malformed input.
     """
@@ -346,3 +346,19 @@ def format_game(game: Game) -> str:
         values = " ".join(str(v) for v in game.payoffs[profile])
         lines.append("payoff " + " ".join(profile) + " : " + values)
     return "\n".join(lines) + "\n"
+
+
+_BUNDLED: dict[str, Game] = {}
+
+
+def bundled_game(name: str) -> Game:
+    """A packaged reference game, e.g. ``fig2``; parsed once, then cached."""
+    if name not in _BUNDLED:
+        text = resources.files("epigame").joinpath("data", f"{name}.game").read_text()
+        _BUNDLED[name] = parse_game(text)
+    return _BUNDLED[name]
+
+
+def bundled_games() -> tuple[Game, ...]:
+    """The three packaged reference games, in figure order."""
+    return tuple(bundled_game(name) for name in ("fig1_left", "fig1_right", "fig2"))

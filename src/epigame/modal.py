@@ -21,9 +21,16 @@ import re
 from dataclasses import dataclass
 from typing import Iterator
 
-from .beliefs import BeliefModel, Event, game_of_event
+from .beliefs import (
+    BeliefModel,
+    Event,
+    believes,
+    enumerate_belief_models,
+    game_of_event,
+    sample_belief_models,
+)
 from .conditions import ConditionRegistry, _DescentParser
-from .games import Game, Restriction
+from .games import Game, Restriction, subsets
 from .optimality import optimal_strategies
 
 
@@ -364,9 +371,7 @@ class _Evaluator:
             inner = self.eval(formula.body, env)
             result = self.universe
             for i in self.players_of(formula.player):
-                result &= frozenset(
-                    state for state in result if model.possible_at(i, state) <= inner
-                )
+                result &= believes(model, i, inner)
             return result
         if isinstance(formula, Opt):
             inner = self.eval(formula.body, env)
@@ -394,18 +399,12 @@ class _Evaluator:
             if not self.second_order:
                 raise ModalError("forall X needs the second-order interpreter")
             result = self.universe
-            for candidate in all_events(self.universe):
+            for candidate in subsets(sorted(self.universe)):
                 result &= self.eval(formula.body, candidate)
                 if not result:
                     break
             return result
         raise ModalError(f"cannot interpret {formula!r}")
-
-
-def all_events(universe: Event) -> Iterator[Event]:
-    states = sorted(universe)
-    for mask in range(1 << len(states)):
-        yield frozenset(s for b, s in enumerate(states) if mask >> b & 1)
 
 
 def interpret(
@@ -435,26 +434,6 @@ def interpret_so(
     return evaluator.eval(formula, model.universe if env is None else env)
 
 
-def nu_via_postfixpoints(
-    model: BeliefModel,
-    body: FormulaNu,
-    registry: ConditionRegistry | None = None,
-) -> Event:
-    """Independent route to ``nu X . body`` for bodies positive in X:
-    the union of all events below their own image."""
-    registry = registry or ConditionRegistry.standard()
-    if len(model.states) > 20:
-        raise ModalError("post-fixpoint enumeration is limited to 20 states")
-    if not positive_in_x(body, registry):
-        raise ModalError("post-fixpoint characterization needs a body positive in X")
-    evaluator = _Evaluator(model, registry, second_order=False)
-    union: Event = frozenset()
-    for candidate in all_events(model.universe):
-        if candidate <= evaluator.eval(body, candidate):
-            union |= candidate
-    return union
-
-
 # ---------------------------------------------------------------------------
 # Validity over enumerated / sampled models
 
@@ -482,17 +461,15 @@ def check_validity(
     :class:`ModalError` when the search would check no model at all, so a
     positive verdict is never earned on an empty corpus.
     """
-    from . import oracles
-
     if max_states < 1:
         raise ModalError(f"models need at least 1 state, got {max_states}")
     if samples is not None and samples < 1:
         raise ModalError(f"need at least 1 sampled model, got {samples}")
     registry = registry or ConditionRegistry.standard()
     if samples is None:
-        candidates = oracles.enumerate_belief_models(game, max_states)
+        candidates = enumerate_belief_models(game, max_states)
     else:
-        candidates = oracles.sample_belief_models(game, samples, max_states, seed)
+        candidates = sample_belief_models(game, samples, max_states, seed)
     second_order = any(isinstance(f, ForallX) for f in iter_subformulas(formula))
     shared_cache: dict[tuple, bool] = {}
     checked = 0

@@ -10,7 +10,9 @@ outcome inclusion) on operators that conditions cannot produce.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
+from itertools import product
 from typing import Mapping, Sequence
 
 from .conditions import FormulaO, analyze, builtin
@@ -36,9 +38,6 @@ class Operator:
 
     def apply(self, restriction: Restriction) -> Restriction:
         raise NotImplementedError
-
-    def _iteration_bound(self) -> int:
-        return lattice_size(self.game) + 1
 
 
 class ConditionOperator(Operator):
@@ -79,9 +78,6 @@ class ConditionOperator(Operator):
             kept.append(current if len(survivors) == len(current) else survivors)
         return Restriction(game, tuple(kept))
 
-    def _iteration_bound(self) -> int:
-        return sum(len(names) for names in self.game.strategies) + 1
-
 
 def condition_operator(game: Game, condition: str | FormulaO) -> ConditionOperator:
     """Convenience: build the operator for a builtin name or a single formula."""
@@ -120,13 +116,6 @@ class ContractedOperator(Operator):
     def apply(self, restriction: Restriction) -> Restriction:
         return self.base.apply(restriction).meet(restriction)
 
-    def _iteration_bound(self) -> int:
-        return sum(len(names) for names in self.game.strategies) + 1
-
-
-def contracted(op: Operator) -> ContractedOperator:
-    return ContractedOperator(op)
-
 
 @dataclass(frozen=True)
 class IterationTrace:
@@ -153,7 +142,9 @@ def iterate(op: Operator, start: Restriction | None = None) -> IterationTrace:
     if current.game != op.game:
         raise OperatorError("start restriction belongs to a different game")
     stages = [current]
-    bound = op._iteration_bound()
+    # contracting operators drop a strategy at every stage until one
+    # repeats, so they stop long before this lattice-wide bound
+    bound = lattice_size(op.game) + 1
     while True:
         nxt = op.apply(current)
         stages.append(nxt)
@@ -199,9 +190,7 @@ def _subset_pairs(game: Game):
                     break
                 sub_mask = (sub_mask - 1) & large_mask
         per_player.append(pairs)
-    from itertools import product as _product
-
-    for combo in _product(*per_player):
+    for combo in product(*per_player):
         small = Restriction(game, tuple(p[0] for p in combo))
         large = Restriction(game, tuple(p[1] for p in combo))
         yield small, large
@@ -230,8 +219,6 @@ def check_monotone(
             raise OperatorError("lattice too large for an exhaustive check")
         pairs = _subset_pairs(game)
     else:
-        import random
-
         rng = random.Random(seed)
 
         def sampled():
@@ -277,7 +264,7 @@ def lemma_inclusion_check(first: Operator, second: Operator) -> InclusionReport:
     )
     monotone = check_monotone(first).monotone
     try:
-        conclusion = iterate(first).outcome.leq(iterate(contracted(second)).outcome)
+        conclusion = iterate(first).outcome.leq(iterate(ContractedOperator(second)).outcome)
     except NoFixpointError:
         conclusion = False
     return InclusionReport(pointwise and monotone, conclusion)

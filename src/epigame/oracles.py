@@ -4,40 +4,29 @@ The functions here deliberately re-implement elimination and common belief
 with plain loops, without the operator or formula machinery, so that a
 disagreement in a cross-check localizes the bug; the optimality kernel is
 checked against the naive condition evaluator, applied one focus strategy
-at a time by :func:`naive_optimal_strategies`.  The module also bundles
-the three reference games, generates a deterministic corpus of small games,
-and enumerates or samples belief models for validity sweeps.
+at a time by :func:`naive_optimal_strategies`, and the fixpoint iteration
+against the union of post-fixpoints.  The module also names the reference
+games and generates deterministic corpora of small games, conditions and
+operator pairs.  No runtime module imports it.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
-from importlib import resources
 from itertools import product
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from .beliefs import BeliefModel, Event
-from .conditions import FormulaO, OptimalityModel, models
-from .games import Game, Profile, Restriction, parse_game, restrictions
+from .conditions import ConditionRegistry, FormulaO, OptimalityModel, models
+from .games import Game, Profile, Restriction, bundled_game, bundled_games, restrictions, subsets
+from .modal import FormulaNu, ModalError, interpret, positive_in_x
+
+# re-exported: perfbench/ imports these from here and traces the generators here
+from .beliefs import enumerate_belief_models, sample_belief_models  # noqa: F401
+from .proofs import bundled_proof  # noqa: F401
 
 GENERATED_SEED = 7120394
-MAX_ENUM_STATES = 3
-
-
-def _load_bundled(name: str) -> Game:
-    text = resources.files("epigame").joinpath("data", name).read_text()
-    return parse_game(text)
-
-
-_BUNDLED: dict[str, Game] = {}
-
-
-def bundled_game(name: str) -> Game:
-    if name not in _BUNDLED:
-        _BUNDLED[name] = _load_bundled(f"{name}.game")
-    return _BUNDLED[name]
 
 
 def fig1_left() -> Game:
@@ -56,15 +45,6 @@ def fig2() -> Game:
     a best response only against R, and D is never a best response yet is
     not strictly dominated."""
     return bundled_game("fig2")
-
-
-def bundled_games() -> tuple[Game, ...]:
-    return (fig1_left(), fig1_right(), fig2())
-
-
-def bundled_proof(name: str) -> str:
-    """The text of a packaged proof script, e.g. ``THM-MAIN``."""
-    return resources.files("epigame").joinpath("data", f"{name}.prf").read_text()
 
 
 def generated_games(seed: int = GENERATED_SEED) -> tuple[Game, ...]:
@@ -173,21 +153,9 @@ def premise_pairs(game: Game, count: int, seed: int = 0) -> Iterator[tuple]:
         yield TableOperator(game, first), TableOperator(game, second)
 
 
-@dataclass(frozen=True)
-class Corpus:
-    games: tuple[Game, ...]
-    max_states: int
-    max_samples: int
-    seed: int
-
-
-def standard_corpus() -> Corpus:
-    return Corpus(
-        games=bundled_games() + generated_games(),
-        max_states=2,
-        max_samples=10_000,
-        seed=GENERATED_SEED,
-    )
+def standard_corpus() -> tuple[Game, ...]:
+    """The bundled games followed by the generated ones."""
+    return bundled_games() + generated_games()
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +244,7 @@ def naive_optimal_strategies(
     reference evaluator :func:`~epigame.conditions.models`, one focus
     profile per strategy (everyone else at their first strategy, which a
     context-safe condition never reads).  The reference that
-    :func:`~epigame.conditions.optimal_strategies` is checked against."""
+    :func:`~epigame.optimality.optimal_strategies` is checked against."""
     found = set()
     for strategy in game.strategies[owner]:
         focus = tuple(strategy if i == owner else game.strategies[i][0] for i in game.players)
@@ -304,55 +272,23 @@ def naive_common_belief(model: BeliefModel, event: Event) -> Event:
     return result
 
 
-# ---------------------------------------------------------------------------
-# Belief-model enumeration and sampling
-
-
-def _subsets(states: Sequence[str]) -> list[Event]:
-    return [
-        frozenset(s for b, s in enumerate(states) if mask >> b & 1)
-        for mask in range(1 << len(states))
-    ]
-
-
-def enumerate_belief_models(game: Game, max_states: int) -> Iterator[BeliefModel]:
-    """Every belief model over the game with 1..max_states states, in a
-    fixed order, without duplicates."""
-    if max_states > MAX_ENUM_STATES:
-        raise ValueError(f"exhaustive enumeration is limited to {MAX_ENUM_STATES} states")
-    for count in range(1, max_states + 1):
-        states = tuple(f"w{k + 1}" for k in range(count))
-        subsets = _subsets(states)
-        play_choices = [list(product(game.strategies[i], repeat=count)) for i in game.players]
-        poss_choices = list(product(subsets, repeat=count))
-        for plays_combo in product(*play_choices):
-            plays = tuple(dict(zip(states, chosen)) for chosen in plays_combo)
-            for poss_combo in product(poss_choices, repeat=game.n):
-                possible = tuple(dict(zip(states, chosen)) for chosen in poss_combo)
-                yield BeliefModel(game, states, plays, possible)
-
-
-def sample_belief_models(
-    game: Game, count: int, max_states: int, seed: int = 0
-) -> Iterator[BeliefModel]:
-    """Seeded random models: uniform state count in 1..max_states, uniform
-    strategies, and each possibility set drawn uniformly."""
-    rng = random.Random(seed)
-    for _ in range(count):
-        size = rng.randint(1, max_states)
-        states = tuple(f"w{k + 1}" for k in range(size))
-        plays = tuple(
-            {state: rng.choice(game.strategies[i]) for state in states}
-            for i in game.players
-        )
-        possible = tuple(
-            {
-                state: frozenset(s for s in states if rng.random() < 0.5)
-                for state in states
-            }
-            for i in game.players
-        )
-        yield BeliefModel(game, states, plays, possible)
+def nu_via_postfixpoints(
+    model: BeliefModel,
+    body: FormulaNu,
+    registry: ConditionRegistry | None = None,
+) -> Event:
+    """Independent route to ``nu X . body`` for bodies positive in X:
+    the union of all events below their own image."""
+    registry = registry or ConditionRegistry.standard()
+    if len(model.states) > 20:
+        raise ModalError("post-fixpoint enumeration is limited to 20 states")
+    if not positive_in_x(body, registry):
+        raise ModalError("post-fixpoint characterization needs a body positive in X")
+    union: Event = frozenset()
+    for candidate in subsets(sorted(model.universe)):
+        if candidate <= interpret(model, body, candidate, registry):
+            union |= candidate
+    return union
 
 
 def enumerate_optimality_models(game: Game) -> Iterator[tuple[Restriction, Profile]]:

@@ -19,10 +19,11 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from importlib import resources
 from typing import Iterator, Sequence
 
 from .conditions import ConditionRegistry, FormulaO, FormulaSyntaxError, OptimalityModel, models
-from .games import Game, Profile, Restriction, lattice_size, restrictions
+from .games import Game, Profile, Restriction, bundled_games, lattice_size, restrictions
 from .modal import (
     Box,
     Conj,
@@ -34,6 +35,7 @@ from .modal import (
     X,
     has_free_x,
     imp,
+    iter_subformulas,
     match_imp,
     nu_free,
     parse_nu,
@@ -96,7 +98,7 @@ def _parse_justification(text: str, lineno: int) -> Justification:
 
 
 def parse_proof(text: str) -> ProofScript:
-    """Parse ``n. <formula> ; <justification>`` lines; # starts a comment."""
+    """Parse ``n. <formula> ; <justification>`` lines; a line starting with # is a comment."""
     lines: list[ProofLine] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.strip()
@@ -209,15 +211,6 @@ def match_nudis(formula: FormulaNu, conditions: ConditionRegistry) -> AxiomMatch
         ):
             return AxiomMatch("nuDis", {"body": fixpoint.body})
     return AxiomMatch("nuDis", None)
-
-
-def check_axiom(formula: FormulaNu, conditions: ConditionRegistry) -> AxiomMatch | None:
-    """The first axiom schema the formula instantiates, if any."""
-    for matcher in (match_ratdis, match_nudis):
-        result = matcher(formula, conditions)
-        if result:
-            return result
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -434,8 +427,6 @@ def check_proof(
 
 
 def _condition_refs(formula: FormulaNu) -> Iterator[Rat | Opt]:
-    from .modal import iter_subformulas
-
     for sub in iter_subformulas(formula):
         if isinstance(sub, (Rat, Opt)):
             yield sub
@@ -447,11 +438,14 @@ def standard_lemmas(
 ) -> LemmaRegistry:
     """The registry used by the bundled scripts: best response implies both
     undominatedness notions, discharged over the bundled game corpus."""
-    from . import oracles
-
     conditions = conditions or ConditionRegistry.standard()
-    corpus = list(corpus) if corpus is not None else list(oracles.bundled_games())
+    corpus = list(corpus) if corpus is not None else list(bundled_games())
     registry = LemmaRegistry()
     registry.register("gbr_implies_lsd", "gbr", "lsd", conditions, corpus)
     registry.register("gbr_implies_gsd", "gbr", "gsd", conditions, corpus)
     return registry
+
+
+def bundled_proof(name: str) -> str:
+    """The text of a packaged proof script, e.g. ``THM-MAIN``."""
+    return resources.files("epigame").joinpath("data", f"{name}.prf").read_text()

@@ -11,7 +11,7 @@ from itertools import product
 
 import pytest
 
-from epigame.beliefs import BeliefModel
+from epigame.beliefs import BeliefModel, enumerate_belief_models
 from epigame.conditions import (
     ConditionRegistry,
     OptimalityModel,
@@ -19,7 +19,7 @@ from epigame.conditions import (
     builtin,
     satisfies,
 )
-from epigame.games import restrictions
+from epigame.games import bundled_games, restrictions
 from epigame.modal import (
     Neg,
     Rat,
@@ -30,17 +30,14 @@ from epigame.modal import (
     parse_nu,
 )
 from epigame.operators import (
+    ContractedOperator,
     TableOperator,
     check_monotone,
     condition_operator,
-    contracted,
     iterate,
     lemma_inclusion_check,
 )
 from epigame.oracles import (
-    bundled_games,
-    bundled_proof,
-    enumerate_belief_models,
     fig1_left,
     fig1_right,
     fig2,
@@ -53,6 +50,7 @@ from epigame.oracles import (
 from epigame.proofs import (
     LemmaRefused,
     LemmaRegistry,
+    bundled_proof,
     check_proof,
     implication_counterexamples,
     parse_proof,
@@ -63,7 +61,7 @@ from mutations import mutate_script
 
 BUILTINS = ("lsd", "gsd", "gbr")
 REGISTRY = ConditionRegistry.standard()
-CORPUS = standard_corpus().games
+CORPUS = standard_corpus()
 SQUARE_GAMES = tuple(
     g for g in CORPUS if tuple(len(s) for s in g.strategies) == (2, 2)
 )
@@ -154,7 +152,7 @@ def test_table_operator_laws():
                 continue
             monotone += 1
             outcome = iterate(op).outcome
-            assert outcome == iterate(contracted(op)).outcome
+            assert outcome == iterate(ContractedOperator(op)).outcome
             post = [r for r in lattice if r.leq(op.apply(r))]
             greatest = post[0]
             for r in post[1:]:

@@ -7,18 +7,15 @@ from epigame.beliefs import (
     ModelFormatError,
     believes,
     common_belief,
+    enumerate_belief_models,
     everyone_believes,
     format_model,
     game_of_event,
     is_truthful,
     parse_model,
-)
-from epigame.oracles import (
-    enumerate_belief_models,
-    fig1_right,
-    naive_common_belief,
     sample_belief_models,
 )
+from epigame.oracles import fig1_right, naive_common_belief
 
 MODEL_TEXT = """\
 # asymmetric introspection
@@ -194,6 +191,9 @@ def test_parse_model_errors():
          "expected a state set"),
         ("states: w1\nwat\n", "unrecognized line"),
         ("states: w1\nplays 1: w2=U\n", "unknown state 'w2'"),
+        ("states: w1 w2\nplays 1: w1=U w2=D w1=U\n", "line 2: duplicate entry for state 'w1'"),
+        ("states: w1\nplays 1: w1=U\nplays 2: w1=L\npossible 1: w1={w1} w1={}\n",
+         "line 4: duplicate entry for state 'w1'"),
     ]
     for text, message in cases:
         with pytest.raises(ModelFormatError, match=message):

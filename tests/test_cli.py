@@ -1,14 +1,17 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import epigame
 from epigame.beliefs import parse_model
 from epigame.cli import main
 from epigame.games import parse_game
 from epigame.modal import interpret, parse_nu
-from epigame.oracles import bundled_proof
+from epigame.proofs import bundled_proof
 
 GAME = """\
 players: 2
@@ -238,6 +241,11 @@ def test_error_exit_codes(files, tmp_path, capsys):
     assert main(["eliminate", files["game.game"], "wat"]) == 2
     capsys.readouterr()
 
+    repeated = tmp_path / "repeated.model"
+    repeated.write_text(MODEL.replace("plays 1: w=D", "plays 1: w=U w=D"))
+    assert main(["evaluate", str(repeated), files["game.game"], "rat(lsd)"]) == 2
+    assert "line 2: duplicate entry for state 'w'" in capsys.readouterr().err
+
 
 def test_module_entry_point(files):
     result = subprocess.run(
@@ -247,3 +255,22 @@ def test_module_entry_point(files):
     )
     assert result.returncode == 0
     assert result.stdout == "1: U / 2: L\n"
+
+
+def test_runtime_does_not_import_oracles():
+    # a fresh interpreter: the test suite itself has imported the oracles
+    data = Path(epigame.__file__).parent / "data"
+    script = f"""
+import sys
+from epigame.cli import main
+assert main(["check-valid", {str(data / "fig2.game")!r}, "rat(gbr)", "--exhaustive", "1"]) == 1
+assert main(["check-proof", {str(data / "THM-MAIN.prf")!r}]) == 0
+print("epigame.oracles" in sys.modules)
+"""
+    src = str(Path(epigame.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    result = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-2:] == ["OK", "False"]

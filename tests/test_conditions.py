@@ -26,12 +26,11 @@ from epigame.conditions import (
     pretty_lo,
     satisfies,
 )
-from epigame.games import Game, restrictions
+from epigame.games import Game, bundled_games, restrictions
 from epigame.modal import ModalError, Rat, interpret
 from epigame.operators import ConditionOperator, OperatorError, condition_operator, iterate
 from epigame.optimality import optimal_strategies
 from epigame.oracles import (
-    bundled_games,
     enumerate_optimality_models,
     fig1_left,
     fig1_right,

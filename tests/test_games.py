@@ -72,6 +72,16 @@ def test_bad_rational_reports_line():
         parse_game(RIGHT_GAME.replace("payoff U L : 1 1", "payoff U L : one 1"))
 
 
+def test_exponent_payoffs_are_refused():
+    # Fraction would expand these into enormous integers before any check
+    for literal in ("1e999999999", "1E-3000000", "2.5e1"):
+        text = RIGHT_GAME.replace("payoff U L : 1 1", f"payoff U L : {literal} 1")
+        with pytest.raises(GameFormatError, match=f"line 5: bad rational '{literal}'"):
+            parse_game(text)
+    g = parse_game(RIGHT_GAME.replace("payoff U L : 1 1", "payoff U L : 2.5 -0.25"))
+    assert g.payoffs[("U", "L")] == (Fraction(5, 2), Fraction(-1, 4))
+
+
 def test_fractional_payoffs_are_exact():
     g = parse_game(RIGHT_GAME.replace("payoff U L : 1 1", "payoff U L : 1/3 -2/7"))
     assert g.payoff(0, ("U", "L")) == Fraction(1, 3)

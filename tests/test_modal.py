@@ -3,8 +3,14 @@ from itertools import islice
 import pytest
 from hypothesis import given, strategies as st
 
-from epigame.beliefs import BeliefModel, parse_model
+from epigame.beliefs import (
+    BeliefModel,
+    enumerate_belief_models,
+    parse_model,
+    sample_belief_models,
+)
 from epigame.conditions import MAX_NESTING, ConditionRegistry, FormulaSyntaxError, parse_lo
+from epigame.games import subsets
 from epigame.modal import (
     Box,
     Conj,
@@ -16,7 +22,6 @@ from epigame.modal import (
     Rat,
     SetVar,
     X,
-    all_events,
     check_validity,
     common_belief_formula,
     has_free_x,
@@ -26,19 +31,12 @@ from epigame.modal import (
     iter_subformulas,
     match_imp,
     nu_free,
-    nu_via_postfixpoints,
     parse_nu,
     positive_in_x,
     pretty_nu,
     substitute_x,
 )
-from epigame.oracles import (
-    enumerate_belief_models,
-    fig1_left,
-    fig1_right,
-    naive_common_belief,
-    sample_belief_models,
-)
+from epigame.oracles import fig1_left, fig1_right, naive_common_belief, nu_via_postfixpoints
 
 REGISTRY = ConditionRegistry.standard()
 
@@ -247,7 +245,7 @@ def test_environment_is_irrelevant_without_free_x():
 def test_positive_bodies_are_monotone_in_x():
     bodies = [Opt("gbr", None, X), Box(None, Conj(X, Rat("lsd", None))), Neg(Neg(X))]
     for m in islice(sample_belief_models(fig1_right(), 60, 3, seed=12), 60):
-        events = sorted(all_events(m.universe), key=len)
+        events = sorted(subsets(sorted(m.universe)), key=len)
         for body in bodies:
             for small in events:
                 for large in events:
@@ -313,7 +311,7 @@ def test_forall_x_instantiates():
     body = imp(Box(0, X), Opt("gbr", 0, X))
     for m in islice(sample_belief_models(fig1_right(), 60, 3, seed=15), 60):
         bundled = interpret_so(m, ForallX(body))
-        for event in all_events(m.universe):
+        for event in subsets(sorted(m.universe)):
             assert bundled <= interpret(m, body, env=event)
 
 

@@ -7,13 +7,13 @@ from epigame.conditions import analyze, builtin, parse_lo
 from epigame.games import Restriction, lattice_size, restrictions
 from epigame.operators import (
     ConditionOperator,
+    ContractedOperator,
     NoFixpointError,
     OperatorError,
     TableOperator,
     check_monotone,
     condition_operator,
     constant_table,
-    contracted,
     format_trace,
     identity_table,
     iterate,
@@ -178,7 +178,7 @@ def test_table_operator_census():
         if check_monotone(op).monotone:
             monotone += 1
             outcome = iterate(op).outcome
-            assert outcome == iterate(contracted(op)).outcome
+            assert outcome == iterate(ContractedOperator(op)).outcome
             post = [r for r in lattice if r.leq(op.apply(r))]
             greatest = post[0]
             for r in post[1:]:
@@ -191,7 +191,7 @@ def test_table_operator_census():
                 stabilized += 1
             except NoFixpointError:
                 cycled += 1
-            assert iterate(contracted(op)).outcome is not None
+            assert iterate(ContractedOperator(op)).outcome is not None
     assert monotone == 36
     assert stabilized == 106
     assert cycled == 114
@@ -230,12 +230,12 @@ def test_table_validation():
 def test_contracted_wrapper():
     g = fig1_right()
     op = condition_operator(g, "lsd")
-    wrapped = contracted(op)
+    wrapped = ContractedOperator(op)
     for r in restrictions(g):
         assert wrapped.apply(r) == op.apply(r).meet(r)
         # already-contracting base: wrapping changes nothing
         assert wrapped.apply(r) == op.apply(r)
-    twice = contracted(wrapped)
+    twice = ContractedOperator(wrapped)
     assert all(twice.apply(r) == wrapped.apply(r) for r in restrictions(g))
 
 
@@ -243,7 +243,7 @@ def test_contracted_really_contracts():
     game = square_lattice_game()
     top = game.full_restriction()
     blow_up = constant_table(game, top)  # not contracting below the top
-    wrapped = contracted(blow_up)
+    wrapped = ContractedOperator(blow_up)
     for r in restrictions(game):
         assert wrapped.apply(r) == r  # meet with the top is the identity
 
@@ -282,7 +282,7 @@ square_images = st.sampled_from(list(restrictions(square_lattice_game())))
 def test_contraction_tames_any_table(images):
     game = square_lattice_game()
     keys = [r.key() for r in restrictions(game)]
-    op = contracted(TableOperator(game, dict(zip(keys, images))))
+    op = ContractedOperator(TableOperator(game, dict(zip(keys, images))))
     for r in restrictions(game):
         assert op.apply(r).leq(r)
     trace = iterate(op)

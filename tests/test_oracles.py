@@ -4,13 +4,10 @@ from itertools import islice
 import pytest
 
 from epigame.conditions import analyze
-from epigame.games import Game, lattice_size, parse_game
+from epigame.beliefs import enumerate_belief_models, sample_belief_models
+from epigame.games import Game, bundled_games, lattice_size, parse_game
 from epigame.operators import condition_operator, iterate
 from epigame.oracles import (
-    GENERATED_SEED,
-    bundled_games,
-    bundled_proof,
-    enumerate_belief_models,
     enumerate_optimality_models,
     fig1_left,
     fig1_right,
@@ -19,10 +16,10 @@ from epigame.oracles import (
     generated_games,
     naive_eliminate,
     premise_pairs,
-    sample_belief_models,
     square_lattice_game,
     standard_corpus,
 )
+from epigame.proofs import bundled_proof
 
 
 def test_bundled_game_payoffs():
@@ -67,10 +64,8 @@ def test_generated_games_are_deterministic():
 
 def test_standard_corpus():
     corpus = standard_corpus()
-    assert len(corpus.games) == 13
-    assert corpus.games[:3] == bundled_games()
-    assert corpus.max_states == 2
-    assert corpus.seed == GENERATED_SEED
+    assert len(corpus) == 13
+    assert corpus[:3] == bundled_games()
 
 
 def test_generated_conditions():

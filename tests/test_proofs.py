@@ -13,6 +13,7 @@ from epigame.proofs import (
     ProofScript,
     ProofSyntaxError,
     SweepEvidence,
+    bundled_proof,
     check_proof,
     implication_counterexamples,
     is_tautology,
@@ -21,7 +22,7 @@ from epigame.proofs import (
     parse_proof,
     standard_lemmas,
 )
-from epigame.oracles import bundled_proof, fig2
+from epigame.oracles import fig2
 from mutations import mutate_script
 
 REGISTRY = ConditionRegistry.standard()
