@@ -11,7 +11,8 @@ The layers, bottom up:
   with syntactic analyses (closed / positive / context-safe) and a naive
   reference evaluator.
 - :mod:`epigame.optimality` — the fast optimality kernel: which strategies
-  of a player satisfy a condition in a context.
+  of a player satisfy a condition in a context; and the per-game survivor
+  table that memoises it for the modal layer.
 - :mod:`epigame.operators` — each condition induces an elimination operator
   on restrictions; iterate to a fixpoint, check monotonicity, compare
   operators.

@@ -3,8 +3,10 @@
 A belief model attaches to every state, for every player, the strategy that
 player uses there and the set of states the player considers possible.
 Possibility sets may be empty and need not contain the actual state.  Events
-are plain sets of states; ``game_of_event`` projects an event down to the
-restriction of strategies actually played somewhere inside it.
+are plain sets of states here; ``game_of_event`` projects an event down to
+the restriction of strategies actually played somewhere inside it.  The
+modal evaluator works on state bitmasks instead and builds its contexts
+itself; these set-based functions are what its reference is built from.
 """
 
 from __future__ import annotations
@@ -85,7 +87,10 @@ class BeliefModel:
 
 
 def game_of_event(model: BeliefModel, event: Event) -> Restriction:
-    """The restriction of strategies played somewhere in the event."""
+    """The restriction of strategies played somewhere in the event.
+
+    The reference path: :func:`epigame.oracles.naive_interpret` builds its
+    contexts with it, and :mod:`epigame.modal` must agree with that."""
     sets = tuple(
         frozenset(model.strategy_of(i, state) for state in event)
         for i in model.game.players

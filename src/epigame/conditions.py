@@ -33,8 +33,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, is_dataclass
 from functools import lru_cache
-from itertools import product
-from typing import Iterator, Mapping
+from typing import Mapping
 
 from .games import Game, Profile, Restriction, profile_with
 
@@ -357,9 +356,11 @@ def _context_safe(formula: FormulaO) -> bool:
     return _context_safe(formula.body)
 
 
+@lru_cache(maxsize=256)
 def analyze(formula: FormulaO) -> ConditionAnalysis:
     """Closedness, positivity (context atoms under an even number of
-    negations), and context-safety of a condition."""
+    negations), and context-safety of a condition.  Memoised, since every
+    :meth:`ConditionRegistry.standard` analyses the same builtins."""
     return ConditionAnalysis(
         closed=not free_variables(formula),
         positive=_all_ctx_positive(formula, 0),

@@ -90,6 +90,12 @@ class Game:
     def _preference_tables(self) -> tuple[Preferences, ...]:
         return tuple(Preferences.of(self, i) for i in self.players)
 
+    @cached_property
+    def survivor_tables(self) -> dict:
+        """Condition formula -> :class:`epigame.optimality.SurvivorTable`,
+        filled on demand by :func:`epigame.optimality.survivor_table`."""
+        return {}
+
     def full_restriction(self) -> Restriction:
         return Restriction(self, tuple(frozenset(names) for names in self.strategies))
 

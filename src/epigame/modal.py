@@ -13,25 +13,28 @@ the second-order quantifier, handled only by :func:`interpret_so`.
 The fixpoint is computed by iterating the body intersected with the current
 set from the full state space; that always terminates and agrees with the
 union of post-fixpoints whenever the body is positive in X.
+
+Inside the evaluator every event is an ``int`` bitmask over the model's
+states, and a context is a tuple of per-player strategy masks; the
+survivors of a condition in a context come from the game's
+:class:`~epigame.optimality.SurvivorTable`, shared by every model of the
+game.  Frozensets of state names appear only at the boundary: the ``env``
+argument and the results of :func:`interpret` and :func:`interpret_so`.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import reduce
+from itertools import compress
+from operator import or_
 from typing import Iterator
 
-from .beliefs import (
-    BeliefModel,
-    Event,
-    believes,
-    enumerate_belief_models,
-    game_of_event,
-    sample_belief_models,
-)
+from .beliefs import BeliefModel, Event, enumerate_belief_models, sample_belief_models
 from .conditions import ConditionRegistry, _DescentParser
-from .games import Game, Restriction, subsets
-from .optimality import optimal_strategies
+from .games import Game
+from .optimality import SurvivorTable, survivor_table
 
 
 class ModalError(ValueError):
@@ -305,106 +308,168 @@ def positive_in_x(formula: FormulaNu, registry: ConditionRegistry) -> bool:
 
 
 class _Evaluator:
-    def __init__(
-        self,
-        model: BeliefModel,
-        registry: ConditionRegistry,
-        second_order: bool,
-        optimal_cache: dict | None = None,
-    ):
-        self.model = model
+    """Evaluates formulas on one belief model at a time, with every event
+    an ``int`` bitmask over the model's states (state k is bit k).
+
+    A context is a tuple of per-player strategy masks, the OR of the
+    strategies played at the event's states; the game's
+    :class:`~epigame.optimality.SurvivorTable` of each condition answers
+    which strategies survive in it.  Frozensets of state names appear only
+    in :func:`interpret` and :func:`interpret_so`, at the boundary.  One
+    evaluator serves a whole :func:`check_validity` sweep: :meth:`load`
+    swaps the model and keeps the resolved tables while the game stays.
+    """
+
+    def __init__(self, registry: ConditionRegistry, second_order: bool):
         self.registry = registry
         self.second_order = second_order
-        self.universe = model.universe
-        # (condition, player, context sets) -> the player's optimal
-        # strategies; safe to share between models of the same game, so
-        # sweeps may pass one in.
-        self._optimal_cache: dict[tuple, frozenset[str]] = (
-            optimal_cache if optimal_cache is not None else {}
-        )
-        self._rat_cache: dict[tuple[str, int], Event] = {}
+        self.game: Game | None = None
+        self._tables: dict[str, SurvivorTable] = {}
 
-    def condition_holds(self, name: str, player: int, strategy: str, context: Restriction) -> bool:
-        key = (name, player, context.sets)
-        survivors = self._optimal_cache.get(key)
-        if survivors is None:
+    def load(self, model: BeliefModel) -> None:
+        game = model.game
+        if game is not self.game:
+            self.game = game
+            self.players = game.players
+            self._tables = {}
+            self._bits = [{s: 1 << k for k, s in enumerate(names)} for names in game.strategies]
+        states = model.states
+        index = {s: k for k, s in enumerate(states)}
+        self.states = states
+        self.full = (1 << len(states)) - 1
+        # plays[i][k]: the strategy bit player i plays at state k
+        self.plays = [
+            tuple(bits[plays[s]] for s in states) for bits, plays in zip(self._bits, model.plays)
+        ]
+        # possible[i][k]: the states player i considers possible at state k
+        self.possible = [
+            tuple(sum(1 << index[t] for t in possible[s]) for s in states)
+            for possible in model.possible
+        ]
+        self._contexts: dict[int, tuple[int, ...]] = {}
+        self._rat_events: dict[tuple[str, int], int] = {}
+
+    def mask_of(self, event: Event) -> int:
+        unknown = set(event).difference(self.states)
+        if unknown:
+            raise ModalError(f"unknown state {sorted(unknown)[0]!r} in the environment")
+        return sum(1 << k for k, state in enumerate(self.states) if state in event)
+
+    def event_of(self, mask: int) -> Event:
+        return frozenset(s for k, s in enumerate(self.states) if mask >> k & 1)
+
+    def table(self, name: str) -> SurvivorTable:
+        table = self._tables.get(name)
+        if table is None:
             info = self.registry.get(name)
             if not info.analysis.context_safe:
                 raise ModalError(f"condition {name!r} is not context-safe")
-            survivors = optimal_strategies(self.model.game, player, info.formula, context)
-            self._optimal_cache[key] = survivors
-        return strategy in survivors
+            table = self._tables[name] = survivor_table(self.game, info.formula)
+        return table
+
+    def context(self, event: int) -> tuple[int, ...]:
+        """The per-player masks of the strategies played in the event."""
+        found = self._contexts.get(event)
+        if found is None:
+            inside = [event >> k & 1 for k in range(len(self.states))]
+            found = tuple(reduce(or_, compress(plays, inside), 0) for plays in self.plays)
+            self._contexts[event] = found
+        return found
 
     def players_of(self, tag: int | None) -> range | tuple[int, ...]:
         if tag is None:
-            return self.model.game.players
-        if not 0 <= tag < self.model.game.n:
+            return self.players
+        if tag not in self.players:
             raise ModalError(f"player index {tag + 1} out of range")
         return (tag,)
 
-    def eval(self, formula: FormulaNu, env: Event) -> Event:
-        model = self.model
-        if isinstance(formula, Rat):
-            result = self.universe
-            for i in self.players_of(formula.player):
-                key = (formula.condition, i)
-                event = self._rat_cache.get(key)
-                if event is None:
-                    event = frozenset(
-                        state
-                        for state in model.states
-                        if self.condition_holds(
-                            formula.condition,
-                            i,
-                            model.strategy_of(i, state),
-                            game_of_event(model, model.possible_at(i, state)),
-                        )
-                    )
-                    self._rat_cache[key] = event
-                result &= event
-            return result
-        if isinstance(formula, Neg):
-            return self.universe - self.eval(formula.body, env)
-        if isinstance(formula, Conj):
-            return self.eval(formula.left, env) & self.eval(formula.right, env)
-        if isinstance(formula, Box):
-            inner = self.eval(formula.body, env)
-            result = self.universe
-            for i in self.players_of(formula.player):
-                result &= believes(model, i, inner)
-            return result
-        if isinstance(formula, Opt):
-            inner = self.eval(formula.body, env)
-            context = game_of_event(model, inner)
-            result = self.universe
-            for i in self.players_of(formula.player):
-                result &= frozenset(
-                    state
-                    for state in result
-                    if self.condition_holds(
-                        formula.condition, i, model.strategy_of(i, state), context
-                    )
-                )
-            return result
-        if isinstance(formula, SetVar):
-            return env
-        if isinstance(formula, Nu):
-            current = self.universe
-            while True:
-                nxt = self.eval(formula.body, current) & current
-                if nxt == current:
-                    return current
-                current = nxt
-        if isinstance(formula, ForallX):
-            if not self.second_order:
-                raise ModalError("forall X needs the second-order interpreter")
-            result = self.universe
-            for candidate in subsets(sorted(self.universe)):
-                result &= self.eval(formula.body, candidate)
-                if not result:
-                    break
-            return result
-        raise ModalError(f"cannot interpret {formula!r}")
+    def eval(self, formula: FormulaNu, env: int) -> int:
+        rule = self._rules.get(type(formula))
+        if rule is None:
+            raise ModalError(f"cannot interpret {formula!r}")
+        return rule(self, formula, env)
+
+    def _rat(self, formula: Rat, env: int) -> int:
+        result = self.full
+        for i in self.players_of(formula.player):
+            key = (formula.condition, i)
+            event = self._rat_events.get(key)
+            if event is None:
+                table = self.table(formula.condition)
+                event = 0
+                for k, (bit, seen) in enumerate(zip(self.plays[i], self.possible[i])):
+                    if table.survivors(i, self.context(seen)) & bit:
+                        event |= 1 << k
+                self._rat_events[key] = event
+            result &= event
+        return result
+
+    def _neg(self, formula: Neg, env: int) -> int:
+        return self.full ^ self.eval(formula.body, env)
+
+    def _conj(self, formula: Conj, env: int) -> int:
+        return self.eval(formula.left, env) & self.eval(formula.right, env)
+
+    def _box(self, formula: Box, env: int) -> int:
+        outside = ~self.eval(formula.body, env)
+        result = self.full
+        for i in self.players_of(formula.player):
+            result &= sum(1 << k for k, seen in enumerate(self.possible[i]) if not seen & outside)
+        return result
+
+    def _opt(self, formula: Opt, env: int) -> int:
+        context = self.context(self.eval(formula.body, env))
+        table = self.table(formula.condition)
+        result = self.full
+        for i in self.players_of(formula.player):
+            survivors = table.survivors(i, context)
+            result &= sum(1 << k for k, bit in enumerate(self.plays[i]) if bit & survivors)
+        return result
+
+    def _set_var(self, formula: SetVar, env: int) -> int:
+        return env
+
+    def _nu(self, formula: Nu, env: int) -> int:
+        current = self.full
+        while True:
+            nxt = self.eval(formula.body, current) & current
+            if nxt == current:
+                return current
+            current = nxt
+
+    def _forall(self, formula: ForallX, env: int) -> int:
+        if not self.second_order:
+            raise ModalError("forall X needs the second-order interpreter")
+        result = self.full
+        for candidate in range(self.full + 1):
+            result &= self.eval(formula.body, candidate)
+            if not result:
+                break
+        return result
+
+    _rules = {
+        Rat: _rat,
+        Neg: _neg,
+        Conj: _conj,
+        Box: _box,
+        Opt: _opt,
+        SetVar: _set_var,
+        Nu: _nu,
+        ForallX: _forall,
+    }
+
+
+def _interpret(
+    model: BeliefModel,
+    formula: FormulaNu,
+    env: Event | None,
+    registry: ConditionRegistry | None,
+    second_order: bool,
+) -> Event:
+    evaluator = _Evaluator(registry or ConditionRegistry.standard(), second_order)
+    evaluator.load(model)
+    start = evaluator.full if env is None else evaluator.mask_of(env)
+    return evaluator.event_of(evaluator.eval(formula, start))
 
 
 def interpret(
@@ -413,10 +478,9 @@ def interpret(
     env: Event | None = None,
     registry: ConditionRegistry | None = None,
 ) -> Event:
-    """The event where the formula holds; ``env`` interprets free X."""
-    registry = registry or ConditionRegistry.standard()
-    evaluator = _Evaluator(model, registry, second_order=False)
-    return evaluator.eval(formula, model.universe if env is None else env)
+    """The event where the formula holds; ``env`` interprets free X.
+    Raises :class:`ModalError` when ``env`` names a state the model lacks."""
+    return _interpret(model, formula, env, registry, second_order=False)
 
 
 def interpret_so(
@@ -429,9 +493,7 @@ def interpret_so(
     events at each quantifier, so exponential in the state count)."""
     if len(model.states) > 20:
         raise ModalError("second-order interpretation is limited to 20 states")
-    registry = registry or ConditionRegistry.standard()
-    evaluator = _Evaluator(model, registry, second_order=True)
-    return evaluator.eval(formula, model.universe if env is None else env)
+    return _interpret(model, formula, env, registry, second_order=True)
 
 
 # ---------------------------------------------------------------------------
@@ -471,11 +533,11 @@ def check_validity(
     else:
         candidates = sample_belief_models(game, samples, max_states, seed)
     second_order = any(isinstance(f, ForallX) for f in iter_subformulas(formula))
-    shared_cache: dict[tuple, bool] = {}
+    evaluator = _Evaluator(registry, second_order)
     checked = 0
     for model in candidates:
         checked += 1
-        evaluator = _Evaluator(model, registry, second_order, optimal_cache=shared_cache)
-        if evaluator.eval(formula, model.universe) != model.universe:
+        evaluator.load(model)
+        if evaluator.eval(formula, evaluator.full) != evaluator.full:
             return ValidityReport(False, model, checked)
     return ValidityReport(True, None, checked)

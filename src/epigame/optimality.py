@@ -7,6 +7,11 @@ quantifier projection (argued in that module's docstring), every
 subformula as a bitmask over the player's strategies, and payoffs compared
 through :meth:`epigame.games.Game.preferences`.  It agrees with the naive
 reference :func:`epigame.conditions.models`, which the tests check.
+
+The modal layer asks through :func:`survivor_table` instead: one
+:class:`SurvivorTable` per (game, condition), kept on the game the way
+its preference table is, memoises the same core by (player, context
+masks) for every belief model over that game.
 """
 
 from __future__ import annotations
@@ -163,6 +168,26 @@ def _compile(node: tuple, run: _Run) -> Callable[[], int]:
     return exists
 
 
+def _survivors(prefs: Preferences, player: int, plan: _Plan, inside: list[list[bool]]) -> int:
+    """The kernel core: the mask of the player's strategies that satisfy the
+    compiled condition, given the player's payoff comparisons and every
+    player's context membership flags in strategy order."""
+    own_in = inside[player]
+    # membership of each opponents' partial profile, in the table's order
+    others_in = [all(flags) for flags in product(*inside[:player], *inside[player + 1 :])]
+    domains = [(_domain(own, own_in), _domain(others, others_in)) for own, others in plan.reads]
+    run = _Run(
+        everyone=(1 << len(own_in)) - 1,
+        own_in=own_in,
+        others_in=others_in,
+        domains=domains,
+        own=[0] * len(domains),
+        others=[0] * len(domains),
+        prefs=prefs,
+    )
+    return _compile(plan.tree, run)()
+
+
 def optimal_strategies(
     game: Game, player: int, formula: FormulaO, context: Restriction
 ) -> frozenset[str]:
@@ -174,31 +199,59 @@ def optimal_strategies(
     for all strategies at once: every subformula evaluates to a bitmask
     over the player's strategies, quantifiers range over projected domains
     and payoffs are compared through the game's
-    :meth:`~epigame.games.Game.preferences` table.
+    :meth:`~epigame.games.Game.preferences` table.  Not memoised: the
+    elimination operators rarely ask twice (see :class:`SurvivorTable`).
     """
     if not 0 <= player < game.n:
         raise ValueError(f"owner {player} out of range")
     if context.game != game:
         raise ValueError("context restricts a different game")
-    plan = _plan(formula)
+    inside = [[s in chosen for s in names] for names, chosen in zip(game.strategies, context.sets)]
+    mask = _survivors(game.preferences(player), player, _plan(formula), inside)
     names = game.strategies[player]
-    own_in = [s in context.sets[player] for s in names]
-    # membership of each opponents' partial profile, in the table's order
-    others_in = [
-        all(flags)
-        for flags in product(
-            *([s in context.sets[j] for s in game.strategies[j]] for j in game.players if j != player)
-        )
-    ]
-    domains = [(_domain(own, own_in), _domain(others, others_in)) for own, others in plan.reads]
-    run = _Run(
-        everyone=(1 << len(names)) - 1,
-        own_in=own_in,
-        others_in=others_in,
-        domains=domains,
-        own=[0] * len(domains),
-        others=[0] * len(domains),
-        prefs=game.preferences(player),
-    )
-    mask = _compile(plan.tree, run)()
     return frozenset(s for k, s in enumerate(names) if mask >> k & 1)
+
+
+class SurvivorTable:
+    """One condition's survivors in one game, memoised for the modal layer.
+
+    A context is a tuple of per-player strategy masks (strategy k of
+    player i is bit k of ``context[i]``); :meth:`survivors` returns the
+    mask of player i's strategies satisfying the condition there, computed
+    once per (player, context) by the same core as
+    :func:`optimal_strategies`.  Belief models of one game keep asking
+    about the same few contexts, which is what makes the memo pay.  The
+    elimination operators do not use it: an iteration visits each context
+    once, so a memo there only holds memory.
+    """
+
+    __slots__ = ("plan", "sizes", "prefs", "memo")
+
+    def __init__(self, game: Game, formula: FormulaO):
+        # holds no reference to the game, which holds the table
+        self.plan = _plan(formula)
+        self.sizes = tuple(map(len, game.strategies))
+        self.prefs = tuple(map(game.preferences, game.players))
+        self.memo: tuple[dict[tuple[int, ...], int], ...] = tuple({} for _ in game.players)
+
+    def survivors(self, player: int, context: tuple[int, ...]) -> int:
+        memo = self.memo[player]
+        found = memo.get(context)
+        if found is None:
+            inside = [
+                [bool(mask >> k & 1) for k in range(size)]
+                for mask, size in zip(context, self.sizes)
+            ]
+            found = memo[context] = _survivors(self.prefs[player], player, self.plan, inside)
+        return found
+
+
+def survivor_table(game: Game, formula: FormulaO) -> SurvivorTable:
+    """The game's :class:`SurvivorTable` for a condition: one per
+    (game, condition formula), kept in :attr:`Game.survivor_tables` and
+    shared by every belief model over the game."""
+    tables = game.survivor_tables
+    table = tables.get(formula)
+    if table is None:
+        table = tables[formula] = SurvivorTable(game, formula)
+    return table

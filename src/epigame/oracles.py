@@ -4,10 +4,11 @@ The functions here deliberately re-implement elimination and common belief
 with plain loops, without the operator or formula machinery, so that a
 disagreement in a cross-check localizes the bug; the optimality kernel is
 checked against the naive condition evaluator, applied one focus strategy
-at a time by :func:`naive_optimal_strategies`, and the fixpoint iteration
-against the union of post-fixpoints.  The module also names the reference
-games and generates deterministic corpora of small games, conditions and
-operator pairs.  No runtime module imports it.
+at a time by :func:`naive_optimal_strategies`, the bitmask modal evaluator
+against the set-based tree walk of :func:`naive_interpret`, and the
+fixpoint iteration against the union of post-fixpoints.  The module also
+names the reference games and generates deterministic corpora of small
+games, conditions and operator pairs.  No runtime module imports it.
 """
 
 from __future__ import annotations
@@ -17,10 +18,23 @@ from fractions import Fraction
 from itertools import product
 from typing import Iterator
 
-from .beliefs import BeliefModel, Event
+from .beliefs import BeliefModel, Event, believes, game_of_event
 from .conditions import ConditionRegistry, FormulaO, OptimalityModel, models
 from .games import Game, Profile, Restriction, bundled_game, bundled_games, restrictions, subsets
-from .modal import FormulaNu, ModalError, interpret, positive_in_x
+from .modal import (
+    Box,
+    Conj,
+    ForallX,
+    FormulaNu,
+    ModalError,
+    Neg,
+    Nu,
+    Opt,
+    Rat,
+    SetVar,
+    interpret,
+    positive_in_x,
+)
 
 # re-exported: perfbench/ imports these from here and traces the generators here
 from .beliefs import enumerate_belief_models, sample_belief_models  # noqa: F401
@@ -270,6 +284,97 @@ def naive_common_belief(model: BeliefModel, event: Event) -> Event:
         level = everyone(level)
         result &= level
     return result
+
+
+def naive_interpret(
+    model: BeliefModel,
+    formula: FormulaNu,
+    env: Event | None = None,
+    registry: ConditionRegistry | None = None,
+    second_order: bool = False,
+) -> Event:
+    """The event where a modal formula holds, by a tree walk over sets of
+    state names: each context is the restriction
+    :func:`~epigame.beliefs.game_of_event` builds, decided by
+    :func:`naive_optimal_strategies`.  The reference that
+    :func:`~epigame.modal.interpret` and :func:`~epigame.modal.interpret_so`
+    are checked against; ``forall X`` needs ``second_order``."""
+    registry = registry or ConditionRegistry.standard()
+    game = model.game
+    universe = model.universe
+    # (condition, player, context sets) -> the player's optimal strategies
+    optimal: dict[tuple, frozenset[str]] = {}
+
+    def players_of(tag: int | None) -> range | tuple[int, ...]:
+        if tag is None:
+            return game.players
+        if not 0 <= tag < game.n:
+            raise ModalError(f"player index {tag + 1} out of range")
+        return (tag,)
+
+    def holds(name: str, player: int, strategy: str, context: Restriction) -> bool:
+        key = (name, player, context.sets)
+        if key not in optimal:
+            info = registry.get(name)
+            if not info.analysis.context_safe:
+                raise ModalError(f"condition {name!r} is not context-safe")
+            optimal[key] = naive_optimal_strategies(game, player, info.formula, context)
+        return strategy in optimal[key]
+
+    def walk(f: FormulaNu, env: Event) -> Event:
+        if isinstance(f, Rat):
+            result = universe
+            for i in players_of(f.player):
+                result &= frozenset(
+                    state
+                    for state in model.states
+                    if holds(
+                        f.condition,
+                        i,
+                        model.strategy_of(i, state),
+                        game_of_event(model, model.possible_at(i, state)),
+                    )
+                )
+            return result
+        if isinstance(f, Neg):
+            return universe - walk(f.body, env)
+        if isinstance(f, Conj):
+            return walk(f.left, env) & walk(f.right, env)
+        if isinstance(f, Box):
+            inner = walk(f.body, env)
+            result = universe
+            for i in players_of(f.player):
+                result &= believes(model, i, inner)
+            return result
+        if isinstance(f, Opt):
+            context = game_of_event(model, walk(f.body, env))
+            result = universe
+            for i in players_of(f.player):
+                result &= frozenset(
+                    state
+                    for state in model.states
+                    if holds(f.condition, i, model.strategy_of(i, state), context)
+                )
+            return result
+        if isinstance(f, SetVar):
+            return env
+        if isinstance(f, Nu):
+            current = universe
+            while True:
+                nxt = walk(f.body, current) & current
+                if nxt == current:
+                    return current
+                current = nxt
+        if isinstance(f, ForallX):
+            if not second_order:
+                raise ModalError("forall X needs the second-order interpreter")
+            result = universe
+            for candidate in subsets(model.states):
+                result &= walk(f.body, candidate)
+            return result
+        raise ModalError(f"cannot interpret {f!r}")
+
+    return walk(formula, universe if env is None else env)
 
 
 def nu_via_postfixpoints(

@@ -11,7 +11,7 @@ from itertools import product
 
 import pytest
 
-from epigame.beliefs import BeliefModel, enumerate_belief_models
+from epigame.beliefs import enumerate_belief_models
 from epigame.conditions import (
     ConditionRegistry,
     OptimalityModel,
@@ -223,7 +223,7 @@ def test_second_order_rationality():
             for model in enumerate_belief_models(game, 2):
                 for (name, player), formula in second_order.items():
                     primitive = interpret(model, Rat(name, player))
-                    assert interpret_so(model, formula, REGISTRY) == primitive
+                    assert interpret_so(model, formula, registry=REGISTRY) == primitive
                 checked += 1
         assert checked == 24_672
 

@@ -1,5 +1,5 @@
 from fractions import Fraction
-from itertools import product
+from itertools import islice, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -26,10 +26,10 @@ from epigame.conditions import (
     pretty_lo,
     satisfies,
 )
-from epigame.games import Game, bundled_games, restrictions
+from epigame.games import Game, Restriction, bundled_games, restrictions
 from epigame.modal import ModalError, Rat, interpret
 from epigame.operators import ConditionOperator, OperatorError, condition_operator, iterate
-from epigame.optimality import optimal_strategies
+from epigame.optimality import optimal_strategies, survivor_table
 from epigame.oracles import (
     enumerate_optimality_models,
     fig1_left,
@@ -377,6 +377,53 @@ def test_operator_outcome_matches_naive_elimination_on_long_chains(players, choi
         assert trace.outcome == naive_eliminate(game, name), name
         # elimination takes several rounds, each against a smaller context
         assert trace.closure_ordinal >= 2, name
+
+
+def sampled_restrictions(game, step):
+    """Every step-th restriction in canonical order, each followed by its
+    variants with one component emptied."""
+    for r in islice(restrictions(game), 0, None, step):
+        yield r
+        for j in game.players:
+            yield Restriction(game, r.sets[:j] + (frozenset(),) + r.sets[j + 1 :])
+
+
+@pytest.mark.parametrize(
+    "game, contexts, naive_every",
+    [
+        (fig1_left(), restrictions, 1),
+        (fig1_right(), restrictions, 1),
+        (fig2(), restrictions, 1),
+        (guess_game(3, 4), restrictions, 31),
+        # 65,536 restrictions would take the kernel a minute and the
+        # reference most of an hour, so this one is sampled
+        (guess_game(2, 8), lambda g: sampled_restrictions(g, 61), 16),
+    ],
+    ids=["fig1_left", "fig1_right", "fig2", "guess-3x4", "guess-2x8"],
+)
+def test_survivor_table_matches_restriction_path(game, contexts, naive_every):
+    """The per-game table, asked with context masks, agrees with the kernel
+    asked with a restriction and with the naive reference."""
+    checked = empty = 0
+    for index, context in enumerate(contexts(game)):
+        masks = tuple(
+            sum(1 << k for k, s in enumerate(names) if s in chosen)
+            for names, chosen in zip(game.strategies, context.sets)
+        )
+        empty += 0 in masks
+        for name in BUILTIN_CONDITION_TEXT:
+            formula = builtin(name)
+            table = survivor_table(game, formula)
+            for player in game.players:
+                mask = table.survivors(player, masks)
+                names = game.strategies[player]
+                found = frozenset(s for k, s in enumerate(names) if mask >> k & 1)
+                where = (context, name, player)
+                assert found == optimal_strategies(game, player, formula, context), where
+                if index % naive_every == 0:
+                    assert found == naive_optimal_strategies(game, player, formula, context), where
+        checked += 1
+    assert empty and checked > empty
 
 
 def test_kernel_refuses_open_and_context_unsafe_conditions():

@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 from epigame.games import (
     Game,
     GameFormatError,
-    Restriction,
     format_game,
     lattice_size,
     parse_game,

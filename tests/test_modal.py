@@ -1,7 +1,8 @@
-from itertools import islice
+from fractions import Fraction
+from itertools import islice, product
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from epigame.beliefs import (
     BeliefModel,
@@ -10,7 +11,7 @@ from epigame.beliefs import (
     sample_belief_models,
 )
 from epigame.conditions import MAX_NESTING, ConditionRegistry, FormulaSyntaxError, parse_lo
-from epigame.games import subsets
+from epigame.games import Game, subsets
 from epigame.modal import (
     Box,
     Conj,
@@ -20,7 +21,6 @@ from epigame.modal import (
     Nu,
     Opt,
     Rat,
-    SetVar,
     X,
     check_validity,
     common_belief_formula,
@@ -36,7 +36,13 @@ from epigame.modal import (
     pretty_nu,
     substitute_x,
 )
-from epigame.oracles import fig1_left, fig1_right, naive_common_belief, nu_via_postfixpoints
+from epigame.oracles import (
+    fig1_left,
+    fig1_right,
+    naive_common_belief,
+    naive_interpret,
+    nu_via_postfixpoints,
+)
 
 REGISTRY = ConditionRegistry.standard()
 
@@ -197,6 +203,15 @@ def test_free_x_defaults_to_the_universe():
     m = single_state_model()
     assert interpret(m, X) == m.universe
     assert interpret(m, X, env=frozenset()) == frozenset()
+
+
+def test_environment_outside_the_model_is_refused():
+    m = single_state_model()
+    for run in (interpret, interpret_so):
+        with pytest.raises(ModalError, match="unknown state 'zz'"):
+            run(m, X, env=frozenset({"zz"}))
+        with pytest.raises(ModalError, match="unknown state 'zz'"):
+            run(m, Rat("gbr", None), env=frozenset({"w", "zz"}))
 
 
 def test_trivial_body_fixpoint_is_the_universe():
@@ -395,3 +410,82 @@ def test_iter_subformulas():
     f = imp(Box(0, X), Opt("gbr", 0, X))
     kinds = {type(g).__name__ for g in iter_subformulas(f)}
     assert kinds == {"Neg", "Conj", "Box", "Opt", "SetVar"}
+
+
+# --- the bitmask evaluator against the set-based reference ------------------------
+
+
+@st.composite
+def small_models(draw):
+    """A game with 1-3 players, 1-3 strategies each and payoffs in 0..2, and
+    a belief model over it with 1-4 states."""
+    shape = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    strategies = tuple(tuple(f"p{i}s{k}" for k in range(m)) for i, m in enumerate(shape))
+    payoffs = {
+        profile: tuple(Fraction(draw(st.integers(0, 2))) for _ in shape)
+        for profile in product(*strategies)
+    }
+    game = Game(strategies, payoffs)
+    states = tuple(f"w{k + 1}" for k in range(draw(st.integers(1, 4))))
+    plays = tuple({s: draw(st.sampled_from(names)) for s in states} for names in strategies)
+    possible = tuple(
+        {s: frozenset(draw(st.sets(st.sampled_from(states)))) for s in states} for _ in strategies
+    )
+    return BeliefModel(game, states, plays, possible)
+
+
+def modal_formulas(players):
+    tags = st.one_of(st.none(), st.integers(0, players - 1))
+    conditions = st.sampled_from(("lsd", "gsd", "gbr"))
+    leaves = st.one_of(st.builds(Rat, conditions, tags), st.just(X))
+    return st.recursive(
+        leaves,
+        lambda inner: st.one_of(
+            st.builds(Neg, inner),
+            st.builds(Conj, inner, inner),
+            st.builds(Box, tags, inner),
+            st.builds(Opt, conditions, tags, inner),
+            st.builds(Nu, inner),
+            st.builds(ForallX, inner),
+        ),
+        max_leaves=6,
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_interpret_matches_naive_reference(data):
+    m = data.draw(small_models())
+    formula = data.draw(modal_formulas(m.game.n))
+    env = data.draw(st.one_of(st.none(), st.sets(st.sampled_from(m.states)).map(frozenset)))
+    expected = naive_interpret(m, formula, env, second_order=True)
+    assert interpret_so(m, formula, env) == expected
+    if any(isinstance(f, ForallX) for f in iter_subformulas(formula)):
+        with pytest.raises(ModalError, match="second-order interpreter"):
+            interpret(m, formula, env)
+    else:
+        assert interpret(m, formula, env) == expected
+
+
+# The formulas the cli benchmark workload expects check-valid to refute.
+REFUTABLE = (
+    "rat(gbr)",
+    "CB rat(gbr) -> rat(gbr)",
+    "not rat(lsd)",
+    "rat(gsd) and CB rat(gsd)",
+    "box rat(gbr)",
+)
+
+
+def test_validity_sweep_matches_naive_loop():
+    game = fig1_left()
+    for text in REFUTABLE:
+        formula = parse_nu(text)
+        checked, countermodel = 0, None
+        for m in enumerate_belief_models(game, 2):
+            checked += 1
+            if naive_interpret(m, formula) != m.universe:
+                countermodel = m
+                break
+        report = check_validity(game, formula, max_states=2)
+        assert (report.models_checked, report.countermodel) == (checked, countermodel), text

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from epigame.conditions import analyze, builtin, parse_lo
-from epigame.games import Restriction, lattice_size, restrictions
+from epigame.games import restrictions
 from epigame.operators import (
     ConditionOperator,
     ContractedOperator,

@@ -1,11 +1,10 @@
 from fractions import Fraction
-from itertools import islice
 
 import pytest
 
 from epigame.conditions import analyze
 from epigame.beliefs import enumerate_belief_models, sample_belief_models
-from epigame.games import Game, bundled_games, lattice_size, parse_game
+from epigame.games import Game, bundled_games, lattice_size
 from epigame.operators import condition_operator, iterate
 from epigame.oracles import (
     enumerate_optimality_models,

@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from epigame.conditions import ConditionRegistry, parse_lo
-from epigame.modal import Box, Conj, Neg, Nu, Opt, Rat, X, imp, parse_nu, substitute_x
+from epigame.conditions import ConditionRegistry
+from epigame.modal import Box, Conj, Neg, Nu, Rat, X, imp, parse_nu, substitute_x
 from epigame.proofs import (
     AtomBudgetExceeded,
     Justification,
