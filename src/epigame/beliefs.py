@@ -16,19 +16,15 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Iterator, Mapping
 
-from .games import Game, Restriction, subsets
+from .games import FormatError, Game, Restriction, player_line, records, require_players, subsets
 
 Event = frozenset[str]
 
 MAX_ENUM_STATES = 3
 
 
-class ModelFormatError(ValueError):
-    """A malformed belief-model description. ``line`` is 1-based when known."""
-
-    def __init__(self, message: str, line: int | None = None):
-        self.line = line
-        super().__init__(message if line is None else f"line {line}: {message}")
+class ModelFormatError(FormatError):
+    """A malformed belief-model description."""
 
 
 @dataclass(frozen=True)
@@ -196,16 +192,6 @@ def sample_belief_models(
 # Text format
 
 
-def _parse_pairs(body: str, lineno: int) -> list[tuple[str, str]]:
-    pairs = []
-    for chunk in body.split():
-        name, sep, value = chunk.partition("=")
-        if not sep or not name:
-            raise ModelFormatError(f"expected 'state=value', got {chunk!r}", lineno)
-        pairs.append((name, value))
-    return pairs
-
-
 def parse_model(text: str, game: Game) -> BeliefModel:
     """Parse the line-oriented belief-model format.
 
@@ -221,13 +207,8 @@ def parse_model(text: str, game: Game) -> BeliefModel:
     states: tuple[str, ...] | None = None
     plays: dict[int, dict[str, str]] = {}
     possible: dict[int, dict[str, Event]] = {}
-    last_line = 0
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        last_line = lineno
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line, _ in records(text):
         if line.startswith("states:"):
             if states is not None:
                 raise ModelFormatError("duplicate states line", lineno)
@@ -238,41 +219,31 @@ def parse_model(text: str, game: Game) -> BeliefModel:
             if states is None:
                 raise ModelFormatError("states line must come first", lineno)
             kind = "plays" if line.startswith("plays") else "possible"
-            head, sep, body = line.partition(":")
-            index_text = head[len(kind) :].strip()
-            if not sep or not index_text.isdigit():
-                raise ModelFormatError(f"expected '{kind} <i>: ...'", lineno)
-            player = int(index_text)
-            if not 1 <= player <= game.n:
-                raise ModelFormatError(f"player index {player} out of range 1..{game.n}", lineno)
             target = plays if kind == "plays" else possible
-            if player in target:
-                raise ModelFormatError(f"duplicate {kind} line for player {player}", lineno)
+            player, body = player_line(line, kind, game.n, target, ModelFormatError, lineno)
             entries: dict = {}
-            for state, value in _parse_pairs(body, lineno):
+            for chunk in body.split():
+                state, sep, value = chunk.partition("=")
+                if not sep or not state:
+                    raise ModelFormatError(f"expected 'state=value', got {chunk!r}", lineno)
                 if state not in states:
                     raise ModelFormatError(f"unknown state {state!r}", lineno)
                 if state in entries:
                     raise ModelFormatError(f"duplicate entry for state {state!r}", lineno)
                 if kind == "plays":
                     entries[state] = value
+                elif not (value.startswith("{") and value.endswith("}")):
+                    raise ModelFormatError(f"expected a state set, got {value!r}", lineno)
                 else:
-                    if not (value.startswith("{") and value.endswith("}")):
-                        raise ModelFormatError(f"expected a state set, got {value!r}", lineno)
-                    inner = value[1:-1]
-                    members = [s for s in inner.split(",") if s] if inner else []
-                    entries[state] = frozenset(members)
+                    entries[state] = frozenset(s for s in value[1:-1].split(",") if s)
             target[player] = entries
         else:
             raise ModelFormatError(f"unrecognized line {line!r}", lineno)
 
+    end = len(text.splitlines()) + 1
     if states is None:
-        raise ModelFormatError("missing states line", last_line + 1)
-    for player in range(1, game.n + 1):
-        if player not in plays:
-            raise ModelFormatError(f"missing plays for player {player}", last_line + 1)
-        if player not in possible:
-            raise ModelFormatError(f"missing possible for player {player}", last_line + 1)
+        raise ModelFormatError("missing states line", end)
+    require_players(game.n, {"plays": plays, "possible": possible}, ModelFormatError, end)
     return BeliefModel(
         game,
         states,

@@ -13,17 +13,16 @@ import json
 import sys
 from pathlib import Path
 
-from .beliefs import ModelFormatError, format_model, parse_model
+from .beliefs import format_model, parse_model
 from .conditions import (
     BUILTIN_CONDITION_TEXT,
     ConditionRegistry,
     FormulaO,
-    FormulaSyntaxError,
     analyze,
     builtin,
     parse_condition_file,
 )
-from .games import GameFormatError, parse_game
+from .games import FormatError, parse_game
 from .modal import ForallX, ModalError, check_validity, interpret, interpret_so, iter_subformulas, parse_nu
 from .operators import (
     ConditionOperator,
@@ -32,13 +31,10 @@ from .operators import (
     format_trace,
     iterate,
 )
-from .proofs import ProofSyntaxError, check_proof, parse_proof, standard_lemmas
+from .proofs import check_proof, parse_proof, standard_lemmas
 
 _USER_ERRORS = (
-    GameFormatError,
-    ModelFormatError,
-    FormulaSyntaxError,
-    ProofSyntaxError,
+    FormatError,
     OperatorError,
     ModalError,
     NoFixpointError,

@@ -35,7 +35,7 @@ from dataclasses import dataclass, is_dataclass
 from functools import lru_cache
 from typing import Mapping
 
-from .games import Game, Profile, Restriction, profile_with
+from .games import FormatError, Game, Profile, Restriction, profile_with, records
 
 CONSTANT = "o"
 _KEYWORDS = {"not", "and", "or", "exists", "forall", "in", "C", CONSTANT}
@@ -77,13 +77,8 @@ class Exists:
 FormulaO = CtxAtom | GeqAtom | Neg | Conj | Exists
 
 
-class FormulaSyntaxError(ValueError):
-    """Syntax error with 1-based line/column position."""
-
-    def __init__(self, message: str, line: int, column: int):
-        self.line = line
-        self.column = column
-        super().__init__(f"line {line}, column {column}: {message}")
+class FormulaSyntaxError(FormatError):
+    """A syntax error in a condition or modal formula."""
 
 
 class UnboundVariableError(ValueError):
@@ -508,10 +503,7 @@ class ConditionRegistry:
 def parse_condition_file(text: str) -> dict[str, FormulaO]:
     """Parse ``condition <name>: <formula>`` lines; a line starting with # is a comment."""
     found: dict[str, FormulaO] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line, raw in records(text):
         if not line.startswith("condition"):
             raise FormulaSyntaxError("expected 'condition <name>: <formula>'", lineno, 1)
         head, sep, body = line.partition(":")
@@ -523,6 +515,5 @@ def parse_condition_file(text: str) -> dict[str, FormulaO]:
         try:
             found[name] = parse_lo(body)
         except FormulaSyntaxError as exc:
-            message = str(exc).split(": ", 1)[1]
-            raise FormulaSyntaxError(message, lineno, raw.find(":") + 1 + exc.column) from None
+            raise FormulaSyntaxError(exc.message, lineno, raw.find(":") + 1 + exc.column) from None
     return found

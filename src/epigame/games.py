@@ -16,17 +16,26 @@ from fractions import Fraction
 from functools import cached_property
 from importlib import resources
 from itertools import product
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Container, Iterable, Iterator, Mapping, Sequence
 
 Profile = tuple[str, ...]
 
 
-class GameFormatError(ValueError):
-    """A malformed game description. ``line`` is 1-based when known."""
+class FormatError(ValueError):
+    """Malformed text input, at a 1-based ``line`` and ``column`` when known."""
 
-    def __init__(self, message: str, line: int | None = None):
+    def __init__(self, message: str, line: int | None = None, column: int | None = None):
+        self.message = message
         self.line = line
-        super().__init__(message if line is None else f"line {line}: {message}")
+        self.column = column
+        if line is not None:
+            where = f"line {line}" if column is None else f"line {line}, column {column}"
+            message = f"{where}: {message}"
+        super().__init__(message)
+
+
+class GameFormatError(FormatError):
+    """A malformed game description."""
 
 
 @dataclass(frozen=True)
@@ -233,6 +242,50 @@ def lattice_size(game: Game) -> int:
     return size
 
 
+def records(text: str) -> Iterator[tuple[int, str, str]]:
+    """(1-based number, stripped text, raw text) of each line that is
+    neither blank nor a comment, whose text starts with ``#``."""
+    for number, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            yield number, line, raw
+
+
+def read_index(text: str) -> int | None:
+    """A count or index in ASCII digits, else None: ``int`` refuses some
+    digits ``str.isdigit`` passes, such as '²', and numbers past its limit."""
+    try:
+        return int(text) if text.isascii() and text.isdigit() else None
+    except ValueError:
+        return None
+
+
+def player_line(
+    line: str, keyword: str, players: int, given: Container[int], error: type[FormatError],
+    number: int, shape: str = "...",
+) -> tuple[int, str]:
+    """The 1-based player and the body of a ``<keyword> <i>: <body>`` line
+    whose player is in 1..players and not yet ``given``."""
+    head, sep, body = line.partition(":")
+    player = read_index(head[len(keyword) :].strip()) if sep else None
+    if player is None:
+        raise error(f"expected '{keyword} <i>: {shape}'", number)
+    if not 1 <= player <= players:
+        raise error(f"player index {player} out of range 1..{players}", number)
+    if player in given:
+        raise error(f"duplicate {keyword} line for player {player}", number)
+    return player, body
+
+
+def require_players(players: int, given: Mapping[str, Container[int]], error, number: int) -> None:
+    """Refuse the first player missing a line of a keyword; ``given`` maps
+    each keyword to the players that have one."""
+    for player in range(1, players + 1):
+        for keyword, seen in given.items():
+            if player not in seen:
+                raise error(f"missing {keyword} for player {player}", number)
+
+
 def _parse_rational(text: str) -> Fraction:
     # Fraction expands exponent notation, so '1e999999999' alone would
     # build a billion-digit integer
@@ -258,10 +311,11 @@ def parse_game(text: str) -> Game:
         payoff U R : 1 0
         ...
 
-    Payoffs are integers, fractions like ``5/2`` or plain decimals like
-    ``2.5``; exponent notation is refused.  Every profile needs
-    exactly one payoff line.  Raises :class:`GameFormatError` with a 1-based
-    line number on malformed input.
+    The player count and indices are ASCII digits.  Payoffs are integers,
+    fractions like ``5/2`` or plain decimals like ``2.5``; exponent
+    notation is refused.  Every profile needs exactly one payoff line.
+    Raises :class:`GameFormatError` with the 1-based line on malformed
+    input; a missing line is reported one past the end.
     """
     n: int | None = None
     strategies: dict[int, tuple[str, ...]] = {}
@@ -269,34 +323,23 @@ def parse_game(text: str) -> Game:
     # a game repeats a few names and payoff values many times: names are
     # interned and equal payoff texts share one Fraction
     rationals: dict[str, Fraction] = {}
-    last_line = 0
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        last_line = lineno
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line, _ in records(text):
         if line.startswith("players:"):
             if n is not None:
                 raise GameFormatError("duplicate players line", lineno)
             body = line[len("players:") :].strip()
-            if not body.isdigit():
+            n = read_index(body)
+            if n is None:
                 raise GameFormatError(f"bad player count {body!r}", lineno)
-            n = int(body)
             if n == 0:
                 raise GameFormatError("zero players", lineno)
         elif line.startswith("strategies"):
             if n is None:
                 raise GameFormatError("players line must come first", lineno)
-            head, sep, body = line.partition(":")
-            index_text = head[len("strategies") :].strip()
-            if not sep or not index_text.isdigit():
-                raise GameFormatError("expected 'strategies <i>: names...'", lineno)
-            player = int(index_text)
-            if not 1 <= player <= n:
-                raise GameFormatError(f"player index {player} out of range 1..{n}", lineno)
-            if player in strategies:
-                raise GameFormatError(f"duplicate strategies line for player {player}", lineno)
+            player, body = player_line(
+                line, "strategies", n, strategies, GameFormatError, lineno, "names..."
+            )
             names = tuple(map(sys.intern, body.split()))
             if not names:
                 raise GameFormatError(f"player {player} has no strategies", lineno)
@@ -330,16 +373,15 @@ def parse_game(text: str) -> Game:
         else:
             raise GameFormatError(f"unrecognized line {line!r}", lineno)
 
+    end = len(text.splitlines()) + 1
     if n is None:
-        raise GameFormatError("missing players line", last_line + 1)
-    if len(strategies) != n:
-        missing = next(i for i in range(1, n + 1) if i not in strategies)
-        raise GameFormatError(f"missing strategies for player {missing}", last_line + 1)
+        raise GameFormatError("missing players line", end)
+    require_players(n, {"strategies": strategies}, GameFormatError, end)
     ordered = tuple(strategies[i] for i in range(1, n + 1))
     expected = set(product(*ordered))
     if set(payoffs) != expected:
         profile = sorted(expected - set(payoffs))[0]
-        raise GameFormatError(f"missing payoff for profile {profile}", last_line + 1)
+        raise GameFormatError(f"missing payoff for profile {profile}", end)
     return Game(ordered, payoffs)
 
 

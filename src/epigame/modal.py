@@ -33,7 +33,7 @@ from typing import Iterator
 
 from .beliefs import BeliefModel, Event, enumerate_belief_models, sample_belief_models
 from .conditions import ConditionRegistry, _DescentParser
-from .games import Game
+from .games import Game, read_index
 from .optimality import SurvivorTable, survivor_table
 
 
@@ -120,7 +120,7 @@ def common_belief_formula(body: FormulaNu) -> FormulaNu:
 # Parser
 
 class _NuParser(_DescentParser):
-    token_re = re.compile(r"->|[()\[\].,]|[A-Za-z_][A-Za-z_0-9]*|\d+|\S")
+    token_re = re.compile(r"->|[()\[\].,]|[A-Za-z_][A-Za-z_0-9]*|[0-9]+|\S")
     neg = Neg
     conj = Conj
 
@@ -182,11 +182,11 @@ class _NuParser(_DescentParser):
         return name, player
 
     def player_index(self) -> int:
-        tok = self.peek()
-        if not tok.isdigit() or int(tok) < 1:
+        index = read_index(self.peek())
+        if not index:
             raise self.error("expected a 1-based player index")
         self.advance()
-        return int(tok) - 1
+        return index - 1
 
 
 def parse_nu(text: str) -> FormulaNu:

@@ -23,7 +23,10 @@ from importlib import resources
 from typing import Iterator, Sequence
 
 from .conditions import ConditionRegistry, FormulaO, FormulaSyntaxError, OptimalityModel, models
-from .games import Game, Profile, Restriction, bundled_games, lattice_size, restrictions
+from .games import (
+    FormatError, Game, Profile, Restriction, bundled_games, lattice_size, read_index, records,
+    restrictions,
+)
 from .modal import (
     Box,
     Conj,
@@ -46,10 +49,8 @@ from .modal import (
 TAUT_ATOM_LIMIT = 16
 
 
-class ProofSyntaxError(ValueError):
-    def __init__(self, message: str, line: int):
-        self.line = line
-        super().__init__(f"line {line}: {message}")
+class ProofSyntaxError(FormatError):
+    """A malformed proof script."""
 
 
 @dataclass(frozen=True)
@@ -77,20 +78,21 @@ class ProofScript:
 
 
 _JUST_RE = re.compile(
-    r"^(?:(ratDis|nuDis|taut)|mp\s+(\d+)\s+(\d+)|(nuInd|incl)\s+(\d+)|link\s+([A-Za-z_0-9,\s]+))$"
+    r"^(?:(ratDis|nuDis|taut)|mp\s+([0-9]+)\s+([0-9]+)|(nuInd|incl)\s+([0-9]+)|link\s+([A-Za-z_0-9,\s]+))$"
 )
 
 
 def _parse_justification(text: str, lineno: int) -> Justification:
     match = _JUST_RE.match(text.strip())
-    if not match:
+    refs = tuple(read_index(ref) for ref in match.group(2, 3, 5) if ref) if match else ()
+    if not match or None in refs:
         raise ProofSyntaxError(f"bad justification {text.strip()!r}", lineno)
     if match.group(1):
         return Justification(match.group(1))
     if match.group(2):
-        return Justification("mp", (int(match.group(2)), int(match.group(3))))
+        return Justification("mp", refs)
     if match.group(4):
-        return Justification(match.group(4), (int(match.group(5)),))
+        return Justification(match.group(4), refs)
     names = tuple(n.strip() for n in match.group(6).split(",") if n.strip())
     if not names:
         raise ProofSyntaxError("link needs a lemma name", lineno)
@@ -100,14 +102,11 @@ def _parse_justification(text: str, lineno: int) -> Justification:
 def parse_proof(text: str) -> ProofScript:
     """Parse ``n. <formula> ; <justification>`` lines; a line starting with # is a comment."""
     lines: list[ProofLine] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
+    for lineno, stripped, _ in records(text):
         head, dot, rest = stripped.partition(".")
-        if not dot or not head.strip().isdigit():
+        number = read_index(head.strip()) if dot else None
+        if number is None:
             raise ProofSyntaxError("expected '<number>. <formula> ; <justification>'", lineno)
-        number = int(head)
         if number != len(lines) + 1:
             raise ProofSyntaxError(f"expected line number {len(lines) + 1}, got {number}", lineno)
         formula_text, sep, justification_text = rest.rpartition(";")
