@@ -7,6 +7,8 @@ are plain sets of states here; ``game_of_event`` projects an event down to
 the restriction of strategies actually played somewhere inside it.  The
 modal evaluator works on state bitmasks instead and builds its contexts
 itself; these set-based functions are what its reference is built from.
+:func:`parse_model` refuses at the offending line everything
+:class:`BeliefModel` would refuse, so a model file's errors name their line.
 """
 
 from __future__ import annotations
@@ -201,8 +203,11 @@ def parse_model(text: str, game: Game) -> BeliefModel:
         plays 1: w1=U w2=D
         possible 1: w1={w1,w2} w2={}
 
-    Possibility sets are written without internal spaces.  Raises
-    :class:`ModelFormatError` with a line number on malformed input.
+    Player indices are ASCII digits, and possibility sets are written
+    without internal spaces.  Every line names each state once.  Raises
+    :class:`ModelFormatError` with the 1-based line on malformed input,
+    including what :class:`BeliefModel` would refuse; a missing line is
+    reported one past the end.
     """
     states: tuple[str, ...] | None = None
     plays: dict[int, dict[str, str]] = {}
@@ -215,6 +220,8 @@ def parse_model(text: str, game: Game) -> BeliefModel:
             states = tuple(line[len("states:") :].split())
             if not states:
                 raise ModelFormatError("state set must be non-empty", lineno)
+            if len(set(states)) != len(states):
+                raise ModelFormatError("duplicate state name", lineno)
         elif line.startswith("plays") or line.startswith("possible"):
             if states is None:
                 raise ModelFormatError("states line must come first", lineno)
@@ -231,11 +238,23 @@ def parse_model(text: str, game: Game) -> BeliefModel:
                 if state in entries:
                     raise ModelFormatError(f"duplicate entry for state {state!r}", lineno)
                 if kind == "plays":
+                    if value not in game.strategies[player - 1]:
+                        raise ModelFormatError(
+                            f"unknown strategy {value!r} for player {player} at {state}", lineno
+                        )
                     entries[state] = value
                 elif not (value.startswith("{") and value.endswith("}")):
                     raise ModelFormatError(f"expected a state set, got {value!r}", lineno)
                 else:
-                    entries[state] = frozenset(s for s in value[1:-1].split(",") if s)
+                    members = frozenset(s for s in value[1:-1].split(",") if s)
+                    rogue = members.difference(states)
+                    if rogue:
+                        raise ModelFormatError(f"unknown state {sorted(rogue)[0]!r}", lineno)
+                    entries[state] = members
+            omitted = next((s for s in states if s not in entries), None)
+            if omitted is not None:
+                what = "strategy" if kind == "plays" else "possibility set"
+                raise ModelFormatError(f"player {player} has no {what} at {omitted}", lineno)
             target[player] = entries
         else:
             raise ModelFormatError(f"unrecognized line {line!r}", lineno)

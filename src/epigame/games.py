@@ -6,6 +6,13 @@ player's strategies; restrictions of a game form a complete lattice under
 componentwise inclusion, which is what the elimination operators act on.
 Players are 0-indexed throughout the Python API; the text format and all
 printed output use 1-based indices.
+
+This lowest layer also holds the input skeleton every parser shares:
+:class:`FormatError`, the base of each parser's error, which names the
+line (and column) of a refusal; :func:`records`, the blank-and-comment
+line reader; :func:`player_line` and :func:`require_players`, which read
+the per-player ``<keyword> <i>:`` heads; and :func:`read_index`, which
+reads counts and indices in ASCII digits only.
 """
 
 from __future__ import annotations
@@ -16,6 +23,7 @@ from fractions import Fraction
 from functools import cached_property
 from importlib import resources
 from itertools import product
+from math import prod
 from typing import Container, Iterable, Iterator, Mapping, Sequence
 
 Profile = tuple[str, ...]
@@ -59,17 +67,21 @@ class Game:
                 raise GameFormatError(f"player {i + 1} has no strategies")
             if len(set(names)) != len(names):
                 raise GameFormatError(f"duplicate strategy name for player {i + 1}")
-        expected = set(product(*self.strategies))
-        seen = set(self.payoffs)
-        if seen != expected:
-            missing = sorted(expected - seen)
-            extra = sorted(seen - expected)
-            if missing:
-                raise GameFormatError(f"missing payoff for profile {missing[0]}")
-            raise GameFormatError(f"payoff given for unknown profile {extra[0]}")
+        known = [frozenset(names) for names in self.strategies]
         for profile, values in self.payoffs.items():
+            if not (
+                isinstance(profile, tuple)
+                and len(profile) == self.n
+                and all(map(frozenset.__contains__, known, profile))
+            ):
+                raise GameFormatError(f"payoff given for unknown profile {profile}")
             if len(values) != self.n or not all(isinstance(v, Fraction) for v in values):
                 raise GameFormatError(f"profile {profile} needs {self.n} rational payoffs")
+        # every given profile is known, so the count decides completeness; the
+        # first gap in strategy order lies within len(payoffs) + 1 profiles
+        if len(self.payoffs) != prod(map(len, self.strategies)):
+            missing = next(p for p in product(*self.strategies) if p not in self.payoffs)
+            raise GameFormatError(f"missing payoff for profile {missing}")
 
     def __hash__(self) -> int:
         # the generated hash chokes on the payoff mapping
@@ -244,7 +256,7 @@ def lattice_size(game: Game) -> int:
 
 def records(text: str) -> Iterator[tuple[int, str, str]]:
     """(1-based number, stripped text, raw text) of each line that is
-    neither blank nor a comment, whose text starts with ``#``."""
+    neither blank nor a comment; a comment's stripped text starts with ``#``."""
     for number, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if line and not line.startswith("#"):
@@ -277,7 +289,9 @@ def player_line(
     return player, body
 
 
-def require_players(players: int, given: Mapping[str, Container[int]], error, number: int) -> None:
+def require_players(
+    players: int, given: Mapping[str, Container[int]], error: type[FormatError], number: int
+) -> None:
     """Refuse the first player missing a line of a keyword; ``given`` maps
     each keyword to the players that have one."""
     for player in range(1, players + 1):
@@ -377,12 +391,10 @@ def parse_game(text: str) -> Game:
     if n is None:
         raise GameFormatError("missing players line", end)
     require_players(n, {"strategies": strategies}, GameFormatError, end)
-    ordered = tuple(strategies[i] for i in range(1, n + 1))
-    expected = set(product(*ordered))
-    if set(payoffs) != expected:
-        profile = sorted(expected - set(payoffs))[0]
-        raise GameFormatError(f"missing payoff for profile {profile}", end)
-    return Game(ordered, payoffs)
+    try:
+        return Game(tuple(strategies[i] for i in range(1, n + 1)), payoffs)
+    except GameFormatError as exc:
+        raise GameFormatError(exc.message, end) from None
 
 
 def format_game(game: Game) -> str:

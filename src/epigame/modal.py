@@ -12,7 +12,12 @@ the second-order quantifier, handled only by :func:`interpret_so`.
 
 The fixpoint is computed by iterating the body intersected with the current
 set from the full state space; that always terminates and agrees with the
-union of post-fixpoints whenever the body is positive in X.
+union of post-fixpoints whenever the body is positive in X.  Otherwise it is
+the contracted iteration, which ``THM-IMP``'s ``nu X . O(lsd) X`` relies on.
+A free X denotes ``env``, the whole state space by default; validity
+checks read it universally instead, as ``forall X``.  Second-order
+evaluation enumerates every event, so it is limited to
+:data:`MAX_SECOND_ORDER_STATES` states.
 
 Inside the evaluator every event is an ``int`` bitmask over the model's
 states, and a context is a tuple of per-player strategy masks; the
@@ -39,6 +44,11 @@ from .optimality import SurvivorTable, survivor_table
 
 class ModalError(ValueError):
     pass
+
+
+#: The most states a model may have where ``forall X`` (or the post-fixpoint
+#: reference) enumerates every event: 2**20 events per quantifier.
+MAX_SECOND_ORDER_STATES = 20
 
 
 # ---------------------------------------------------------------------------
@@ -491,8 +501,10 @@ def interpret_so(
 ) -> Event:
     """Like :func:`interpret` but allowing ``forall X`` (enumerates all
     events at each quantifier, so exponential in the state count)."""
-    if len(model.states) > 20:
-        raise ModalError("second-order interpretation is limited to 20 states")
+    if len(model.states) > MAX_SECOND_ORDER_STATES:
+        raise ModalError(
+            f"second-order interpretation is limited to {MAX_SECOND_ORDER_STATES} states"
+        )
     return _interpret(model, formula, env, registry, second_order=True)
 
 
@@ -519,20 +531,28 @@ def check_validity(
 
     Exhaustive over all belief models with up to ``max_states`` states by
     default; with ``samples`` set, checks that many seeded random models
-    instead.  Returns the first countermodel found.  Raises
-    :class:`ModalError` when the search would check no model at all, so a
-    positive verdict is never earned on an empty corpus.
+    instead.  A free X is read universally, as ``forall X . formula``.
+    Returns the first countermodel found.  Raises :class:`ModalError` when
+    the search would check no model at all, so a positive verdict is never
+    earned on an empty corpus, and when a second-order formula comes with
+    more than :data:`MAX_SECOND_ORDER_STATES` states.
     """
     if max_states < 1:
         raise ModalError(f"models need at least 1 state, got {max_states}")
     if samples is not None and samples < 1:
         raise ModalError(f"need at least 1 sampled model, got {samples}")
+    if has_free_x(formula):
+        formula = ForallX(formula)
+    second_order = any(isinstance(f, ForallX) for f in iter_subformulas(formula))
+    if second_order and max_states > MAX_SECOND_ORDER_STATES:
+        raise ModalError(
+            f"second-order validity checks are limited to {MAX_SECOND_ORDER_STATES} states"
+        )
     registry = registry or ConditionRegistry.standard()
     if samples is None:
         candidates = enumerate_belief_models(game, max_states)
     else:
         candidates = sample_belief_models(game, samples, max_states, seed)
-    second_order = any(isinstance(f, ForallX) for f in iter_subformulas(formula))
     evaluator = _Evaluator(registry, second_order)
     checked = 0
     for model in candidates:

@@ -22,6 +22,7 @@ from .beliefs import BeliefModel, Event, believes, game_of_event
 from .conditions import ConditionRegistry, FormulaO, OptimalityModel, models
 from .games import Game, Profile, Restriction, bundled_game, bundled_games, restrictions, subsets
 from .modal import (
+    MAX_SECOND_ORDER_STATES,
     Box,
     Conj,
     ForallX,
@@ -385,8 +386,10 @@ def nu_via_postfixpoints(
     """Independent route to ``nu X . body`` for bodies positive in X:
     the union of all events below their own image."""
     registry = registry or ConditionRegistry.standard()
-    if len(model.states) > 20:
-        raise ModalError("post-fixpoint enumeration is limited to 20 states")
+    if len(model.states) > MAX_SECOND_ORDER_STATES:
+        raise ModalError(
+            f"post-fixpoint enumeration is limited to {MAX_SECOND_ORDER_STATES} states"
+        )
     if not positive_in_x(body, registry):
         raise ModalError("post-fixpoint characterization needs a body positive in X")
     union: Event = frozenset()

@@ -13,6 +13,8 @@ registered only after an exhaustive semantic sweep over a game corpus.
 
 All schemas are matched structurally against the bundled (player-index-free)
 forms, which keeps proof scripts independent of any particular game.
+Line numbers and references are ASCII digits; a malformed script raises
+:class:`ProofSyntaxError` at its line.
 """
 
 from __future__ import annotations
@@ -84,6 +86,7 @@ _JUST_RE = re.compile(
 
 def _parse_justification(text: str, lineno: int) -> Justification:
     match = _JUST_RE.match(text.strip())
+    # references are ASCII digits; read_index refuses only those past int's limit
     refs = tuple(read_index(ref) for ref in match.group(2, 3, 5) if ref) if match else ()
     if not match or None in refs:
         raise ProofSyntaxError(f"bad justification {text.strip()!r}", lineno)

@@ -176,28 +176,35 @@ def test_one_player_model():
 
 def test_parse_model_errors():
     g = fig1_right()
+    # (text, message, line of the refusal); a missing line is one past the end
     cases = [
         ("states: w1\nplays 1: w1=X\nplays 2: w1=L\npossible 1: w1={w1}\npossible 2: w1={w1}\n",
-         "unknown strategy 'X'"),
+         "unknown strategy 'X' for player 1 at w1", 2),
         ("states: w1\nplays 1: w1=U\nplays 2: w1=L\npossible 1: w1={w1,zz}\npossible 2: w1={w1}\n",
-         "unknown state 'zz'"),
-        ("states:\nplays 1: w1=U\n", "non-empty"),
-        ("plays 1: w1=U\n", "states line must come first"),
-        ("states: w1\nstates: w1\n", "duplicate states line"),
-        ("states: w1\nplays 3: w1=U\n", "out of range"),
+         "unknown state 'zz'", 4),
+        ("states:\nplays 1: w1=U\n", "non-empty", 1),
+        ("plays 1: w1=U\n", "states line must come first", 1),
+        ("states: w1\nstates: w1\n", "duplicate states line", 2),
+        ("states: w1 w2 w1\n", "duplicate state name", 1),
+        ("states: w1\nplays 3: w1=U\n", "out of range", 2),
         ("states: w1\nplays 1: w1=U\nplays 2: w1=L\npossible 1: w1={w1}\n",
-         "missing possible for player 2"),
+         "missing possible for player 2", 5),
         ("states: w1\nplays 1: w1=U\nplays 2: w1=L\npossible 1: w1=w1\npossible 2: w1={w1}\n",
-         "expected a state set"),
-        ("states: w1\nwat\n", "unrecognized line"),
-        ("states: w1\nplays 1: w2=U\n", "unknown state 'w2'"),
-        ("states: w1 w2\nplays 1: w1=U w2=D w1=U\n", "line 2: duplicate entry for state 'w1'"),
+         "expected a state set", 4),
+        ("states: w1\nwat\n", "unrecognized line", 2),
+        ("states: w1\nplays 1: w2=U\n", "unknown state 'w2'", 2),
+        ("states: w1 w2\nplays 1: w1=U w2=D w1=U\n", "line 2: duplicate entry for state 'w1'", 2),
         ("states: w1\nplays 1: w1=U\nplays 2: w1=L\npossible 1: w1={w1} w1={}\n",
-         "line 4: duplicate entry for state 'w1'"),
+         "line 4: duplicate entry for state 'w1'", 4),
+        ("states: w1 w2\n# w2 is left out\nplays 1: w1=U\n", "player 1 has no strategy at w2", 3),
+        ("states: w1 w2\nplays 1: w1=U w2=D\nplays 2: w1=L w2=R\npossible 2: w2={}\n",
+         "player 2 has no possibility set at w1", 4),
+        ("states: w\nplays ²: w=U\n", "expected 'plays <i>: ...'", 2),
     ]
-    for text, message in cases:
-        with pytest.raises(ModelFormatError, match=message):
+    for text, message, line in cases:
+        with pytest.raises(ModelFormatError, match=message) as exc:
             parse_model(text, g)
+        assert exc.value.line == line, text
 
 
 def test_model_validation_direct():

@@ -181,6 +181,39 @@ def test_deeply_nested_formula_is_a_usage_error(files, capsys):
     assert err.count("\n") == 1
 
 
+def test_check_valid_reads_a_free_x_universally(files, capsys):
+    # X is not valid: the empty event refutes it at the first model
+    assert main(["check-valid", files["game.game"], "X", "--exhaustive", "1"]) == 1
+    assert capsys.readouterr().out.startswith("countermodel:\n")
+
+
+def test_check_valid_bounds_second_order_search(files, capsys):
+    argv = ["check-valid", files["game.game"], "forall X . (X or not X)", "--random", "1", "30"]
+    assert main(argv + ["--seed", "19"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "limited to 20 states" in err
+
+
+@pytest.mark.parametrize(
+    "name, text, argv",
+    [
+        ("bad.game", "players: ²\n", ["eliminate", "{path}", "lsd"]),
+        ("bad.game", "players: 1\nstrategies ²: a\n", ["eliminate", "{path}", "lsd"]),
+        ("bad.model", "states: w\nplays ²: w=U\n", ["evaluate", "{path}", "{game}", "X"]),
+        ("bad.prf", "². X ; taut", ["check-proof", "{path}"]),
+        (None, "[²] X", ["check-valid", "{game}", "{text}", "--exhaustive", "1"]),
+        (None, "rat(gbr, ²)", ["check-valid", "{game}", "{text}", "--exhaustive", "1"]),
+    ],
+)
+def test_non_ascii_digits_are_format_errors(files, tmp_path, capsys, name, text, argv):
+    path = tmp_path / (name or "unused")
+    path.write_text(text)
+    fields = {"path": str(path), "game": files["game.game"], "text": text}
+    assert main([arg.format(**fields) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: line ") and err.count("\n") == 1
+
+
 def test_check_valid_needs_a_search_mode(files):
     with pytest.raises(SystemExit) as exc:
         main(["check-valid", files["game.game"], "rat(gbr)"])

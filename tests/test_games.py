@@ -56,6 +56,37 @@ def test_missing_payoff_rejected():
         parse_game(text)
 
 
+def test_first_missing_payoff_in_strategy_order():
+    text = RIGHT_GAME.replace("payoff U R : 1 0\n", "").replace("payoff D L : 0 0\n", "")
+    with pytest.raises(GameFormatError, match=r"line 7: missing payoff for profile \('U', 'R'\)"):
+        parse_game(text)
+
+
+def test_many_player_games_are_refused_without_enumerating_profiles():
+    # 2**40 profiles: listing them all would never finish
+    text = "players: 40\n" + "".join(f"strategies {i}: a b\n" for i in range(1, 41))
+    last = "'a', " * 39 + "'a'"
+    with pytest.raises(GameFormatError, match=rf"line 42: missing payoff for profile \({last}\)"):
+        parse_game(text)
+    profile = ("a",) * 40
+    with pytest.raises(GameFormatError, match=r"missing payoff for profile \(('a', ){39}'b'\)"):
+        Game((("a", "b"),) * 40, {profile: (Fraction(0),) * 40})
+    with pytest.raises(GameFormatError, match="unknown profile"):
+        Game((("a", "b"),) * 40, {profile[1:]: (Fraction(0),) * 40})
+
+
+def test_counts_and_indices_are_ascii_digits():
+    # str.isdigit passes '²' and '٣', and int() takes at most 4300 digits
+    for text, message in [
+        ("players: ²\n", "line 1: bad player count '²'"),
+        ("players: ٣\n", "line 1: bad player count '٣'"),
+        ("players: " + "9" * 5000 + "\n", "line 1: bad player count"),
+        ("players: 1\nstrategies ²: a\n", "line 2: expected 'strategies <i>: names...'"),
+    ]:
+        with pytest.raises(GameFormatError, match=message):
+            parse_game(text)
+
+
 def test_duplicate_strategy_rejected():
     with pytest.raises(GameFormatError, match="duplicate strategy"):
         parse_game(RIGHT_GAME.replace("strategies 1: U D", "strategies 1: U U"))

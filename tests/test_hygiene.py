@@ -7,6 +7,7 @@ import epigame
 
 SOURCES = Path(epigame.__file__).parent
 TESTS = Path(__file__).parent
+DEMOS = TESTS.parent / "demos"
 
 
 def unused_imports(path: Path) -> list[str]:
@@ -36,5 +37,9 @@ def test_no_unused_module_imports():
     sources = sorted(p for p in SOURCES.glob("*.py") if p.name != "__init__.py")
     assert sources
     sources += sorted(TESTS.glob("*.py"))
+    # the demo smoke test only runs the demos, so nothing else reads their imports
+    demos = sorted(DEMOS.glob("*.py"))
+    assert demos
+    sources += demos
     problems = [problem for path in sources for problem in unused_imports(path)]
     assert problems == []

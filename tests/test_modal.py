@@ -85,6 +85,10 @@ def test_parse_errors():
         ("(X", r"expected '\)'"),
         ("", "unexpected end"),
         ("X X", "unexpected 'X'"),
+        # indices are ASCII digits: int() refuses '²' and would read '٣' as 3
+        ("[²] X", "1-based player index"),
+        ("rat(gbr, ²)", "1-based player index"),
+        ("[٣] X", "1-based player index"),
     ]:
         with pytest.raises(FormulaSyntaxError, match=message):
             parse_nu(text)
@@ -404,6 +408,31 @@ def test_validity_handles_second_order_formulas():
     tautology = ForallX(imp(X, X))
     report = check_validity(fig1_right(), tautology, max_states=1)
     assert report.valid and report.models_checked == 16
+
+
+def test_validity_bounds_second_order_search():
+    # the parent drew a 22-state model here and spent about ten seconds on it
+    tautology = parse_nu("forall X . (X or not X)")
+    with pytest.raises(ModalError, match="limited to 20 states"):
+        check_validity(fig1_left(), tautology, samples=1, max_states=24, seed=19)
+    with pytest.raises(ModalError, match="limited to 20 states"):
+        check_validity(fig1_left(), X, samples=1, max_states=21)
+    report = check_validity(fig1_left(), tautology, samples=3, max_states=5, seed=19)
+    assert report.valid and report.models_checked == 3
+
+
+def test_validity_reads_a_free_x_universally():
+    game = fig1_left()
+    for text, valid, checked in [
+        ("X", False, 1),
+        ("O(gbr) X -> O(lsd) X", True, 4_112),
+        ("O(gbr) X -> O(gsd) X", True, 4_112),
+        ("O(lsd) X -> O(gbr) X", False, 1),
+    ]:
+        formula = parse_nu(text)
+        report = check_validity(game, formula, max_states=2)
+        assert (report.valid, report.models_checked) == (valid, checked), text
+        assert report == check_validity(game, ForallX(formula), max_states=2)
 
 
 def test_iter_subformulas():

@@ -56,6 +56,8 @@ def test_parse_proof_errors():
         ("# nothing here\n", "empty proof"),
         ("one. rat(gbr) ; taut", "expected '<number>"),
         ("1. rat(gbr) ; link", "bad justification"),
+        ("². X ; taut", "expected '<number>"),
+        ("1. X ; mp 1 " + "2" * 5000, "bad justification"),
     ]:
         with pytest.raises(ProofSyntaxError, match=message):
             parse_proof(text)
