@@ -21,7 +21,7 @@ The layers, bottom up:
   enumeration and sampling of models for validity sweeps.
 - :mod:`epigame.modal` — a modal language with rationality atoms, belief
   modalities, optimality operators and a greatest-fixpoint binder,
-  interpreted over belief models.
+  interpreted over belief models by programs compiled once per game.
 - :mod:`epigame.proofs` — line-by-line checking of derivations in that
   language, with semantically discharged implication lemmas; the bundled
   proof scripts.

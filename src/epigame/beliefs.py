@@ -7,6 +7,8 @@ are plain sets of states here; ``game_of_event`` projects an event down to
 the restriction of strategies actually played somewhere inside it.  The
 modal evaluator works on state bitmasks instead and builds its contexts
 itself; these set-based functions are what its reference is built from.
+Validity sweeps enumerate and sample models in that mask form, in the
+order and with the random draws of the model-building generators.
 :func:`parse_model` refuses at the offending line everything
 :class:`BeliefModel` would refuse, so a model file's errors name their line.
 """
@@ -151,19 +153,79 @@ def is_truthful(model: BeliefModel) -> bool:
 # Enumeration and sampling, for validity sweeps
 
 
+# A model in mask form, as the modal evaluator reads it: ``plays[i][k]`` is
+# the index of player i's strategy at state k, and ``possible[i][k]`` the
+# mask of the states player i considers possible there (state k is bit k).
+Masks = tuple[tuple[int, ...], ...]
+
+
+def enumerate_model_masks(game: Game, max_states: int) -> Iterator[tuple[Masks, Masks]]:
+    """The models of :func:`enumerate_belief_models` as (plays, possible)
+    masks, in the same order; consecutive models with the same plays share
+    one plays tuple.  Refuses more than :data:`MAX_ENUM_STATES` states at
+    once, not at the first model."""
+    if max_states > MAX_ENUM_STATES:
+        raise ValueError(f"exhaustive enumeration is limited to {MAX_ENUM_STATES} states")
+    return _model_masks(game, max_states)
+
+
+def _model_masks(game: Game, max_states: int) -> Iterator[tuple[Masks, Masks]]:
+    for count in range(1, max_states + 1):
+        # state k's possibility sets in subsets() order: the mask itself
+        poss_choices = list(product(range(1 << count), repeat=count))
+        play_choices = [list(product(range(len(names)), repeat=count)) for names in game.strategies]
+        for plays in product(*play_choices):
+            for possible in product(poss_choices, repeat=game.n):
+                yield plays, possible
+
+
+def sample_model_masks(
+    game: Game, count: int, max_states: int, seed: int = 0
+) -> Iterator[tuple[Masks, Masks]]:
+    """Seeded random models in mask form: uniform state count in
+    1..max_states, uniform strategies, and each possibility set drawn
+    uniformly, one coin per state."""
+    rng = random.Random(seed)
+    indices = [tuple(range(len(names))) for names in game.strategies]
+    for _ in range(count):
+        size = rng.randint(1, max_states)
+        plays = tuple(tuple(rng.choice(choices) for _ in range(size)) for choices in indices)
+        possible = tuple(
+            tuple(sum(1 << k for k in range(size) if rng.random() < 0.5) for _ in range(size))
+            for _ in game.players
+        )
+        yield plays, possible
+
+
+def model_of_masks(game: Game, plays: Masks, possible: Masks) -> BeliefModel:
+    """The belief model over states ``w1``, ``w2``, ... that the masks describe."""
+    states = tuple(f"w{k + 1}" for k in range(len(plays[0])))
+
+    def event(mask: int) -> Event:
+        return frozenset(s for k, s in enumerate(states) if mask >> k & 1)
+
+    return BeliefModel(
+        game,
+        states,
+        tuple(dict(zip(states, map(names.__getitem__, row))) for names, row in zip(game.strategies, plays)),
+        tuple(dict(zip(states, map(event, row))) for row in possible),
+    )
+
+
 def enumerate_belief_models(game: Game, max_states: int) -> Iterator[BeliefModel]:
     """Every belief model over the game with 1..max_states states, in a
-    fixed order, without duplicates."""
+    fixed order, without duplicates: the order of
+    :func:`enumerate_model_masks`, which the tests pin."""
     if max_states > MAX_ENUM_STATES:
         raise ValueError(f"exhaustive enumeration is limited to {MAX_ENUM_STATES} states")
     for count in range(1, max_states + 1):
         states = tuple(f"w{k + 1}" for k in range(count))
         play_choices = [list(product(game.strategies[i], repeat=count)) for i in game.players]
-        poss_choices = list(product(subsets(states), repeat=count))
+        # models share their plays and possibility maps, which nothing mutates
+        poss_choices = [dict(zip(states, chosen)) for chosen in product(subsets(states), repeat=count)]
         for plays_combo in product(*play_choices):
             plays = tuple(dict(zip(states, chosen)) for chosen in plays_combo)
-            for poss_combo in product(poss_choices, repeat=game.n):
-                possible = tuple(dict(zip(states, chosen)) for chosen in poss_combo)
+            for possible in product(poss_choices, repeat=game.n):
                 yield BeliefModel(game, states, plays, possible)
 
 
@@ -172,22 +234,8 @@ def sample_belief_models(
 ) -> Iterator[BeliefModel]:
     """Seeded random models: uniform state count in 1..max_states, uniform
     strategies, and each possibility set drawn uniformly."""
-    rng = random.Random(seed)
-    for _ in range(count):
-        size = rng.randint(1, max_states)
-        states = tuple(f"w{k + 1}" for k in range(size))
-        plays = tuple(
-            {state: rng.choice(game.strategies[i]) for state in states}
-            for i in game.players
-        )
-        possible = tuple(
-            {
-                state: frozenset(s for s in states if rng.random() < 0.5)
-                for state in states
-            }
-            for i in game.players
-        )
-        yield BeliefModel(game, states, plays, possible)
+    for plays, possible in sample_model_masks(game, count, max_states, seed):
+        yield model_of_masks(game, plays, possible)
 
 
 # ---------------------------------------------------------------------------

@@ -49,8 +49,10 @@ def _read(path: str) -> str:
 
 
 def _load_registry(condition_files: list[str] | None) -> ConditionRegistry:
-    registry = ConditionRegistry.standard()
-    for path in condition_files or []:
+    if not condition_files:
+        return ConditionRegistry.standard()
+    registry = ConditionRegistry.standard().copy()
+    for path in condition_files:
         for name, formula in parse_condition_file(_read(path)).items():
             registry.register(name, formula)
     return registry

@@ -38,6 +38,10 @@ from typing import Mapping
 from .games import FormatError, Game, Profile, Restriction, profile_with, records
 
 CONSTANT = "o"
+#: Variables and condition names, in both formula languages and in
+#: condition files: ASCII only, so that every name a file defines can be
+#: written in a formula.
+NAME = r"[A-Za-z_][A-Za-z_0-9]*"
 _KEYWORDS = {"not", "and", "or", "exists", "forall", "in", "C", CONSTANT}
 
 
@@ -205,7 +209,7 @@ class _DescentParser:
 
 
 class _LoParser(_DescentParser):
-    token_re = re.compile(r">=|->|[()@.>]|[A-Za-z_][A-Za-z_0-9]*|\S")
+    token_re = re.compile(rf">=|->|[()@.>]|{NAME}|\S")
     neg = Neg
     conj = Conj
 
@@ -276,7 +280,11 @@ class _LoParser(_DescentParser):
 
     @staticmethod
     def _is_variable(tok: str) -> bool:
-        return bool(re.fullmatch(r"[A-Za-z_][A-Za-z_0-9]*", tok)) and tok not in _KEYWORDS
+        return is_name(tok) and tok not in _KEYWORDS
+
+
+def is_name(text: str) -> bool:
+    return re.fullmatch(NAME, text) is not None
 
 
 def parse_lo(text: str) -> FormulaO:
@@ -355,7 +363,7 @@ def _context_safe(formula: FormulaO) -> bool:
 def analyze(formula: FormulaO) -> ConditionAnalysis:
     """Closedness, positivity (context atoms under an even number of
     negations), and context-safety of a condition.  Memoised, since every
-    :meth:`ConditionRegistry.standard` analyses the same builtins."""
+    elimination operator analyses its conditions again."""
     return ConditionAnalysis(
         closed=not free_variables(formula),
         positive=_all_ctx_positive(formula, 0),
@@ -466,12 +474,19 @@ class ConditionInfo:
 
 
 class ConditionRegistry:
-    """Named conditions usable from the modal layer and proof scripts."""
+    """Named conditions usable from the modal layer and proof scripts.
+
+    :meth:`standard` is one shared registry of the builtins, which refuses
+    :meth:`register`; :meth:`copy` it to add conditions.
+    """
 
     def __init__(self) -> None:
         self._entries: dict[str, ConditionInfo] = {}
+        self._frozen = False
 
     def register(self, name: str, formula: FormulaO) -> ConditionInfo:
+        if self._frozen:
+            raise ValueError("the standard registry is shared and read-only; register on a copy()")
         if name in self._entries:
             raise ValueError(f"condition {name!r} already registered")
         info = ConditionInfo(name, formula, analyze(formula))
@@ -492,24 +507,43 @@ class ConditionRegistry:
     def names(self) -> tuple[str, ...]:
         return tuple(self._entries)
 
-    @classmethod
-    def standard(cls) -> "ConditionRegistry":
-        registry = cls()
-        for name in BUILTIN_CONDITION_TEXT:
-            registry.register(name, builtin(name))
+    def copy(self) -> ConditionRegistry:
+        """A registry with the same conditions that accepts new ones."""
+        registry = ConditionRegistry()
+        registry._entries.update(self._entries)
         return registry
+
+    @staticmethod
+    def standard() -> ConditionRegistry:
+        """The builtin conditions: one read-only registry per process."""
+        return _standard_registry()
+
+
+@lru_cache(maxsize=None)
+def _standard_registry() -> ConditionRegistry:
+    registry = ConditionRegistry()
+    for name in BUILTIN_CONDITION_TEXT:
+        registry.register(name, builtin(name))
+    registry._frozen = True
+    return registry
 
 
 def parse_condition_file(text: str) -> dict[str, FormulaO]:
-    """Parse ``condition <name>: <formula>`` lines; a line starting with # is a comment."""
+    """Parse ``condition <name>: <formula>`` lines; a line starting with # is
+    a comment.  Names follow :data:`NAME`, the rule formulas read them by."""
     found: dict[str, FormulaO] = {}
     for lineno, line, raw in records(text):
         if not line.startswith("condition"):
             raise FormulaSyntaxError("expected 'condition <name>: <formula>'", lineno, 1)
         head, sep, body = line.partition(":")
         name = head[len("condition") :].strip()
-        if not sep or not name.isidentifier():
+        if not sep or not name:
             raise FormulaSyntaxError("expected 'condition <name>: <formula>'", lineno, 1)
+        if not is_name(name):
+            column = raw.index(name, raw.index("condition") + len("condition")) + 1
+            raise FormulaSyntaxError(
+                f"condition name {name!r} is not ASCII letters, digits and '_'", lineno, column
+            )
         if name in found:
             raise FormulaSyntaxError(f"duplicate condition {name!r}", lineno, 1)
         try:

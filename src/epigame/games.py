@@ -87,6 +87,11 @@ class Game:
         # the generated hash chokes on the payoff mapping
         return hash((self.strategies, tuple(sorted(self.payoffs.items()))))
 
+    def __getstate__(self) -> dict:
+        # copies and pickles leave the caches behind: they are rebuilt on
+        # demand, and compiled modal programs cannot be pickled
+        return {"strategies": self.strategies, "payoffs": self.payoffs}
+
     @property
     def n(self) -> int:
         return len(self.strategies)
@@ -115,6 +120,14 @@ class Game:
     def survivor_tables(self) -> dict:
         """Condition formula -> :class:`epigame.optimality.SurvivorTable`,
         filled on demand by :func:`epigame.optimality.survivor_table`."""
+        return {}
+
+    @cached_property
+    def modal_cache(self) -> dict:
+        """What :mod:`epigame.modal` keeps per game: (formula, condition
+        registry, second-order flag) -> compiled program, and None -> a
+        weak reference to the last belief model interpreted, with its mask
+        form."""
         return {}
 
     def full_restriction(self) -> Restriction:
@@ -301,15 +314,15 @@ def require_players(
 
 
 def _parse_rational(text: str) -> Fraction:
-    # Fraction expands exponent notation, so '1e999999999' alone would
-    # build a billion-digit integer
-    if "e" in text or "E" in text:
-        raise ValueError(f"bad rational {text!r}")
-    try:
-        value = Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"bad rational {text!r}") from exc
-    return value
+    # Fraction also reads Unicode digits, '_' separators and exponents, and
+    # '1e999999999' alone would build a billion-digit integer; what is left
+    # is [+-]digits[/digits] and decimals, in ASCII
+    if text.isascii() and not any(c in text for c in "_eE"):
+        try:
+            return Fraction(text)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise ValueError(f"bad rational {text!r}")
 
 
 def parse_game(text: str) -> Game:
@@ -326,10 +339,11 @@ def parse_game(text: str) -> Game:
         ...
 
     The player count and indices are ASCII digits.  Payoffs are integers,
-    fractions like ``5/2`` or plain decimals like ``2.5``; exponent
-    notation is refused.  Every profile needs exactly one payoff line.
-    Raises :class:`GameFormatError` with the 1-based line on malformed
-    input; a missing line is reported one past the end.
+    fractions like ``5/2`` or plain decimals like ``2.5``, in ASCII digits;
+    exponent notation and ``_`` separators are refused.  Every profile
+    needs exactly one payoff line.  Raises :class:`GameFormatError` with
+    the 1-based line on malformed input; a missing line is reported one
+    past the end.
     """
     n: int | None = None
     strategies: dict[int, tuple[str, ...]] = {}

@@ -19,25 +19,37 @@ checks read it universally instead, as ``forall X``.  Second-order
 evaluation enumerates every event, so it is limited to
 :data:`MAX_SECOND_ORDER_STATES` states.
 
-Inside the evaluator every event is an ``int`` bitmask over the model's
-states, and a context is a tuple of per-player strategy masks; the
-survivors of a condition in a context come from the game's
-:class:`~epigame.optimality.SurvivorTable`, shared by every model of the
-game.  Frozensets of state names appear only at the boundary: the ``env``
-argument and the results of :func:`interpret` and :func:`interpret_so`.
+A formula is compiled once per (formula, registry, game) into a program
+of closures over ``int`` bitmasks of states, cached on the game in
+:attr:`~epigame.games.Game.modal_cache`.  Compiling resolves each
+condition's :class:`~epigame.optimality.SurvivorTable` (shared by every
+model of the game) and player range, and makes every refusal.  It hoists
+every ``rat`` atom, and every subformula without a free X inside a
+binder, so that each is computed once per model rather than once per
+fixpoint round or ``forall X`` candidate.  A context is a tuple of
+per-player strategy masks.  The game also keeps the last model
+interpreted in mask form, so that calls on one model share its contexts
+and the optimal states of each (condition, player) in them.
+:func:`check_validity` feeds the program models in mask form straight
+from the enumeration or the sampler; a
+:class:`~epigame.beliefs.BeliefModel` and frozensets of state names
+appear only at the boundary: a countermodel, the ``env`` argument and the
+results of :func:`interpret` and :func:`interpret_so`.
 """
 
 from __future__ import annotations
 
 import re
+import weakref
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import reduce
 from itertools import compress
 from operator import or_
-from typing import Iterator
+from typing import Callable, Iterator
 
-from .beliefs import BeliefModel, Event, enumerate_belief_models, sample_belief_models
-from .conditions import ConditionRegistry, _DescentParser
+from .beliefs import BeliefModel, Event, enumerate_model_masks, model_of_masks, sample_model_masks
+from .conditions import NAME, ConditionRegistry, _DescentParser, is_name
 from .games import Game, read_index
 from .optimality import SurvivorTable, survivor_table
 
@@ -130,7 +142,7 @@ def common_belief_formula(body: FormulaNu) -> FormulaNu:
 # Parser
 
 class _NuParser(_DescentParser):
-    token_re = re.compile(r"->|[()\[\].,]|[A-Za-z_][A-Za-z_0-9]*|[0-9]+|\S")
+    token_re = re.compile(rf"->|[()\[\].,]|{NAME}|[0-9]+|\S")
     neg = Neg
     conj = Conj
 
@@ -181,7 +193,7 @@ class _NuParser(_DescentParser):
     def condition_ref(self) -> tuple[str, int | None]:
         self.expect("(")
         name = self.peek()
-        if not name.isidentifier():
+        if not is_name(name):
             raise self.error("expected a condition name")
         self.advance()
         player = None
@@ -317,156 +329,243 @@ def positive_in_x(formula: FormulaNu, registry: ConditionRegistry) -> bool:
 # Interpretation
 
 
-class _Evaluator:
-    """Evaluates formulas on one belief model at a time, with every event
-    an ``int`` bitmask over the model's states (state k is bit k).
+class _Model:
+    """One belief model as compiled programs read it: every event is an
+    ``int`` bitmask over its states, state k being bit k.
 
-    A context is a tuple of per-player strategy masks, the OR of the
-    strategies played at the event's states; the game's
-    :class:`~epigame.optimality.SurvivorTable` of each condition answers
-    which strategies survive in it.  Frozensets of state names appear only
-    in :func:`interpret` and :func:`interpret_so`, at the boundary.  One
-    evaluator serves a whole :func:`check_validity` sweep: :meth:`load`
-    swaps the model and keeps the resolved tables while the game stays.
+    ``plays[i][k]`` is the bit of player i's strategy at state k, and
+    ``possible[i][k]`` the mask of the states player i considers possible
+    there.  The contexts and the ``optimal`` memos depend on the plays
+    alone, so a sweep keeps them while only the possibility sets change,
+    and every program run on one model shares them (see :meth:`fork`);
+    ``values`` holds one program's hoisted subformulas.
     """
 
-    def __init__(self, registry: ConditionRegistry, second_order: bool):
-        self.registry = registry
-        self.second_order = second_order
-        self.game: Game | None = None
-        self._tables: dict[str, SurvivorTable] = {}
+    __slots__ = ("full", "plays", "possible", "values", "contexts", "optimal")
 
-    def load(self, model: BeliefModel) -> None:
-        game = model.game
-        if game is not self.game:
-            self.game = game
-            self.players = game.players
-            self._tables = {}
-            self._bits = [{s: 1 << k for k, s in enumerate(names)} for names in game.strategies]
-        states = model.states
-        index = {s: k for k, s in enumerate(states)}
-        self.states = states
-        self.full = (1 << len(states)) - 1
-        # plays[i][k]: the strategy bit player i plays at state k
-        self.plays = [
-            tuple(bits[plays[s]] for s in states) for bits, plays in zip(self._bits, model.plays)
-        ]
-        # possible[i][k]: the states player i considers possible at state k
-        self.possible = [
-            tuple(sum(1 << index[t] for t in possible[s]) for s in states)
-            for possible in model.possible
-        ]
-        self._contexts: dict[int, tuple[int, ...]] = {}
-        self._rat_events: dict[tuple[str, int], int] = {}
+    def __init__(self, plays: tuple[tuple[int, ...], ...]):
+        self.full = (1 << len(plays[0])) - 1
+        self.plays = plays
+        self.contexts: dict[int, tuple[int, ...]] = {}
+        # (survivor table, player) -> event -> optimal states
+        self.optimal: defaultdict[tuple[SurvivorTable, int], dict[int, int]] = defaultdict(dict)
 
-    def mask_of(self, event: Event) -> int:
-        unknown = set(event).difference(self.states)
-        if unknown:
-            raise ModalError(f"unknown state {sorted(unknown)[0]!r} in the environment")
-        return sum(1 << k for k, state in enumerate(self.states) if state in event)
+    def load(self, possible: tuple[tuple[int, ...], ...], hoisted_slots: int) -> None:
+        self.possible = possible
+        self.values: list[int | None] = [None] * hoisted_slots
 
-    def event_of(self, mask: int) -> Event:
-        return frozenset(s for k, s in enumerate(self.states) if mask >> k & 1)
-
-    def table(self, name: str) -> SurvivorTable:
-        table = self._tables.get(name)
-        if table is None:
-            info = self.registry.get(name)
-            if not info.analysis.context_safe:
-                raise ModalError(f"condition {name!r} is not context-safe")
-            table = self._tables[name] = survivor_table(self.game, info.formula)
-        return table
+    def fork(self, hoisted_slots: int) -> _Model:
+        """This model, sharing its memos, for one more program."""
+        twin = _Model.__new__(_Model)
+        twin.full, twin.plays, twin.contexts, twin.optimal = self.full, self.plays, self.contexts, self.optimal
+        twin.load(self.possible, hoisted_slots)
+        return twin
 
     def context(self, event: int) -> tuple[int, ...]:
         """The per-player masks of the strategies played in the event."""
-        found = self._contexts.get(event)
+        found = self.contexts.get(event)
         if found is None:
-            inside = [event >> k & 1 for k in range(len(self.states))]
-            found = tuple(reduce(or_, compress(plays, inside), 0) for plays in self.plays)
-            self._contexts[event] = found
+            inside = [event >> k & 1 for k in range(len(self.plays[0]))]
+            found = tuple(reduce(or_, compress(row, inside), 0) for row in self.plays)
+            self.contexts[event] = found
         return found
 
-    def players_of(self, tag: int | None) -> range | tuple[int, ...]:
+    def optimal_states(self, ask: tuple[SurvivorTable, int], event: int) -> int:
+        """The states where the player's strategy satisfies the table's
+        condition in the event's context, for ``ask`` = (table, player)."""
+        memo = self.optimal[ask]
+        found = memo.get(event)
+        if found is None:
+            table, player = ask
+            survivors = table.survivors(player, self.context(event))
+            found = sum(1 << k for k, bit in enumerate(self.plays[player]) if bit & survivors)
+            memo[event] = found
+        return found
+
+
+_Node = Callable[[_Model, int], int]
+
+
+def _hoisted(slot: int, inner: _Node) -> _Node:
+    def hoisted(m: _Model, env: int) -> int:
+        value = m.values[slot]
+        if value is None:
+            value = m.values[slot] = inner(m, env)
+        return value
+
+    return hoisted
+
+
+class _Program:
+    """A formula compiled for one game and registry: ``run(model, env)``
+    is the event where it holds on a :class:`_Model` when X denotes env.
+    It holds no per-model state and no reference to the game, which
+    caches it (see :func:`_program`)."""
+
+    __slots__ = ("run", "hoisted_slots")
+
+    def __init__(self, run: _Node, hoisted_slots: int):
+        self.run = run
+        self.hoisted_slots = hoisted_slots
+
+
+def _load(model: BeliefModel) -> _Model:
+    """The model in mask form.  Its game keeps the last model loaded, so a
+    run of calls on one model shares its contexts and optimal states."""
+    cache = model.game.modal_cache
+    last = cache.get(None)
+    if last is not None and last[0]() is model:
+        return last[1]
+    states = model.states
+    bit_of = {s: 1 << k for k, s in enumerate(states)}.__getitem__
+    plays = tuple(
+        [1 << names.index(row[s]) for s in states] for names, row in zip(model.game.strategies, model.plays)
+    )
+    loaded = _Model(plays)
+    loaded.load(tuple([sum(map(bit_of, row[s])) for s in states] for row in model.possible), 0)
+    # weakly held: the model holds the game, which would otherwise keep both
+    # alive in a cycle
+    cache[None] = (weakref.ref(model), loaded)
+    return loaded
+
+
+class _Compiler:
+    """Turns formulas into :class:`_Program` closures over one game.
+
+    Compiling resolves each condition's survivor table and each player
+    range, so every refusal is raised here, in the order a walk of the
+    formula would meet it.  Every ``rat`` atom, and every subformula
+    without a free X inside a binder, is hoisted: computed once per model,
+    not once per fixpoint round or ``forall X`` candidate, and shared by
+    its equal copies.
+    """
+
+    def __init__(self, game: Game, registry: ConditionRegistry, second_order: bool):
+        self.game = game
+        self.registry = registry
+        self.second_order = second_order
+        self.hoisted: dict[FormulaNu, _Node] = {}
+
+    def compile(self, formula: FormulaNu) -> _Program:
+        run = self._node(formula, bound=False)
+        return _Program(run, len(self.hoisted))
+
+    def _players(self, tag: int | None) -> range | tuple[int, ...]:
         if tag is None:
-            return self.players
-        if tag not in self.players:
+            return self.game.players
+        if tag not in self.game.players:
             raise ModalError(f"player index {tag + 1} out of range")
         return (tag,)
 
-    def eval(self, formula: FormulaNu, env: int) -> int:
-        rule = self._rules.get(type(formula))
-        if rule is None:
-            raise ModalError(f"cannot interpret {formula!r}")
-        return rule(self, formula, env)
+    def _table(self, name: str) -> SurvivorTable:
+        info = self.registry.get(name)
+        if not info.analysis.context_safe:
+            raise ModalError(f"condition {name!r} is not context-safe")
+        return survivor_table(self.game, info.formula)
 
-    def _rat(self, formula: Rat, env: int) -> int:
-        result = self.full
-        for i in self.players_of(formula.player):
-            key = (formula.condition, i)
-            event = self._rat_events.get(key)
-            if event is None:
-                table = self.table(formula.condition)
-                event = 0
-                for k, (bit, seen) in enumerate(zip(self.plays[i], self.possible[i])):
-                    if table.survivors(i, self.context(seen)) & bit:
-                        event |= 1 << k
-                self._rat_events[key] = event
-            result &= event
-        return result
+    def _node(self, f: FormulaNu, bound: bool) -> _Node:
+        """``bound``: f lies inside a binder, so one model may evaluate it
+        under several values of X."""
+        if isinstance(f, Rat) or (bound and not has_free_x(f)):
+            known = self.hoisted.get(f)
+            if known is None:
+                inner = self._plain(f, bound=False)
+                known = self.hoisted[f] = _hoisted(len(self.hoisted), inner)
+            return known
+        return self._plain(f, bound)
 
-    def _neg(self, formula: Neg, env: int) -> int:
-        return self.full ^ self.eval(formula.body, env)
+    def _plain(self, f: FormulaNu, bound: bool) -> _Node:
+        if isinstance(f, Rat):
+            players = self._players(f.player)
+            table = self._table(f.condition)
+            asks = [(table, i) for i in players]
 
-    def _conj(self, formula: Conj, env: int) -> int:
-        return self.eval(formula.left, env) & self.eval(formula.right, env)
+            def rat(m: _Model, env: int) -> int:
+                result = m.full
+                for ask in asks:
+                    memo = m.optimal[ask]
+                    for k, seen in enumerate(m.possible[ask[1]]):
+                        held = memo.get(seen)
+                        if held is None:
+                            held = m.optimal_states(ask, seen)
+                        if not held >> k & 1:
+                            result &= ~(1 << k)
+                return result
 
-    def _box(self, formula: Box, env: int) -> int:
-        outside = ~self.eval(formula.body, env)
-        result = self.full
-        for i in self.players_of(formula.player):
-            result &= sum(1 << k for k, seen in enumerate(self.possible[i]) if not seen & outside)
-        return result
+            return rat
+        if isinstance(f, Neg):
+            body = self._node(f.body, bound)
+            return lambda m, env: m.full ^ body(m, env)
+        if isinstance(f, Conj):
+            left, right = self._node(f.left, bound), self._node(f.right, bound)
+            return lambda m, env: left(m, env) & right(m, env)
+        if isinstance(f, Box):
+            body = self._node(f.body, bound)
+            players = self._players(f.player)
 
-    def _opt(self, formula: Opt, env: int) -> int:
-        context = self.context(self.eval(formula.body, env))
-        table = self.table(formula.condition)
-        result = self.full
-        for i in self.players_of(formula.player):
-            survivors = table.survivors(i, context)
-            result &= sum(1 << k for k, bit in enumerate(self.plays[i]) if bit & survivors)
-        return result
+            def box(m: _Model, env: int) -> int:
+                outside = ~body(m, env)
+                result = m.full
+                for i in players:
+                    for k, seen in enumerate(m.possible[i]):
+                        if seen & outside:
+                            result &= ~(1 << k)
+                return result
 
-    def _set_var(self, formula: SetVar, env: int) -> int:
-        return env
+            return box
+        if isinstance(f, Opt):
+            body = self._node(f.body, bound)
+            table = self._table(f.condition)
+            asks = [(table, i) for i in self._players(f.player)]
 
-    def _nu(self, formula: Nu, env: int) -> int:
-        current = self.full
-        while True:
-            nxt = self.eval(formula.body, current) & current
-            if nxt == current:
-                return current
-            current = nxt
+            def opt(m: _Model, env: int) -> int:
+                event = body(m, env)
+                result = m.full
+                for ask in asks:
+                    result &= m.optimal_states(ask, event)
+                return result
 
-    def _forall(self, formula: ForallX, env: int) -> int:
-        if not self.second_order:
-            raise ModalError("forall X needs the second-order interpreter")
-        result = self.full
-        for candidate in range(self.full + 1):
-            result &= self.eval(formula.body, candidate)
-            if not result:
-                break
-        return result
+            return opt
+        if isinstance(f, SetVar):
+            return lambda m, env: env
+        if isinstance(f, Nu):
+            body = self._node(f.body, bound=True)
 
-    _rules = {
-        Rat: _rat,
-        Neg: _neg,
-        Conj: _conj,
-        Box: _box,
-        Opt: _opt,
-        SetVar: _set_var,
-        Nu: _nu,
-        ForallX: _forall,
-    }
+            def nu(m: _Model, env: int) -> int:
+                current = m.full
+                while True:
+                    nxt = body(m, current) & current
+                    if nxt == current:
+                        return current
+                    current = nxt
+
+            return nu
+        if isinstance(f, ForallX):
+            if not self.second_order:
+                raise ModalError("forall X needs the second-order interpreter")
+            body = self._node(f.body, bound=True)
+
+            def forall(m: _Model, env: int) -> int:
+                result = m.full
+                for candidate in range(m.full + 1):
+                    result &= body(m, candidate)
+                    if not result:
+                        break
+                return result
+
+            return forall
+        raise ModalError(f"cannot interpret {f!r}")
+
+
+def _program(game: Game, formula: FormulaNu, registry: ConditionRegistry, second_order: bool) -> _Program:
+    """The game's compiled program for the formula, kept in
+    :attr:`Game.modal_cache` and keyed on the registry object itself."""
+    key = (formula, registry, second_order)
+    program = game.modal_cache.get(key)
+    if program is None:
+        program = _Compiler(game, registry, second_order).compile(formula)
+        game.modal_cache[key] = program
+    return program
 
 
 def _interpret(
@@ -476,10 +575,17 @@ def _interpret(
     registry: ConditionRegistry | None,
     second_order: bool,
 ) -> Event:
-    evaluator = _Evaluator(registry or ConditionRegistry.standard(), second_order)
-    evaluator.load(model)
-    start = evaluator.full if env is None else evaluator.mask_of(env)
-    return evaluator.event_of(evaluator.eval(formula, start))
+    states = model.states
+    if env is None:
+        start = (1 << len(states)) - 1
+    else:
+        unknown = set(env).difference(states)
+        if unknown:
+            raise ModalError(f"unknown state {sorted(unknown)[0]!r} in the environment")
+        start = sum(1 << k for k, state in enumerate(states) if state in env)
+    program = _program(model.game, formula, registry or ConditionRegistry.standard(), second_order)
+    result = program.run(_load(model).fork(program.hoisted_slots), start)
+    return frozenset(s for k, s in enumerate(states) if result >> k & 1)
 
 
 def interpret(
@@ -548,16 +654,20 @@ def check_validity(
         raise ModalError(
             f"second-order validity checks are limited to {MAX_SECOND_ORDER_STATES} states"
         )
-    registry = registry or ConditionRegistry.standard()
     if samples is None:
-        candidates = enumerate_belief_models(game, max_states)
+        candidates = enumerate_model_masks(game, max_states)
     else:
-        candidates = sample_belief_models(game, samples, max_states, seed)
-    evaluator = _Evaluator(registry, second_order)
+        candidates = sample_model_masks(game, samples, max_states, seed)
+    program = _program(game, formula, registry or ConditionRegistry.standard(), second_order)
+    run, hoisted_slots = program.run, program.hoisted_slots
     checked = 0
-    for model in candidates:
+    last = model = None
+    for plays, possible in candidates:
         checked += 1
-        evaluator.load(model)
-        if evaluator.eval(formula, evaluator.full) != evaluator.full:
-            return ValidityReport(False, model, checked)
+        if plays is not last:
+            last = plays
+            model = _Model(tuple(tuple(1 << s for s in row) for row in plays))
+        model.load(possible, hoisted_slots)
+        if run(model, model.full) != model.full:
+            return ValidityReport(False, model_of_masks(game, plays, possible), checked)
     return ValidityReport(True, None, checked)

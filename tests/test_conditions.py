@@ -27,7 +27,7 @@ from epigame.conditions import (
     satisfies,
 )
 from epigame.games import Game, Restriction, bundled_games, restrictions
-from epigame.modal import ModalError, Rat, interpret
+from epigame.modal import ModalError, Rat, interpret, parse_nu
 from epigame.operators import ConditionOperator, OperatorError, condition_operator, iterate
 from epigame.optimality import optimal_strategies, survivor_table
 from epigame.oracles import (
@@ -253,13 +253,25 @@ def test_standard_registry():
 
 
 def test_registry_rejects_duplicates_and_open_formulas():
-    reg = ConditionRegistry.standard()
+    reg = ConditionRegistry.standard().copy()
     with pytest.raises(ValueError, match="already registered"):
         reg.register("lsd", builtin("lsd"))
     with pytest.raises(ValueError, match="not closed"):
         reg.register("open", parse_lo("C(x)"))
     with pytest.raises(KeyError, match="unknown condition"):
         reg.get("nope")
+
+
+def test_standard_registry_is_shared_and_read_only():
+    shared = ConditionRegistry.standard()
+    assert ConditionRegistry.standard() is shared
+    with pytest.raises(ValueError, match="read-only"):
+        shared.register("mine", builtin("gbr"))
+    assert shared.names() == ("lsd", "gsd", "gbr")
+    extended = shared.copy()
+    extended.register("mine", builtin("gbr"))
+    assert extended.names() == ("lsd", "gsd", "gbr", "mine")
+    assert "mine" not in shared
 
 
 def test_parse_condition_file():
@@ -282,6 +294,19 @@ def test_condition_file_errors():
         parse_condition_file("condition a: C(x)\ncondition a: C(x)")
     with pytest.raises(FormulaSyntaxError, match="line 3"):
         parse_condition_file("# ok\ncondition a: C(x)\ncondition b: C(x")
+
+
+def test_condition_names_are_those_formulas_can_name():
+    # 'éa' is a Python identifier, but no formula could write rat(éa)
+    for name in ("\u00e9a", "a\u00e9", "\u0663"):
+        with pytest.raises(FormulaSyntaxError, match="not ASCII") as exc:
+            parse_condition_file(f"# first\n  condition {name}: C(x)")
+        assert (exc.value.line, exc.value.column) == (2, 13)
+        with pytest.raises(FormulaSyntaxError, match="expected"):
+            parse_nu(f"rat({name})")
+    found = parse_condition_file("condition _a1: C(x)")
+    assert parse_nu("rat(_a1)") == Rat("_a1", None)
+    assert list(found) == ["_a1"]
 
 
 # --- optimality kernel -------------------------------------------------------
@@ -437,7 +462,7 @@ def test_kernel_refuses_open_and_context_unsafe_conditions():
         ConditionOperator(g, parse_lo("C(x)"))
     with pytest.raises(OperatorError, match="must be context-safe"):
         ConditionOperator(g, parse_lo("forall y . o >= y @ o"))
-    registry = ConditionRegistry.standard()
+    registry = ConditionRegistry.standard().copy()
     registry.register("selfctx", parse_lo("C(o)"))
     model = BeliefModel(g, ("w",), ({"w": "U"}, {"w": "L"}), ({"w": frozenset({"w"})},) * 2)
     with pytest.raises(ModalError, match="'selfctx' is not context-safe"):

@@ -112,6 +112,17 @@ def test_exponent_payoffs_are_refused():
     assert g.payoffs[("U", "L")] == (Fraction(5, 2), Fraction(-1, 4))
 
 
+def test_payoffs_are_ascii_only():
+    # Fraction itself reads each of these: Arabic-Indic and fullwidth
+    # digits, and '_' digit separators
+    for literal in ("\u0663", "\uff13", "1/\u0663", "1_0"):
+        text = RIGHT_GAME.replace("payoff U L : 1 1", f"payoff U L : {literal} 1")
+        with pytest.raises(GameFormatError, match=f"line 5: bad rational '{literal}'"):
+            parse_game(text)
+    g = parse_game(RIGHT_GAME.replace("payoff U L : 1 1", "payoff U L : +.5 5."))
+    assert g.payoffs[("U", "L")] == (Fraction(1, 2), Fraction(5))
+
+
 def test_fractional_payoffs_are_exact():
     g = parse_game(RIGHT_GAME.replace("payoff U L : 1 1", "payoff U L : 1/3 -2/7"))
     assert g.payoff(0, ("U", "L")) == Fraction(1, 3)

@@ -1,3 +1,6 @@
+import gc
+import pickle
+import weakref
 from fractions import Fraction
 from itertools import islice, product
 
@@ -7,11 +10,13 @@ from hypothesis import given, settings, strategies as st
 from epigame.beliefs import (
     BeliefModel,
     enumerate_belief_models,
+    enumerate_model_masks,
+    model_of_masks,
     parse_model,
     sample_belief_models,
 )
-from epigame.conditions import MAX_NESTING, ConditionRegistry, FormulaSyntaxError, parse_lo
-from epigame.games import Game, subsets
+from epigame.conditions import MAX_NESTING, ConditionRegistry, FormulaSyntaxError, builtin, parse_lo
+from epigame.games import Game, bundled_games, subsets
 from epigame.modal import (
     Box,
     Conj,
@@ -39,6 +44,7 @@ from epigame.modal import (
 from epigame.oracles import (
     fig1_left,
     fig1_right,
+    fig2,
     naive_common_belief,
     naive_interpret,
     nu_via_postfixpoints,
@@ -367,7 +373,7 @@ def test_unknown_condition():
 
 
 def test_context_unsafe_condition_rejected():
-    registry = ConditionRegistry.standard()
+    registry = ConditionRegistry.standard().copy()
     registry.register("selfctx", parse_lo("C(o)"))  # closed but not context-safe
     with pytest.raises(ModalError, match="not context-safe"):
         interpret(single_state_model(), Rat("selfctx", None), registry=registry)
@@ -445,22 +451,33 @@ def test_iter_subformulas():
 
 
 @st.composite
-def small_models(draw):
-    """A game with 1-3 players, 1-3 strategies each and payoffs in 0..2, and
-    a belief model over it with 1-4 states."""
+def small_games(draw):
+    """A game with 1-3 players, 1-3 strategies each and payoffs in 0..2."""
     shape = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
     strategies = tuple(tuple(f"p{i}s{k}" for k in range(m)) for i, m in enumerate(shape))
     payoffs = {
         profile: tuple(Fraction(draw(st.integers(0, 2))) for _ in shape)
         for profile in product(*strategies)
     }
-    game = Game(strategies, payoffs)
+    return Game(strategies, payoffs)
+
+
+@st.composite
+def models_over(draw, game):
+    """A belief model over the game with 1-4 states."""
     states = tuple(f"w{k + 1}" for k in range(draw(st.integers(1, 4))))
-    plays = tuple({s: draw(st.sampled_from(names)) for s in states} for names in strategies)
+    plays = tuple({s: draw(st.sampled_from(names)) for s in states} for names in game.strategies)
     possible = tuple(
-        {s: frozenset(draw(st.sets(st.sampled_from(states)))) for s in states} for _ in strategies
+        {s: frozenset(draw(st.sets(st.sampled_from(states)))) for s in states} for _ in game.strategies
     )
     return BeliefModel(game, states, plays, possible)
+
+
+@st.composite
+def small_models(draw):
+    """A game with 1-3 players, 1-3 strategies each and payoffs in 0..2, and
+    a belief model over it with 1-4 states."""
+    return draw(models_over(draw(small_games())))
 
 
 def modal_formulas(players):
@@ -506,6 +523,16 @@ REFUTABLE = (
 )
 
 
+def naive_sweep(formula, models):
+    """(models checked, first countermodel) of a plain loop over the models."""
+    checked = 0
+    for m in models:
+        checked += 1
+        if naive_interpret(m, formula) != m.universe:
+            return checked, m
+    return checked, None
+
+
 def test_validity_sweep_matches_naive_loop():
     game = fig1_left()
     for text in REFUTABLE:
@@ -518,3 +545,82 @@ def test_validity_sweep_matches_naive_loop():
                 break
         report = check_validity(game, formula, max_states=2)
         assert (report.models_checked, report.countermodel) == (checked, countermodel), text
+    # sampled sweeps draw the same models as sample_belief_models
+    for game, states in product((fig1_left(), fig2()), (3, 4)):
+        for text in REFUTABLE:
+            formula = parse_nu(text)
+            expected = naive_sweep(formula, sample_belief_models(game, 40, states, seed=11))
+            report = check_validity(game, formula, max_states=states, samples=40, seed=11)
+            assert (report.models_checked, report.countermodel) == expected, (text, states)
+    # one valid theorem per bundled game, exhaustive to 1 state and sampled
+    theorems = (
+        "rat(gbr) and CB rat(gbr) -> nu X . O(gbr) X",
+        "rat(gsd) and CB rat(gsd) -> nu X . O(gsd) X",
+        "rat(gbr) and CB rat(gbr) -> nu X . O(lsd) X",
+    )
+    for game, text in zip(bundled_games(), theorems):
+        formula = parse_nu(text)
+        expected = naive_sweep(formula, enumerate_belief_models(game, 1))
+        report = check_validity(game, formula, max_states=1)
+        assert (report.models_checked, report.countermodel) == expected == (report.models_checked, None)
+        expected = naive_sweep(formula, sample_belief_models(game, 60, 4, seed=5))
+        report = check_validity(game, formula, max_states=4, samples=60, seed=5)
+        assert (report.models_checked, report.countermodel) == expected == (60, None)
+
+
+@pytest.mark.parametrize("game", [fig1_right(), fig2()], ids=["2x2", "fig2"])
+def test_mask_enumeration_is_the_model_enumeration(game):
+    masks = list(enumerate_model_masks(game, 2))
+    assert [model_of_masks(game, *pair) for pair in masks] == list(enumerate_belief_models(game, 2))
+    # consecutive models share their plays tuple, which sweeps rely on to
+    # keep the contexts they computed
+    assert len({id(plays) for plays, _ in masks}) < len(masks)
+    with pytest.raises(ValueError, match="limited to 3 states"):
+        enumerate_model_masks(game, 4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_cached_programs_carry_nothing_between_models(data):
+    """Several models of one game in a row share each formula's compiled
+    program; every result must still match the reference."""
+    game = data.draw(small_games())
+    formulas = data.draw(st.lists(modal_formulas(game.n), min_size=1, max_size=3))
+    for _ in range(data.draw(st.integers(2, 5))):
+        m = data.draw(models_over(game))
+        for formula in formulas:
+            expected = naive_interpret(m, formula, second_order=True)
+            assert interpret_so(m, formula) == expected, formula
+
+
+def test_the_game_does_not_keep_interpreted_models_alive():
+    game = Game(fig1_right().strategies, dict(fig1_right().payoffs))
+    m = BeliefModel(game, ("w1",), ({"w1": "U"}, {"w1": "L"}), ({"w1": frozenset({"w1"})},) * 2)
+    gc.disable()  # only reference counts may free the model
+    try:
+        assert interpret(m, Rat("gbr", None)) == frozenset({"w1"})
+        gone = weakref.ref(m)
+        del m
+        assert gone() is None
+    finally:
+        gc.enable()
+
+
+def test_games_pickle_without_their_caches():
+    game = Game(fig1_right().strategies, dict(fig1_right().payoffs))
+    m = BeliefModel(game, ("w1",), ({"w1": "U"}, {"w1": "L"}), ({"w1": frozenset({"w1"})},) * 2)
+    assert interpret(m, Rat("gbr", None)) == frozenset({"w1"})
+    copy = pickle.loads(pickle.dumps(m))
+    assert copy == m and "modal_cache" not in vars(copy.game)
+    assert interpret(copy, Rat("gbr", None)) == frozenset({"w1"})
+
+
+def test_programs_are_cached_per_registry():
+    # the dominated D is locally undominated where nothing else is possible
+    m = BeliefModel(fig1_right(), ("w1",), ({"w1": "D"}, {"w1": "R"}), ({"w1": frozenset({"w1"})},) * 2)
+    assert interpret(m, Rat("gbr", 0)) == frozenset()
+    # the same name, formula and game under another registry is another program
+    renamed = ConditionRegistry()
+    renamed.register("gbr", builtin("lsd"))
+    assert interpret(m, Rat("gbr", 0), registry=renamed) == frozenset({"w1"})
+    assert interpret(m, Rat("gbr", 0)) == frozenset()
