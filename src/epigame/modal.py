@@ -337,8 +337,9 @@ class _Model:
     ``possible[i][k]`` the mask of the states player i considers possible
     there.  The contexts and the ``optimal`` memos depend on the plays
     alone, so a sweep keeps them while only the possibility sets change,
-    and every program run on one model shares them (see :meth:`fork`);
-    ``values`` holds one program's hoisted subformulas.
+    and every program run on the model shares them.  ``values`` holds the
+    hoisted subformulas of the program running on it, which starts them
+    fresh (see :meth:`_Compiler.compile`).
     """
 
     __slots__ = ("full", "plays", "possible", "values", "contexts", "optimal")
@@ -349,17 +350,6 @@ class _Model:
         self.contexts: dict[int, tuple[int, ...]] = {}
         # (survivor table, player) -> event -> optimal states
         self.optimal: defaultdict[tuple[SurvivorTable, int], dict[int, int]] = defaultdict(dict)
-
-    def load(self, possible: tuple[tuple[int, ...], ...], hoisted_slots: int) -> None:
-        self.possible = possible
-        self.values: list[int | None] = [None] * hoisted_slots
-
-    def fork(self, hoisted_slots: int) -> _Model:
-        """This model, sharing its memos, for one more program."""
-        twin = _Model.__new__(_Model)
-        twin.full, twin.plays, twin.contexts, twin.optimal = self.full, self.plays, self.contexts, self.optimal
-        twin.load(self.possible, hoisted_slots)
-        return twin
 
     def context(self, event: int) -> tuple[int, ...]:
         """The per-player masks of the strategies played in the event."""
@@ -396,19 +386,6 @@ def _hoisted(slot: int, inner: _Node) -> _Node:
     return hoisted
 
 
-class _Program:
-    """A formula compiled for one game and registry: ``run(model, env)``
-    is the event where it holds on a :class:`_Model` when X denotes env.
-    It holds no per-model state and no reference to the game, which
-    caches it (see :func:`_program`)."""
-
-    __slots__ = ("run", "hoisted_slots")
-
-    def __init__(self, run: _Node, hoisted_slots: int):
-        self.run = run
-        self.hoisted_slots = hoisted_slots
-
-
 def _load(model: BeliefModel) -> _Model:
     """The model in mask form.  Its game keeps the last model loaded, so a
     run of calls on one model shares its contexts and optimal states."""
@@ -422,7 +399,7 @@ def _load(model: BeliefModel) -> _Model:
         [1 << names.index(row[s]) for s in states] for names, row in zip(model.game.strategies, model.plays)
     )
     loaded = _Model(plays)
-    loaded.load(tuple([sum(map(bit_of, row[s])) for s in states] for row in model.possible), 0)
+    loaded.possible = tuple([sum(map(bit_of, row[s])) for s in states] for row in model.possible)
     # weakly held: the model holds the game, which would otherwise keep both
     # alive in a cycle
     cache[None] = (weakref.ref(model), loaded)
@@ -430,7 +407,7 @@ def _load(model: BeliefModel) -> _Model:
 
 
 class _Compiler:
-    """Turns formulas into :class:`_Program` closures over one game.
+    """Turns formulas into programs of closures over one game.
 
     Compiling resolves each condition's survivor table and each player
     range, so every refusal is raised here, in the order a walk of the
@@ -446,9 +423,20 @@ class _Compiler:
         self.second_order = second_order
         self.hoisted: dict[FormulaNu, _Node] = {}
 
-    def compile(self, formula: FormulaNu) -> _Program:
-        run = self._node(formula, bound=False)
-        return _Program(run, len(self.hoisted))
+    def compile(self, formula: FormulaNu) -> _Node:
+        """The formula's program: ``run(model, env)`` is the event where it
+        holds on a :class:`_Model` when X denotes env.  Each run starts
+        fresh hoisted values on the model it is given, so one model serves
+        any sequence of programs.  The program holds no per-model state and
+        no reference to the game, which caches it (see :func:`_program`)."""
+        root = self._node(formula, bound=False)
+        slots = len(self.hoisted)
+
+        def run(m: _Model, env: int) -> int:
+            m.values = [None] * slots
+            return root(m, env)
+
+        return run
 
     def _players(self, tag: int | None) -> range | tuple[int, ...]:
         if tag is None:
@@ -557,7 +545,7 @@ class _Compiler:
         raise ModalError(f"cannot interpret {f!r}")
 
 
-def _program(game: Game, formula: FormulaNu, registry: ConditionRegistry, second_order: bool) -> _Program:
+def _program(game: Game, formula: FormulaNu, registry: ConditionRegistry, second_order: bool) -> _Node:
     """The game's compiled program for the formula, kept in
     :attr:`Game.modal_cache` and keyed on the registry object itself."""
     key = (formula, registry, second_order)
@@ -583,8 +571,8 @@ def _interpret(
         if unknown:
             raise ModalError(f"unknown state {sorted(unknown)[0]!r} in the environment")
         start = sum(1 << k for k, state in enumerate(states) if state in env)
-    program = _program(model.game, formula, registry or ConditionRegistry.standard(), second_order)
-    result = program.run(_load(model).fork(program.hoisted_slots), start)
+    run = _program(model.game, formula, registry or ConditionRegistry.standard(), second_order)
+    result = run(_load(model), start)
     return frozenset(s for k, s in enumerate(states) if result >> k & 1)
 
 
@@ -658,8 +646,7 @@ def check_validity(
         candidates = enumerate_model_masks(game, max_states)
     else:
         candidates = sample_model_masks(game, samples, max_states, seed)
-    program = _program(game, formula, registry or ConditionRegistry.standard(), second_order)
-    run, hoisted_slots = program.run, program.hoisted_slots
+    run = _program(game, formula, registry or ConditionRegistry.standard(), second_order)
     checked = 0
     last = model = None
     for plays, possible in candidates:
@@ -667,7 +654,7 @@ def check_validity(
         if plays is not last:
             last = plays
             model = _Model(tuple(tuple(1 << s for s in row) for row in plays))
-        model.load(possible, hoisted_slots)
+        model.possible = possible
         if run(model, model.full) != model.full:
             return ValidityReport(False, model_of_masks(game, plays, possible), checked)
     return ValidityReport(True, None, checked)

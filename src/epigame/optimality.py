@@ -36,20 +36,23 @@ from .games import Game, Preferences, Restriction
 # How a compiled formula reads one component of a bound profile.
 _UNREAD, _MEMBERSHIP, _VALUE = 0, 1, 2
 
+_Node = Callable[["_Run"], int]
+
 
 @dataclass(frozen=True)
 class _Plan:
-    """A closed, context-safe condition compiled for :func:`optimal_strategies`.
+    """A closed, context-safe condition compiled once for :func:`optimal_strategies`.
 
+    ``run`` maps one call's :class:`_Run` to the mask of the player's
+    strategies that satisfy the condition: each subformula is a closure
+    that reads the call's state from its argument and captures nothing of
+    one game or one call, so a plan serves every game, player and context.
     Bound variables are numbered by binder (slots), so shadowing needs no
     environment copies.  ``reads[slot]`` says how the owner's component and
-    the opponents' partial profile of that variable are read.  Nodes are
-    tuples: ``("in", slot)``, ``("geq", left, right, slot)`` with ``None``
-    for the focus, ``("not", body)``, ``("and", left, right)`` and
-    ``("exists", slot, body)``.
+    the opponents' partial profile of that variable are read.
     """
 
-    tree: tuple
+    run: _Node
     reads: tuple[tuple[int, int], ...]
 
 
@@ -68,27 +71,57 @@ def _plan(formula: FormulaO) -> _Plan:
         reads[slot][0] = max(reads[slot][0], own)
         reads[slot][1] = max(reads[slot][1], others)
 
-    def compile_(f: FormulaO, scope: dict[str, int]) -> tuple:
+    def compile_(f: FormulaO, scope: dict[str, int]) -> _Node:
         if isinstance(f, CtxAtom):
-            read(scope[f.term], _MEMBERSHIP, _MEMBERSHIP)
-            return ("in", scope[f.term])
+            slot = scope[f.term]
+            read(slot, _MEMBERSHIP, _MEMBERSHIP)
+            return lambda r: r.everyone if r.own_in[r.own[slot]] and r.others_in[r.others[slot]] else 0
         if isinstance(f, GeqAtom):
             left, right = (None if t == CONSTANT else scope[t] for t in (f.left, f.right))
-            for slot in (left, right):
-                if slot is not None:
-                    read(slot, _VALUE, _UNREAD)
-            read(scope[f.ctx], _UNREAD, _VALUE)
-            return ("geq", left, right, scope[f.ctx])
+            for compared in (left, right):
+                if compared is not None:
+                    read(compared, _VALUE, _UNREAD)
+            slot = scope[f.ctx]
+            read(slot, _UNREAD, _VALUE)
+            if left is None and right is None:
+                return lambda r: r.everyone
+            if right is None:
+                return lambda r: r.prefs.at_most[r.others[slot]][r.own[left]]
+            if left is None:
+                return lambda r: r.prefs.at_least[r.others[slot]][r.own[right]]
+            return lambda r: (
+                r.everyone if r.prefs.at_least[r.others[slot]][r.own[right]] >> r.own[left] & 1 else 0
+            )
         if isinstance(f, Neg):
-            return ("not", compile_(f.body, scope))
+            body = compile_(f.body, scope)
+            return lambda r: r.everyone ^ body(r)
         if isinstance(f, Conj):
-            return ("and", compile_(f.left, scope), compile_(f.right, scope))
+            first, second = compile_(f.left, scope), compile_(f.right, scope)
+
+            def conj(r: _Run) -> int:
+                found = first(r)
+                return found & second(r) if found else 0
+
+            return conj
         slot = len(reads)
         reads.append([_UNREAD, _UNREAD])
-        return ("exists", slot, compile_(f.body, {**scope, f.var: slot}))
+        body = compile_(f.body, {**scope, f.var: slot})
 
-    tree = compile_(formula, {})
-    return _Plan(tree, tuple(map(tuple, reads)))
+        def exists(r: _Run) -> int:
+            own, others, everyone = r.own, r.others, r.everyone
+            own_domain, others_domain = r.domains[slot]
+            found = 0
+            for own[slot] in own_domain:
+                for others[slot] in others_domain:
+                    found |= body(r)
+                    if found == everyone:
+                        return found
+            return found
+
+        return exists
+
+    run = compile_(formula, {})
+    return _Plan(run, tuple(map(tuple, reads)))
 
 
 def _domain(read: int, inside: list[bool]) -> Iterable[int]:
@@ -121,53 +154,6 @@ class _Run:
     prefs: Preferences
 
 
-def _compile(node: tuple, run: _Run) -> Callable[[], int]:
-    """One closure per node, returning the mask of strategies for which the
-    subformula holds under the current slot values.  The closures hold
-    ``run``'s parts, never each other in a cycle, so a call's garbage is
-    freed as soon as it returns."""
-    everyone, own, others = run.everyone, run.own, run.others
-    op = node[0]
-    if op == "in":
-        slot, own_in, others_in = node[1], run.own_in, run.others_in
-        return lambda: everyone if own_in[own[slot]] and others_in[others[slot]] else 0
-    if op == "geq":
-        _, left, right, slot = node
-        if left is None and right is None:
-            return lambda: everyone
-        if right is None:
-            at_most = run.prefs.at_most
-            return lambda: at_most[others[slot]][own[left]]
-        at_least = run.prefs.at_least
-        if left is None:
-            return lambda: at_least[others[slot]][own[right]]
-        return lambda: everyone if at_least[others[slot]][own[right]] >> own[left] & 1 else 0
-    if op == "not":
-        body = _compile(node[1], run)
-        return lambda: everyone ^ body()
-    if op == "and":
-        first, second = _compile(node[1], run), _compile(node[2], run)
-
-        def conj() -> int:
-            found = first()
-            return found & second() if found else 0
-
-        return conj
-    slot, body = node[1], _compile(node[2], run)
-    own_domain, others_domain = run.domains[slot]
-
-    def exists() -> int:
-        found = 0
-        for own[slot] in own_domain:
-            for others[slot] in others_domain:
-                found |= body()
-                if found == everyone:
-                    return found
-        return found
-
-    return exists
-
-
 def _survivors(prefs: Preferences, player: int, plan: _Plan, inside: list[list[bool]]) -> int:
     """The kernel core: the mask of the player's strategies that satisfy the
     compiled condition, given the player's payoff comparisons and every
@@ -185,7 +171,7 @@ def _survivors(prefs: Preferences, player: int, plan: _Plan, inside: list[list[b
         others=[0] * len(domains),
         prefs=prefs,
     )
-    return _compile(plan.tree, run)()
+    return plan.run(run)
 
 
 def optimal_strategies(

@@ -593,6 +593,20 @@ def test_cached_programs_carry_nothing_between_models(data):
             assert interpret_so(m, formula) == expected, formula
 
 
+@settings(max_examples=60, deadline=None)
+@given(small_models())
+def test_programs_interleaved_on_one_model_start_fresh(m):
+    """Programs with different numbers of hoisted subformulas run in turn on
+    one model, which the game keeps in mask form between the calls; each run
+    must start its hoisted values afresh."""
+    one = parse_nu("rat(gbr) and CB rat(gbr)")  # hoists rat(gbr)
+    two = parse_nu("CB rat(lsd) and not rat(gsd)")  # hoists rat(lsd), rat(gsd)
+    # hoists rat(lsd) inside the binder, in the slot where `one` keeps rat(gbr)
+    so = parse_nu("forall X . [1] X -> O(gsd, 1) (X and rat(lsd))")
+    for run, formula in ((interpret, one), (interpret, two), (interpret_so, so), (interpret, one)):
+        assert run(m, formula) == naive_interpret(m, formula, second_order=True), pretty_nu(formula)
+
+
 def test_the_game_does_not_keep_interpreted_models_alive():
     game = Game(fig1_right().strategies, dict(fig1_right().payoffs))
     m = BeliefModel(game, ("w1",), ({"w1": "U"}, {"w1": "L"}), ({"w1": frozenset({"w1"})},) * 2)
