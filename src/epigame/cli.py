@@ -18,6 +18,7 @@ from .conditions import (
     BUILTIN_CONDITION_TEXT,
     ConditionRegistry,
     FormulaO,
+    UnknownNameError,
     analyze,
     builtin,
     parse_condition_file,
@@ -39,7 +40,7 @@ _USER_ERRORS = (
     ModalError,
     NoFixpointError,
     OSError,
-    KeyError,
+    UnknownNameError,
     ValueError,
 )
 
@@ -48,29 +49,42 @@ def _read(path: str) -> str:
     return Path(path).read_text()
 
 
-def _load_registry(condition_files: list[str] | None) -> ConditionRegistry:
-    if not condition_files:
+def _read_conditions(spec: str) -> dict[str, FormulaO]:
+    """The conditions a spec names: a builtin name, or a condition file."""
+    if spec in BUILTIN_CONDITION_TEXT:
+        return {spec: builtin(spec)}
+    try:
+        text = _read(spec)
+    except OSError as exc:
+        builtins = ", ".join(BUILTIN_CONDITION_TEXT)
+        raise UnknownNameError(
+            f"{spec} is neither a builtin condition ({builtins})"
+            f" nor a readable file ({exc.strerror})"
+        ) from None
+    return parse_condition_file(text)
+
+
+def _load_registry(specs: list[str] | None) -> ConditionRegistry:
+    if not specs:
         return ConditionRegistry.standard()
     registry = ConditionRegistry.standard().copy()
-    for path in condition_files:
-        for name, formula in parse_condition_file(_read(path)).items():
+    for spec in specs:
+        for name, formula in _read_conditions(spec).items():
             registry.register(name, formula)
     return registry
 
 
-def _resolve_condition(spec: str, name: str | None) -> tuple[str, FormulaO]:
-    """A builtin name, or a condition file (with --name when it defines
-    several conditions)."""
-    if spec in BUILTIN_CONDITION_TEXT:
-        return spec, builtin(spec)
-    defined = parse_condition_file(_read(spec))
+def _resolve_condition(spec: str, name: str | None) -> FormulaO:
+    """The one condition a spec names (picked with --name when a file
+    defines several)."""
+    defined = _read_conditions(spec)
     if name is not None:
         if name not in defined:
             raise ValueError(f"{spec} does not define condition {name!r}")
-        return name, defined[name]
+        return defined[name]
     if len(defined) != 1:
         raise ValueError(f"{spec} defines {len(defined)} conditions; pick one with --name")
-    return next(iter(defined.items()))
+    return next(iter(defined.values()))
 
 
 def _survivors_payload(restriction) -> dict:
@@ -81,7 +95,7 @@ def _survivors_payload(restriction) -> dict:
 
 def _cmd_eliminate(args: argparse.Namespace) -> int:
     game = parse_game(_read(args.game))
-    _, formula = _resolve_condition(args.condition, args.name)
+    formula = _resolve_condition(args.condition, args.name)
     trace = iterate(ConditionOperator(game, formula))
     if args.json:
         payload = {
@@ -158,11 +172,7 @@ def _cmd_check_proof(args: argparse.Namespace) -> int:
 def _cmd_analyze_condition(args: argparse.Namespace) -> int:
     found: dict[str, FormulaO] = {}
     for spec in args.condition:
-        if spec in BUILTIN_CONDITION_TEXT:
-            found[spec] = builtin(spec)
-        else:
-            for name, formula in parse_condition_file(_read(spec)).items():
-                found[name] = formula
+        found.update(_read_conditions(spec))
     results = {name: analyze(formula) for name, formula in found.items()}
     if args.json:
         print(
@@ -250,10 +260,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except _USER_ERRORS as exc:
-        message = str(exc)
-        if isinstance(exc, KeyError):
-            message = exc.args[0] if exc.args else message
-        print(f"error: {message}", file=sys.stderr)
+        print(f"error: {exc}", file=sys.stderr)
         return 2
 
 

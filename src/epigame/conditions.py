@@ -20,12 +20,13 @@ is the naive reference: quantifiers range over full profiles and payoffs
 are compared as fractions.  :func:`epigame.optimality.optimal_strategies` is the fast path
 used by the elimination operators and the modal layer; on closed,
 context-safe conditions it decides every strategy of the owner at once and
-agrees with the reference.  It rests on *quantifier projection*: a bound
-profile is seen only through its owner component and its opponents'
-partial profile, a component compared by ``>=`` ranges over its whole
-domain, and one read only through ``C(.)`` ranges over one representative
-inside the context and one outside, since the formula sees nothing of it
-but that membership bit.
+agrees with the reference.  It compiles each condition once into closures
+that are handed the game's payoff table and the context on every call.
+It rests on *quantifier projection*: a bound profile is seen only through
+its owner component and its opponents' partial profile, a component
+compared by ``>=`` ranges over its whole domain, and one read only through
+``C(.)`` ranges over one representative inside the context and one
+outside, since the formula sees nothing of it but that membership bit.
 """
 
 from __future__ import annotations
@@ -87,6 +88,14 @@ class FormulaSyntaxError(FormatError):
 
 class UnboundVariableError(ValueError):
     pass
+
+
+class UnknownNameError(KeyError):
+    """A condition or lemma name that nothing defines.  Its ``str()`` is the
+    plain message, where a bare :class:`KeyError` quotes it."""
+
+    def __str__(self) -> str:
+        return Exception.__str__(self)
 
 
 # ---------------------------------------------------------------------------
@@ -463,7 +472,7 @@ def builtin(name: str) -> FormulaO:
     try:
         return parse_lo(BUILTIN_CONDITION_TEXT[name])
     except KeyError:
-        raise KeyError(f"unknown builtin condition {name!r}") from None
+        raise UnknownNameError(f"unknown builtin condition {name!r}") from None
 
 
 @dataclass(frozen=True)
@@ -499,7 +508,7 @@ class ConditionRegistry:
         try:
             return self._entries[name]
         except KeyError:
-            raise KeyError(f"unknown condition {name!r}") from None
+            raise UnknownNameError(f"unknown condition {name!r}") from None
 
     def __contains__(self, name: str) -> bool:
         return name in self._entries

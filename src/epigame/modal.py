@@ -20,7 +20,8 @@ evaluation enumerates every event, so it is limited to
 :data:`MAX_SECOND_ORDER_STATES` states.
 
 A formula is compiled once per (formula, registry, game) into a program
-of closures over ``int`` bitmasks of states, cached on the game in
+of closures that take the model, whose events are ``int`` bitmasks of
+states, as their argument; the program is cached on the game in
 :attr:`~epigame.games.Game.modal_cache`.  Compiling resolves each
 condition's :class:`~epigame.optimality.SurvivorTable` (shared by every
 model of the game) and player range, and makes every refusal.  It hoists

@@ -6,7 +6,11 @@ context C".  It evaluates the core AST of :mod:`epigame.conditions` with
 quantifier projection (argued in that module's docstring), every
 subformula as a bitmask over the player's strategies, and payoffs compared
 through :meth:`epigame.games.Game.preferences`.  It agrees with the naive
-reference :func:`epigame.conditions.models`, which the tests check.
+reference :func:`epigame.conditions.models`, which the tests check.  Each
+condition is compiled once, in one walk, into closures that take the state
+of one call (strategy mask, membership flags, slot domains and values,
+payoff table) as their argument, so one compiled plan serves every game,
+player and context.
 
 The modal layer asks through :func:`survivor_table` instead: one
 :class:`SurvivorTable` per (game, condition), kept on the game the way

@@ -24,7 +24,9 @@ from dataclasses import dataclass
 from importlib import resources
 from typing import Iterator, Sequence
 
-from .conditions import ConditionRegistry, FormulaO, FormulaSyntaxError, OptimalityModel, models
+from .conditions import (
+    ConditionRegistry, FormulaO, FormulaSyntaxError, OptimalityModel, UnknownNameError, models,
+)
 from .games import (
     FormatError, Game, Profile, Restriction, bundled_games, lattice_size, read_index, records,
     restrictions,
@@ -273,7 +275,7 @@ class LemmaRegistry:
         try:
             return self._entries[name]
         except KeyError:
-            raise KeyError(f"unknown lemma {name!r}") from None
+            raise UnknownNameError(f"unknown lemma {name!r}") from None
 
     def __contains__(self, name: str) -> bool:
         return name in self._entries

@@ -280,6 +280,32 @@ def test_error_exit_codes(files, tmp_path, capsys):
     assert "line 2: duplicate entry for state 'w'" in capsys.readouterr().err
 
 
+def test_condition_specs_are_builtins_or_readable_files(files, tmp_path, capsys):
+    assert main(["eliminate", files["game.game"], "foo"]) == 2
+    assert capsys.readouterr().err == (
+        "error: foo is neither a builtin condition (lsd, gsd, gbr)"
+        " nor a readable file (No such file or directory)\n"
+    )
+    assert main(["analyze-condition", "lsd", str(tmp_path)]) == 2
+    assert "is neither a builtin condition" in capsys.readouterr().err
+    # --conditions reads its specs the same way, so a builtin is registered twice
+    argv = ["check-valid", files["game.game"], "rat(lsd)", "--exhaustive", "1", "--conditions", "gbr"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: condition 'gbr' already registered\n"
+
+
+@pytest.mark.parametrize("formula", ["rat(nope)", "O(nope) X", "O(nope, 1) rat(lsd)"])
+@pytest.mark.parametrize("command", ["evaluate", "check-valid"])
+def test_unknown_conditions_are_one_line_usage_errors(files, capsys, command, formula):
+    if command == "evaluate":
+        argv = ["evaluate", files["model.model"], files["game.game"], formula]
+    else:
+        argv = ["check-valid", files["game.game"], formula, "--exhaustive", "1"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: unknown condition 'nope'\n")
+
+
 def test_module_entry_point(files):
     result = subprocess.run(
         [sys.executable, "-m", "epigame", "eliminate", files["game.game"], "lsd"],
