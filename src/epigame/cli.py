@@ -172,7 +172,10 @@ def _cmd_check_proof(args: argparse.Namespace) -> int:
 def _cmd_analyze_condition(args: argparse.Namespace) -> int:
     found: dict[str, FormulaO] = {}
     for spec in args.condition:
-        found.update(_read_conditions(spec))
+        for name, formula in _read_conditions(spec).items():
+            if name in found:
+                raise ValueError(f"condition {name!r} is defined twice")
+            found[name] = formula
     results = {name: analyze(formula) for name, formula in found.items()}
     if args.json:
         print(

@@ -1,11 +1,12 @@
 """The optimality kernel: which strategies of a player satisfy a condition.
 
-:func:`optimal_strategies` is the one place the elimination operators and
-the modal layer ask "does strategy s of player i satisfy condition c in
-context C".  It evaluates the core AST of :mod:`epigame.conditions` with
-quantifier projection (argued in that module's docstring), every
-subformula as a bitmask over the player's strategies, and payoffs compared
-through :meth:`epigame.games.Game.preferences`.  It agrees with the naive
+:func:`optimal_strategies` and :class:`SurvivorTable` are the one place
+the elimination operators, the modal layer and lemma admission ask "does
+strategy s of player i satisfy condition c in context C".  The kernel
+evaluates the core AST of :mod:`epigame.conditions` with quantifier
+projection (argued in that module's docstring), every subformula as a
+bitmask over the player's strategies, and payoffs compared through
+:meth:`epigame.games.Game.preferences`.  It agrees with the naive
 reference :func:`epigame.conditions.models`, which the tests check.  Each
 condition is compiled once, in one walk, into closures that take the state
 of one call (strategy mask, membership flags, slot domains and values,
@@ -212,7 +213,9 @@ class SurvivorTable:
     :func:`optimal_strategies`.  Belief models of one game keep asking
     about the same few contexts, which is what makes the memo pay.  The
     elimination operators do not use it: an iteration visits each context
-    once, so a memo there only holds memory.
+    once, so a memo there only holds memory.  Lemma admission builds its
+    own tables per sweep, not the game's (see
+    :meth:`epigame.proofs.LemmaRegistry.register`).
     """
 
     __slots__ = ("plan", "sizes", "prefs", "memo")

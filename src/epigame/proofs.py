@@ -9,7 +9,9 @@ body is below the fixpoint).  Propositional glue lines are justified by
 subformulas.  The extended system adds ``incl`` (fixpoint monotonicity along
 a pointwise implication) and ``link``, which turns a registered condition
 implication into an implication between optimality modalities; lemmas are
-registered only after an exhaustive semantic sweep over a game corpus.
+admitted only after a kernel sweep over every context of a game corpus,
+which decides all optimality models of a (context, player) with one
+comparison of survivor masks (see :meth:`LemmaRegistry.register`).
 
 All schemas are matched structurally against the bundled (player-index-free)
 forms, which keeps proof scripts independent of any particular game.
@@ -22,6 +24,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from importlib import resources
+from itertools import product
 from typing import Iterator, Sequence
 
 from .conditions import (
@@ -49,6 +52,7 @@ from .modal import (
     positive_in_x,
     substitute_x,
 )
+from .optimality import SurvivorTable
 
 TAUT_ATOM_LIMIT = 16
 
@@ -223,6 +227,10 @@ def match_nudis(formula: FormulaNu, conditions: ConditionRegistry) -> AxiomMatch
 
 @dataclass(frozen=True)
 class SweepEvidence:
+    """What a lemma's admission covered: the corpus games, and the
+    optimality models (context, focus, owner) of those games that the
+    sweep decided, whether or not each was evaluated on its own."""
+
     games: int
     models_checked: int
 
@@ -255,16 +263,48 @@ class LemmaRefused(Exception):
         )
 
 
+class UndecidableLemmaError(ValueError):
+    """A lemma side the optimality kernel cannot decide: not closed, or
+    not context-safe."""
+
+
 def implication_counterexamples(
     game: Game, lhs: FormulaO, rhs: FormulaO
 ) -> Iterator[tuple[Restriction, Profile, int]]:
-    """Optimality models where lhs holds but rhs fails, in enumeration order."""
+    """Optimality models where lhs holds but rhs fails, in enumeration order.
+
+    The naive reference for :meth:`LemmaRegistry.register`, one
+    :func:`~epigame.conditions.models` call per (context, focus, owner);
+    kept for the tests that check the kernel sweep against it."""
     for context in restrictions(game):
         for focus in game.profiles():
             om = OptimalityModel(game, context, focus)
             for owner in game.players:
                 if models(om, owner, lhs) and not models(om, owner, rhs):
                     yield context, focus, owner
+
+
+def _first_counterexample(
+    game: Game, lhs: FormulaO, rhs: FormulaO
+) -> tuple[Restriction, Profile, int] | None:
+    """The first item of :func:`implication_counterexamples`, found with the
+    optimality kernel: per context, one survivor-mask difference per player."""
+    lhs_table, rhs_table = SurvivorTable(game, lhs), SurvivorTable(game, rhs)
+    for context in product(*(range(1 << len(names)) for names in game.strategies)):
+        escaping = [
+            lhs_table.survivors(player, context) & ~rhs_table.survivors(player, context)
+            for player in game.players
+        ]
+        if any(escaping):
+            restriction = Restriction(game, tuple(
+                frozenset(s for k, s in enumerate(names) if mask >> k & 1)
+                for names, mask in zip(game.strategies, context)
+            ))
+            for focus in game.profiles():
+                for owner in game.players:
+                    if escaping[owner] >> game.strategies[owner].index(focus[owner]) & 1:
+                        return restriction, focus, owner
+    return None
 
 
 class LemmaRegistry:
@@ -290,14 +330,34 @@ class LemmaRegistry:
     ) -> Lemma:
         """Admit ``lhs -> rhs`` after sweeping every optimality model of
         every corpus game; raises :class:`LemmaRefused` on the first
-        counterexample."""
+        counterexample, in :func:`implication_counterexamples` order.
+
+        Both sides must be closed and context-safe, else
+        :class:`UndecidableLemmaError` is raised before any sweep.  For
+        such a condition, whether a (context, focus, owner) model satisfies
+        it depends only on the owner's strategy in the focus, which is the
+        contract of :func:`~epigame.optimality.optimal_strategies`.  So per
+        context, one mask per player, lhs survivors minus rhs survivors,
+        decides every focus of that player at once: the implication fails
+        exactly at the foci whose owner strategy is in that mask.  Contexts
+        are walked as strategy masks in :func:`~epigame.games.restrictions`
+        order, and only a context with an escaping strategy is turned into
+        a :class:`~epigame.games.Restriction` and scanned for the first
+        escaping (focus, owner).  The survivor tables are built for this
+        call, not taken from the game.
+        """
         if name in self._entries:
             raise ValueError(f"lemma {name!r} already registered")
-        lhs_formula = conditions.get(lhs).formula
-        rhs_formula = conditions.get(rhs).formula
+        sides = []
+        for which, side in (("left", lhs), ("right", rhs)):
+            info = conditions.get(side)
+            if not (info.analysis.closed and info.analysis.context_safe):
+                flaw = "context-safe" if info.analysis.closed else "closed"
+                raise UndecidableLemmaError(f"lemma {name!r}: its {which} side {side!r} is not {flaw}")
+            sides.append(info.formula)
         checked = 0
         for index, game in enumerate(corpus):
-            witness = next(implication_counterexamples(game, lhs_formula, rhs_formula), None)
+            witness = _first_counterexample(game, *sides)
             if witness is not None:
                 raise LemmaRefused(name, ImplicationWitness(index, *witness))
             checked += lattice_size(game) * len(list(game.profiles())) * game.n

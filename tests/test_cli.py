@@ -259,6 +259,16 @@ def test_analyze_condition(files, capsys):
     assert payload["strict"] == {"closed": True, "positive": True, "context_safe": True}
 
 
+def test_analyze_condition_refuses_a_repeated_name(tmp_path, capsys):
+    a, b = tmp_path / "a.cond", tmp_path / "b.cond"
+    a.write_text("condition weak: forall y in C . exists z in C . o >= y @ z\n")
+    b.write_text("condition weak: exists z in C . forall y . o >= y @ z\n")
+    for argv, name in [([str(a), str(b)], "weak"), (["lsd", "lsd"], "lsd")]:
+        assert main(["analyze-condition", *argv]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: condition {name!r} is defined twice\n")
+
+
 def test_error_exit_codes(files, tmp_path, capsys):
     assert main(["eliminate", str(tmp_path / "missing.game"), "lsd"]) == 2
     assert capsys.readouterr().err.startswith("error:")

@@ -1,11 +1,14 @@
+import copy
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from epigame.conditions import ConditionRegistry
+from epigame.conditions import BUILTIN_CONDITION_TEXT, ConditionRegistry, builtin, parse_lo
 from epigame.modal import Box, Conj, Neg, Nu, Rat, X, imp, parse_nu, substitute_x
 from epigame.proofs import (
     AtomBudgetExceeded,
+    ImplicationWitness,
     Justification,
     LemmaRefused,
     LemmaRegistry,
@@ -13,6 +16,7 @@ from epigame.proofs import (
     ProofScript,
     ProofSyntaxError,
     SweepEvidence,
+    UndecidableLemmaError,
     bundled_proof,
     check_proof,
     implication_counterexamples,
@@ -22,7 +26,7 @@ from epigame.proofs import (
     parse_proof,
     standard_lemmas,
 )
-from epigame.oracles import fig2
+from epigame.oracles import bundled_games, fig2, generated_conditions, generated_games
 from mutations import mutate_script
 
 REGISTRY = ConditionRegistry.standard()
@@ -287,6 +291,48 @@ def test_lemma_registry_rejects_duplicates():
     lemmas = standard_lemmas(REGISTRY)
     with pytest.raises(ValueError, match="already registered"):
         lemmas.register("gbr_implies_lsd", "gbr", "lsd", REGISTRY, [fig2()])
+
+
+def test_lemma_sides_must_be_closed_and_context_safe():
+    conditions = REGISTRY.copy()
+    conditions.register("focal", parse_lo("exists z in C . C(o) and o >= o @ z"))
+    registry = LemmaRegistry()
+    # refused before the corpus is read: sweeping it would fail on None
+    with pytest.raises(UndecidableLemmaError) as refusal:
+        registry.register("focal_implies_gsd", "focal", "gsd", conditions, [None])
+    assert isinstance(refusal.value, ValueError)
+    assert str(refusal.value) == "lemma 'focal_implies_gsd': its left side 'focal' is not context-safe"
+    with pytest.raises(UndecidableLemmaError, match="its right side 'focal' is not context-safe"):
+        registry.register("gbr_implies_focal", "gbr", "focal", conditions, [None])
+    assert "focal_implies_gsd" not in registry and "gbr_implies_focal" not in registry
+
+
+def test_lemma_sweep_leaves_the_game_memo_alone():
+    corpus = [copy.copy(game) for game in bundled_games()]  # copies start without caches
+    standard_lemmas(REGISTRY, corpus)
+    assert not any("survivor_tables" in vars(game) for game in corpus)
+
+
+LEMMA_SIDES = [builtin(name) for name in BUILTIN_CONDITION_TEXT] + list(generated_conditions())
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(LEMMA_SIDES), st.sampled_from(LEMMA_SIDES), st.sampled_from(generated_games()))
+def test_kernel_admission_matches_the_naive_stream(lhs, rhs, game):
+    """The kernel sweep admits a lemma exactly when the naive stream is
+    empty, and otherwise reports the stream's first model as its witness."""
+    conditions = REGISTRY.copy()
+    conditions.register("lhs", lhs)
+    conditions.register("rhs", rhs)
+    first = next(implication_counterexamples(game, lhs, rhs), None)
+    registry = LemmaRegistry()
+    if first is None:
+        registry.register("lemma", "lhs", "rhs", conditions, [game])
+        assert "lemma" in registry
+    else:
+        with pytest.raises(LemmaRefused) as refusal:
+            registry.register("lemma", "lhs", "rhs", conditions, [game])
+        assert refusal.value.witness == ImplicationWitness(0, *first)
 
 
 # --- soundness and robustness ----------------------------------------------------
