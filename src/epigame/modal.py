@@ -24,13 +24,13 @@ of closures that take the model, whose events are ``int`` bitmasks of
 states, as their argument; the program is cached on the game in
 :attr:`~epigame.games.Game.modal_cache`.  Compiling resolves each
 condition's :class:`~epigame.optimality.SurvivorTable` (shared by every
-model of the game) and player range, and makes every refusal.  It hoists
-every ``rat`` atom, and every subformula without a free X inside a
-binder, so that each is computed once per model rather than once per
-fixpoint round or ``forall X`` candidate.  A context is a tuple of
-per-player strategy masks.  The game also keeps the last model
-interpreted in mask form, so that calls on one model share its contexts
-and the optimal states of each (condition, player) in them.
+model of the game) and player range, and makes every refusal.  A context
+is a tuple of per-player strategy masks.  The model in mask form memoises
+its contexts, the optimal states of each (condition, player) in them and
+the value of each ``rat`` atom, the only leaves of a fixpoint whose value
+is fixed on the model: every other subformula is recomputed on each
+fixpoint round or ``forall X`` candidate.  The game keeps the last model
+interpreted in mask form, so that calls on one model share those memos.
 :func:`check_validity` feeds the program models in mask form straight
 from the enumeration or the sampler; a
 :class:`~epigame.beliefs.BeliefModel` and frozensets of state names
@@ -337,13 +337,14 @@ class _Model:
     ``plays[i][k]`` is the bit of player i's strategy at state k, and
     ``possible[i][k]`` the mask of the states player i considers possible
     there.  The contexts and the ``optimal`` memos depend on the plays
-    alone, so a sweep keeps them while only the possibility sets change,
-    and every program run on the model shares them.  ``values`` holds the
-    hoisted subformulas of the program running on it, which starts them
-    fresh (see :meth:`_Compiler.compile`).
+    alone, so a sweep keeps them while only the possibility sets change.
+    The ``rational`` memo, the states where a set of players is rational
+    under a survivor table, depends on the possibility sets too, so
+    :meth:`believe` starts it afresh.  Every program run on the model
+    shares all three.
     """
 
-    __slots__ = ("full", "plays", "possible", "values", "contexts", "optimal")
+    __slots__ = ("full", "plays", "possible", "rational", "contexts", "optimal")
 
     def __init__(self, plays: tuple[tuple[int, ...], ...]):
         self.full = (1 << len(plays[0])) - 1
@@ -351,6 +352,12 @@ class _Model:
         self.contexts: dict[int, tuple[int, ...]] = {}
         # (survivor table, player) -> event -> optimal states
         self.optimal: defaultdict[tuple[SurvivorTable, int], dict[int, int]] = defaultdict(dict)
+
+    def believe(self, possible: tuple[tuple[int, ...], ...]) -> None:
+        """Set the possibility sets, which every ``rat`` value depends on."""
+        self.possible = possible
+        # frozenset of (survivor table, player) -> rational states
+        self.rational: dict[frozenset[tuple[SurvivorTable, int]], int] = {}
 
     def context(self, event: int) -> tuple[int, ...]:
         """The per-player masks of the strategies played in the event."""
@@ -377,19 +384,9 @@ class _Model:
 _Node = Callable[[_Model, int], int]
 
 
-def _hoisted(slot: int, inner: _Node) -> _Node:
-    def hoisted(m: _Model, env: int) -> int:
-        value = m.values[slot]
-        if value is None:
-            value = m.values[slot] = inner(m, env)
-        return value
-
-    return hoisted
-
-
 def _load(model: BeliefModel) -> _Model:
     """The model in mask form.  Its game keeps the last model loaded, so a
-    run of calls on one model shares its contexts and optimal states."""
+    run of calls on one model shares its memos."""
     cache = model.game.modal_cache
     last = cache.get(None)
     if last is not None and last[0]() is model:
@@ -400,7 +397,7 @@ def _load(model: BeliefModel) -> _Model:
         [1 << names.index(row[s]) for s in states] for names, row in zip(model.game.strategies, model.plays)
     )
     loaded = _Model(plays)
-    loaded.possible = tuple([sum(map(bit_of, row[s])) for s in states] for row in model.possible)
+    loaded.believe(tuple([sum(map(bit_of, row[s])) for s in states] for row in model.possible))
     # weakly held: the model holds the game, which would otherwise keep both
     # alive in a cycle
     cache[None] = (weakref.ref(model), loaded)
@@ -412,32 +409,13 @@ class _Compiler:
 
     Compiling resolves each condition's survivor table and each player
     range, so every refusal is raised here, in the order a walk of the
-    formula would meet it.  Every ``rat`` atom, and every subformula
-    without a free X inside a binder, is hoisted: computed once per model,
-    not once per fixpoint round or ``forall X`` candidate, and shared by
-    its equal copies.
+    formula would meet it.
     """
 
     def __init__(self, game: Game, registry: ConditionRegistry, second_order: bool):
         self.game = game
         self.registry = registry
         self.second_order = second_order
-        self.hoisted: dict[FormulaNu, _Node] = {}
-
-    def compile(self, formula: FormulaNu) -> _Node:
-        """The formula's program: ``run(model, env)`` is the event where it
-        holds on a :class:`_Model` when X denotes env.  Each run starts
-        fresh hoisted values on the model it is given, so one model serves
-        any sequence of programs.  The program holds no per-model state and
-        no reference to the game, which caches it (see :func:`_program`)."""
-        root = self._node(formula, bound=False)
-        slots = len(self.hoisted)
-
-        def run(m: _Model, env: int) -> int:
-            m.values = [None] * slots
-            return root(m, env)
-
-        return run
 
     def _players(self, tag: int | None) -> range | tuple[int, ...]:
         if tag is None:
@@ -452,44 +430,42 @@ class _Compiler:
             raise ModalError(f"condition {name!r} is not context-safe")
         return survivor_table(self.game, info.formula)
 
-    def _node(self, f: FormulaNu, bound: bool) -> _Node:
-        """``bound``: f lies inside a binder, so one model may evaluate it
-        under several values of X."""
-        if isinstance(f, Rat) or (bound and not has_free_x(f)):
-            known = self.hoisted.get(f)
-            if known is None:
-                inner = self._plain(f, bound=False)
-                known = self.hoisted[f] = _hoisted(len(self.hoisted), inner)
-            return known
-        return self._plain(f, bound)
-
-    def _plain(self, f: FormulaNu, bound: bool) -> _Node:
+    def compile(self, f: FormulaNu) -> _Node:
+        """The formula's program: ``run(model, env)`` is the event where it
+        holds on a :class:`_Model` when X denotes env.  The program keeps
+        its memos on the model, so one model serves any sequence of
+        programs, and it holds no reference to the game, which caches it
+        (see :func:`_program`)."""
         if isinstance(f, Rat):
             players = self._players(f.player)
             table = self._table(f.condition)
             asks = [(table, i) for i in players]
+            key = frozenset(asks)  # caches its hash, unlike a tuple
 
             def rat(m: _Model, env: int) -> int:
-                result = m.full
-                for ask in asks:
-                    memo = m.optimal[ask]
-                    for k, seen in enumerate(m.possible[ask[1]]):
-                        held = memo.get(seen)
-                        if held is None:
-                            held = m.optimal_states(ask, seen)
-                        if not held >> k & 1:
-                            result &= ~(1 << k)
+                result = m.rational.get(key)
+                if result is None:
+                    result = m.full
+                    for ask in asks:
+                        memo = m.optimal[ask]
+                        for k, seen in enumerate(m.possible[ask[1]]):
+                            held = memo.get(seen)
+                            if held is None:
+                                held = m.optimal_states(ask, seen)
+                            if not held >> k & 1:
+                                result &= ~(1 << k)
+                    m.rational[key] = result
                 return result
 
             return rat
         if isinstance(f, Neg):
-            body = self._node(f.body, bound)
+            body = self.compile(f.body)
             return lambda m, env: m.full ^ body(m, env)
         if isinstance(f, Conj):
-            left, right = self._node(f.left, bound), self._node(f.right, bound)
+            left, right = self.compile(f.left), self.compile(f.right)
             return lambda m, env: left(m, env) & right(m, env)
         if isinstance(f, Box):
-            body = self._node(f.body, bound)
+            body = self.compile(f.body)
             players = self._players(f.player)
 
             def box(m: _Model, env: int) -> int:
@@ -503,7 +479,7 @@ class _Compiler:
 
             return box
         if isinstance(f, Opt):
-            body = self._node(f.body, bound)
+            body = self.compile(f.body)
             table = self._table(f.condition)
             asks = [(table, i) for i in self._players(f.player)]
 
@@ -518,7 +494,7 @@ class _Compiler:
         if isinstance(f, SetVar):
             return lambda m, env: env
         if isinstance(f, Nu):
-            body = self._node(f.body, bound=True)
+            body = self.compile(f.body)
 
             def nu(m: _Model, env: int) -> int:
                 current = m.full
@@ -532,7 +508,7 @@ class _Compiler:
         if isinstance(f, ForallX):
             if not self.second_order:
                 raise ModalError("forall X needs the second-order interpreter")
-            body = self._node(f.body, bound=True)
+            body = self.compile(f.body)
 
             def forall(m: _Model, env: int) -> int:
                 result = m.full
@@ -655,7 +631,7 @@ def check_validity(
         if plays is not last:
             last = plays
             model = _Model(tuple(tuple(1 << s for s in row) for row in plays))
-        model.possible = possible
+        model.believe(possible)
         if run(model, model.full) != model.full:
             return ValidityReport(False, model_of_masks(game, plays, possible), checked)
     return ValidityReport(True, None, checked)

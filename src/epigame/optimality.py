@@ -8,10 +8,10 @@ projection (argued in that module's docstring), every subformula as a
 bitmask over the player's strategies, and payoffs compared through
 :meth:`epigame.games.Game.preferences`.  It agrees with the naive
 reference :func:`epigame.conditions.models`, which the tests check.  Each
-condition is compiled once, in one walk, into closures that take the state
-of one call (strategy mask, membership flags, slot domains and values,
-payoff table) as their argument, so one compiled plan serves every game,
-player and context.
+condition is compiled once, in one walk, into a survivors function whose
+subformulas are closures that take the state of one call (strategy mask,
+membership flags, slot domains and values, payoff table) as their
+argument, so one compiled plan serves every game, player and context.
 
 The modal layer asks through :func:`survivor_table` instead: one
 :class:`SurvivorTable` per (game, condition), kept on the game the way
@@ -43,26 +43,24 @@ _UNREAD, _MEMBERSHIP, _VALUE = 0, 1, 2
 
 _Node = Callable[["_Run"], int]
 
-
-@dataclass(frozen=True)
-class _Plan:
-    """A closed, context-safe condition compiled once for :func:`optimal_strategies`.
-
-    ``run`` maps one call's :class:`_Run` to the mask of the player's
-    strategies that satisfy the condition: each subformula is a closure
-    that reads the call's state from its argument and captures nothing of
-    one game or one call, so a plan serves every game, player and context.
-    Bound variables are numbered by binder (slots), so shadowing needs no
-    environment copies.  ``reads[slot]`` says how the owner's component and
-    the opponents' partial profile of that variable are read.
-    """
-
-    run: _Node
-    reads: tuple[tuple[int, int], ...]
+_Survivors = Callable[[Preferences, int, list[list[bool]]], int]
 
 
 @lru_cache(maxsize=256)
-def _plan(formula: FormulaO) -> _Plan:
+def _plan(formula: FormulaO) -> _Survivors:
+    """A closed, context-safe condition compiled once, as its survivors
+    function: ``survivors(prefs, player, inside)`` is the mask of the
+    player's strategies that satisfy it, given the player's payoff
+    comparisons and every player's context membership flags in strategy
+    order.  One plan serves every game, player and context.
+
+    Each subformula is a closure that reads one call's state from its
+    :class:`_Run` argument and captures nothing of one game or one call.
+    Bound variables are numbered by binder (slots), so shadowing needs no
+    environment copies.  ``reads[slot]`` says how the owner's component and
+    the opponents' partial profile of that variable are read, which fixes
+    the domains each call sets up.
+    """
     analysis = analyze(formula)
     if not analysis.closed:
         raise UnboundVariableError("condition must be closed")
@@ -125,8 +123,26 @@ def _plan(formula: FormulaO) -> _Plan:
 
         return exists
 
-    run = compile_(formula, {})
-    return _Plan(run, tuple(map(tuple, reads)))
+    root = compile_(formula, {})
+
+    def survivors(prefs: Preferences, player: int, inside: list[list[bool]]) -> int:
+        own_in = inside[player]
+        # membership of each opponents' partial profile, in the table's order
+        others_in = [all(flags) for flags in product(*inside[:player], *inside[player + 1 :])]
+        domains = [(_domain(own, own_in), _domain(others, others_in)) for own, others in reads]
+        return root(
+            _Run(
+                everyone=(1 << len(own_in)) - 1,
+                own_in=own_in,
+                others_in=others_in,
+                domains=domains,
+                own=[0] * len(domains),
+                others=[0] * len(domains),
+                prefs=prefs,
+            )
+        )
+
+    return survivors
 
 
 def _domain(read: int, inside: list[bool]) -> Iterable[int]:
@@ -159,26 +175,6 @@ class _Run:
     prefs: Preferences
 
 
-def _survivors(prefs: Preferences, player: int, plan: _Plan, inside: list[list[bool]]) -> int:
-    """The kernel core: the mask of the player's strategies that satisfy the
-    compiled condition, given the player's payoff comparisons and every
-    player's context membership flags in strategy order."""
-    own_in = inside[player]
-    # membership of each opponents' partial profile, in the table's order
-    others_in = [all(flags) for flags in product(*inside[:player], *inside[player + 1 :])]
-    domains = [(_domain(own, own_in), _domain(others, others_in)) for own, others in plan.reads]
-    run = _Run(
-        everyone=(1 << len(own_in)) - 1,
-        own_in=own_in,
-        others_in=others_in,
-        domains=domains,
-        own=[0] * len(domains),
-        others=[0] * len(domains),
-        prefs=prefs,
-    )
-    return plan.run(run)
-
-
 def optimal_strategies(
     game: Game, player: int, formula: FormulaO, context: Restriction
 ) -> frozenset[str]:
@@ -198,7 +194,7 @@ def optimal_strategies(
     if context.game != game:
         raise ValueError("context restricts a different game")
     inside = [[s in chosen for s in names] for names, chosen in zip(game.strategies, context.sets)]
-    mask = _survivors(game.preferences(player), player, _plan(formula), inside)
+    mask = _plan(formula)(game.preferences(player), player, inside)
     names = game.strategies[player]
     return frozenset(s for k, s in enumerate(names) if mask >> k & 1)
 
@@ -235,7 +231,7 @@ class SurvivorTable:
                 [bool(mask >> k & 1) for k in range(size)]
                 for mask, size in zip(context, self.sizes)
             ]
-            found = memo[context] = _survivors(self.prefs[player], player, self.plan, inside)
+            found = memo[context] = self.plan(self.prefs[player], player, inside)
         return found
 
 
