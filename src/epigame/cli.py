@@ -155,7 +155,9 @@ def _cmd_check_valid(args: argparse.Namespace) -> int:
 def _cmd_check_proof(args: argparse.Namespace) -> int:
     script = parse_proof(_read(args.proof))
     registry = _load_registry(args.conditions)
-    report = check_proof(script, registry, standard_lemmas(registry))
+    # only link reads lemmas, so only a script that uses it pays their sweep
+    linked = any(line.justification.rule == "link" for line in script.lines)
+    report = check_proof(script, registry, standard_lemmas(registry) if linked else None)
     if args.json:
         payload = {"ok": report.ok}
         if report.failure:

@@ -43,11 +43,9 @@ _UNREAD, _MEMBERSHIP, _VALUE = 0, 1, 2
 
 _Node = Callable[["_Run"], int]
 
-_Survivors = Callable[[Preferences, int, list[list[bool]]], int]
-
 
 @lru_cache(maxsize=256)
-def _plan(formula: FormulaO) -> _Survivors:
+def _plan(formula: FormulaO) -> Callable[[Preferences, int, list[list[bool]]], int]:
     """A closed, context-safe condition compiled once, as its survivors
     function: ``survivors(prefs, player, inside)`` is the mask of the
     player's strategies that satisfy it, given the player's payoff

@@ -11,7 +11,7 @@ from epigame.beliefs import parse_model
 from epigame.cli import main
 from epigame.games import parse_game
 from epigame.modal import interpret, parse_nu
-from epigame.proofs import bundled_proof
+from epigame.proofs import LemmaRegistry, bundled_proof
 
 GAME = """\
 players: 2
@@ -243,6 +243,23 @@ def test_check_proof_failure(files, tmp_path, capsys):
 def test_check_proof_json(files, capsys):
     assert main(["check-proof", files["THM-MAIN.prf"], "--json"]) == 0
     assert json.loads(capsys.readouterr().out) == {"ok": True}
+
+
+def test_check_proof_admits_lemmas_only_for_link(files, capsys, monkeypatch):
+    """Only ``link`` reads lemmas, so a script without it sweeps none."""
+    registered = []
+    register = LemmaRegistry.register
+
+    def counted(self, name, *args):
+        registered.append(name)
+        return register(self, name, *args)
+
+    monkeypatch.setattr(LemmaRegistry, "register", counted)
+    assert main(["check-proof", files["THM-MAIN.prf"]]) == 0
+    assert capsys.readouterr().out == "OK\n" and registered == []
+    assert main(["check-proof", files["THM-IMP.prf"]]) == 0
+    assert capsys.readouterr().out == "OK\n"
+    assert registered == ["gbr_implies_lsd", "gbr_implies_gsd"]
 
 
 def test_analyze_condition(files, capsys):

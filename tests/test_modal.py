@@ -45,6 +45,7 @@ from epigame.oracles import (
     fig1_left,
     fig1_right,
     fig2,
+    generated_games,
     naive_common_belief,
     naive_interpret,
     nu_via_postfixpoints,
@@ -566,6 +567,22 @@ def test_validity_sweep_matches_naive_loop():
         expected = naive_sweep(formula, sample_belief_models(game, 60, 4, seed=5))
         report = check_validity(game, formula, max_states=4, samples=60, seed=5)
         assert (report.models_checked, report.countermodel) == expected == (60, None)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([g for g in generated_games() if len(g.payoffs) == 4]), modal_formulas(2))
+def test_exhaustive_sweeps_match_the_naive_loop(game, formula):
+    """Consecutive models of a sweep share their plays while their
+    possibility sets change; each must still be judged on its own."""
+    closed = ForallX(formula) if has_free_x(formula) else formula
+    checked, countermodel = 0, None
+    for m in enumerate_belief_models(game, 2):
+        checked += 1
+        if naive_interpret(m, closed, second_order=True) != m.universe:
+            countermodel = m
+            break
+    report = check_validity(game, formula, max_states=2)
+    assert (report.models_checked, report.countermodel) == (checked, countermodel), pretty_nu(formula)
 
 
 @pytest.mark.parametrize("game", [fig1_right(), fig2()], ids=["2x2", "fig2"])
