@@ -159,10 +159,10 @@ def _domain(read: int, inside: list[bool]) -> Iterable[int]:
 
 @dataclass(slots=True)
 class _Run:
-    """The state one :func:`optimal_strategies` call evaluates under: the
-    player's strategy mask, the context membership of each own strategy
-    and each opponents' profile, every slot's domain and current value,
-    and the player's payoff comparisons."""
+    """The state one call of a plan evaluates under: the player's strategy
+    mask, the context membership of each own strategy and each opponents'
+    profile, every slot's domain and current value, and the player's
+    payoff comparisons."""
 
     everyone: int
     own_in: list[bool]
