@@ -27,6 +27,10 @@ its owner component and its opponents' partial profile, a component
 compared by ``>=`` ranges over its whole domain, and one read only through
 ``C(.)`` ranges over one representative inside the context and one
 outside, since the formula sees nothing of it but that membership bit.
+
+The module also holds the propositional core of both formula languages,
+:class:`Neg` and :class:`Conj`, and the recursive-descent skeleton that
+reads ``not``, ``and``, ``or``, ``->`` and parentheses for both parsers.
 """
 
 from __future__ import annotations
@@ -110,18 +114,17 @@ MAX_NESTING = 64
 
 
 class _DescentParser:
-    """Recursive-descent skeleton shared by the condition and modal parsers.
+    """Recursive-descent skeleton shared by the condition and modal parsers,
+    which owns their propositional core.
 
     It holds the token cursor, the ``->`` / ``or`` / ``and`` ladder
     (``->`` associates to the right, the others to the left, all expanded
-    into negation and conjunction) and the nesting bound.  Subclasses give
-    the token pattern, their ``Neg`` and ``Conj`` node types and
-    :meth:`primary`, which reads one operand.
+    into :class:`Neg` and :class:`Conj`), ``not`` and parentheses, and the
+    nesting bound.  Subclasses give the token pattern and :meth:`operand`,
+    which reads every other primary.
     """
 
     token_re: re.Pattern
-    neg: type
-    conj: type
 
     def __init__(self, text: str):
         lines = text.splitlines()
@@ -184,21 +187,21 @@ class _DescentParser:
             return left
         self.advance()
         right = self.deeper(self.implication)
-        return self.built(self.neg(self.conj(left, self.neg(right))))
+        return self.built(Neg(Conj(left, Neg(right))))
 
     def disjunction(self):
         left = self.conjunction()
         while self.peek() == "or":
             self.advance()
             right = self.conjunction()
-            left = self.built(self.neg(self.conj(self.neg(left), self.neg(right))))
+            left = self.built(Neg(Conj(Neg(left), Neg(right))))
         return left
 
     def conjunction(self):
         left = self.unary()
         while self.peek() == "and":
             self.advance()
-            left = self.built(self.conj(left, self.unary()))
+            left = self.built(Conj(left, self.unary()))
         return left
 
     def unary(self):
@@ -214,26 +217,28 @@ class _DescentParser:
         return result
 
     def primary(self):
-        raise NotImplementedError
-
-
-class _LoParser(_DescentParser):
-    token_re = re.compile(rf">=|->|[()@.>]|{NAME}|\S")
-    neg = Neg
-    conj = Conj
-
-    def primary(self) -> FormulaO:
         tok = self.peek()
         if tok == "not":
             self.advance()
             return self.built(Neg(self.unary()))
-        if tok in ("exists", "forall"):
-            return self.quantifier()
         if tok == "(":
             self.advance()
             inner = self.implication()
             self.expect(")")
             return inner
+        return self.operand(tok)
+
+    def operand(self, tok: str):
+        """Read a primary that starts with ``tok``, neither ``not`` nor ``(``."""
+        raise NotImplementedError
+
+
+class _LoParser(_DescentParser):
+    token_re = re.compile(rf">=|->|[()@.>]|{NAME}|\S")
+
+    def operand(self, tok: str) -> FormulaO:
+        if tok in ("exists", "forall"):
+            return self.quantifier()
         return self.atom()
 
     def quantifier(self) -> FormulaO:

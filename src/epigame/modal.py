@@ -9,6 +9,8 @@ index bundles a node over all players by conjunction, so formulas stay
 independent of the player count; ``box psi`` and ``CB psi`` (common belief,
 ``nu X . box (X and psi)``) are parsed the same way.  ``forall X . psi`` is
 the second-order quantifier, handled only by :func:`interpret_so`.
+Negation, conjunction and the parser skeleton are the condition
+language's, from :mod:`epigame.conditions`.
 
 The fixpoint is computed by iterating the body intersected with the current
 set from the full state space; that always terminates and agrees with the
@@ -50,7 +52,7 @@ from operator import or_
 from typing import Callable, Iterator
 
 from .beliefs import BeliefModel, Event, enumerate_model_masks, model_of_masks, sample_model_masks
-from .conditions import NAME, ConditionRegistry, _DescentParser, is_name
+from .conditions import NAME, ConditionRegistry, Conj, Neg, _DescentParser, is_name
 from .games import Game, read_index
 from .optimality import SurvivorTable, survivor_table
 
@@ -72,17 +74,6 @@ MAX_SECOND_ORDER_STATES = 20
 class Rat:
     condition: str
     player: int | None = None
-
-
-@dataclass(frozen=True)
-class Neg:
-    body: "FormulaNu"
-
-
-@dataclass(frozen=True)
-class Conj:
-    left: "FormulaNu"
-    right: "FormulaNu"
 
 
 @dataclass(frozen=True)
@@ -144,14 +135,8 @@ def common_belief_formula(body: FormulaNu) -> FormulaNu:
 
 class _NuParser(_DescentParser):
     token_re = re.compile(rf"->|[()\[\].,]|{NAME}|[0-9]+|\S")
-    neg = Neg
-    conj = Conj
 
-    def primary(self) -> FormulaNu:
-        tok = self.peek()
-        if tok == "not":
-            self.advance()
-            return self.built(Neg(self.unary()))
+    def operand(self, tok: str) -> FormulaNu:
         if tok == "box":
             self.advance()
             return self.built(Box(None, self.unary()))
@@ -184,11 +169,6 @@ class _NuParser(_DescentParser):
         if tok == "X":
             self.advance()
             return X
-        if tok == "(":
-            self.advance()
-            inner = self.implication()
-            self.expect(")")
-            return inner
         raise self.error(f"unexpected {tok!r}" if tok else "unexpected end of formula")
 
     def condition_ref(self) -> tuple[str, int | None]:

@@ -19,16 +19,16 @@ from itertools import product
 from typing import Iterator
 
 from .beliefs import BeliefModel, Event, believes, game_of_event
-from .conditions import ConditionRegistry, FormulaO, OptimalityModel, models
+from .conditions import (
+    ConditionRegistry, Conj, CtxAtom, Exists, FormulaO, GeqAtom, Neg, OptimalityModel, analyze, models
+)
 from .games import Game, Profile, Restriction, bundled_game, bundled_games, restrictions, subsets
 from .modal import (
     MAX_SECOND_ORDER_STATES,
     Box,
-    Conj,
     ForallX,
     FormulaNu,
     ModalError,
-    Neg,
     Nu,
     Opt,
     Rat,
@@ -84,8 +84,6 @@ def generated_games(seed: int = GENERATED_SEED) -> tuple[Game, ...]:
 def generated_conditions(seed: int = GENERATED_SEED, count: int = 12):
     """A deterministic corpus of closed, context-safe conditions of varied
     shapes, some positive and some not, for operator property tests."""
-    from .conditions import Conj, CtxAtom, Exists, GeqAtom, Neg, analyze
-
     rng = random.Random(seed)
     fresh = iter(f"v{k}" for k in range(10_000))
 
