@@ -331,46 +331,30 @@ class ConditionAnalysis:
     context_safe: bool
 
 
-def free_variables(formula: FormulaO) -> frozenset[str]:
-    if isinstance(formula, CtxAtom):
-        return frozenset({formula.term}) - {CONSTANT}
-    if isinstance(formula, GeqAtom):
-        return frozenset({formula.left, formula.right, formula.ctx}) - {CONSTANT}
-    if isinstance(formula, Neg):
-        return free_variables(formula.body)
-    if isinstance(formula, Conj):
-        return free_variables(formula.left) | free_variables(formula.right)
-    return free_variables(formula.body) - {formula.var}
-
-
-def _all_ctx_positive(formula: FormulaO, negations: int) -> bool:
-    if isinstance(formula, CtxAtom):
-        return negations % 2 == 0
-    if isinstance(formula, GeqAtom):
-        return True
-    if isinstance(formula, Neg):
-        return _all_ctx_positive(formula.body, negations + 1)
-    if isinstance(formula, Conj):
-        return _all_ctx_positive(formula.left, negations) and _all_ctx_positive(
-            formula.right, negations
-        )
-    return _all_ctx_positive(formula.body, negations)
-
-
-def _context_safe(formula: FormulaO) -> bool:
+def _scan(formula: FormulaO, negated: bool) -> tuple[frozenset[str], bool, bool]:
+    """Free variables, positivity and context-safety in one walk; ``negated``
+    is the parity of the negations above."""
     # The focus constant may only be compared, never used to *build* the
     # context: not as the @-subscript of >= and not inside C(.).  Only then
     # does truth depend on the owner's focus component alone, which is what
     # the elimination operators need.
     if isinstance(formula, CtxAtom):
-        return formula.term != CONSTANT
+        return frozenset({formula.term}) - {CONSTANT}, not negated, formula.term != CONSTANT
     if isinstance(formula, GeqAtom):
-        return formula.ctx != CONSTANT
+        terms = {formula.left, formula.right, formula.ctx}
+        return frozenset(terms) - {CONSTANT}, True, formula.ctx != CONSTANT
     if isinstance(formula, Neg):
-        return _context_safe(formula.body)
+        return _scan(formula.body, not negated)
     if isinstance(formula, Conj):
-        return _context_safe(formula.left) and _context_safe(formula.right)
-    return _context_safe(formula.body)
+        free, positive, safe = _scan(formula.left, negated)
+        more, also_positive, also_safe = _scan(formula.right, negated)
+        return free | more, positive and also_positive, safe and also_safe
+    free, positive, safe = _scan(formula.body, negated)
+    return free - {formula.var}, positive, safe
+
+
+def free_variables(formula: FormulaO) -> frozenset[str]:
+    return _scan(formula, False)[0]
 
 
 @lru_cache(maxsize=256)
@@ -378,11 +362,8 @@ def analyze(formula: FormulaO) -> ConditionAnalysis:
     """Closedness, positivity (context atoms under an even number of
     negations), and context-safety of a condition.  Memoised, since every
     elimination operator analyses its conditions again."""
-    return ConditionAnalysis(
-        closed=not free_variables(formula),
-        positive=_all_ctx_positive(formula, 0),
-        context_safe=_context_safe(formula),
-    )
+    free, positive, safe = _scan(formula, False)
+    return ConditionAnalysis(closed=not free, positive=positive, context_safe=safe)
 
 
 # ---------------------------------------------------------------------------
@@ -544,7 +525,8 @@ def _standard_registry() -> ConditionRegistry:
 
 def parse_condition_file(text: str) -> dict[str, FormulaO]:
     """Parse ``condition <name>: <formula>`` lines; a line starting with # is
-    a comment.  Names follow :data:`NAME`, the rule formulas read them by."""
+    a comment.  Names follow :data:`NAME`, the rule formulas read them by.
+    Text that defines no condition is refused."""
     found: dict[str, FormulaO] = {}
     for lineno, line, raw in records(text):
         if not line.startswith("condition"):
@@ -564,4 +546,6 @@ def parse_condition_file(text: str) -> dict[str, FormulaO]:
             found[name] = parse_lo(body)
         except FormulaSyntaxError as exc:
             raise FormulaSyntaxError(exc.message, lineno, raw.find(":") + 1 + exc.column) from None
+    if not found:
+        raise FormulaSyntaxError("no condition defined", 1, 1)
     return found

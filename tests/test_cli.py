@@ -321,6 +321,23 @@ def test_condition_specs_are_builtins_or_readable_files(files, tmp_path, capsys)
     assert capsys.readouterr().err == "error: condition 'gbr' already registered\n"
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["analyze-condition", "{empty}"],
+        ["eliminate", "{game}", "{empty}"],
+        ["check-valid", "{game}", "rat(lsd)", "--exhaustive", "1", "--conditions", "{empty}"],
+    ],
+)
+def test_a_condition_file_defining_nothing_is_a_usage_error(files, tmp_path, capsys, command):
+    empty = tmp_path / "empty.cond"
+    empty.write_text("# nothing\n")
+    argv = [arg.format(empty=empty, game=files["game.game"]) for arg in command]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: line 1, column 1: no condition defined\n")
+
+
 @pytest.mark.parametrize("formula", ["rat(nope)", "O(nope) X", "O(nope, 1) rat(lsd)"])
 @pytest.mark.parametrize("command", ["evaluate", "check-valid"])
 def test_unknown_conditions_are_one_line_usage_errors(files, capsys, command, formula):

@@ -96,12 +96,21 @@ def test_context_safety_bans_focus_in_context_positions():
     assert not analyze(parse_lo("C(o)")).context_safe
     assert not analyze(parse_lo("forall y . o >= y @ o")).context_safe
     assert analyze(parse_lo("forall y . o >= y @ y")).context_safe
+    # both sides of a conjunction count, whichever holds the focus
+    assert not analyze(parse_lo("C(x) and C(o)")).context_safe
+    assert not analyze(parse_lo("C(o) and C(x)")).context_safe
+    assert analyze(parse_lo("C(x) and C(y)")).context_safe
 
 
 def test_free_variables_and_closedness():
     assert free_variables(parse_lo("C(x)")) == {"x"}
     assert not analyze(parse_lo("C(x)")).closed
     assert free_variables(builtin("gbr")) == frozenset()
+    assert free_variables(parse_lo("C(x) and C(y)")) == {"x", "y"}
+    assert free_variables(parse_lo("exists x . C(x) and C(y)")) == {"y"}
+    assert not analyze(parse_lo("C(x) and not C(y)")).positive
+    assert not analyze(parse_lo("not C(x) and C(y)")).positive
+    assert analyze(parse_lo("C(x) and not not C(y)")).positive
 
 
 def test_pretty_parse_identity_on_builtins():
@@ -294,6 +303,13 @@ def test_condition_file_errors():
         parse_condition_file("condition a: C(x)\ncondition a: C(x)")
     with pytest.raises(FormulaSyntaxError, match="line 3"):
         parse_condition_file("# ok\ncondition a: C(x)\ncondition b: C(x")
+
+
+@pytest.mark.parametrize("text", ["", "# nothing\n", "\n  # still nothing\n\n"])
+def test_condition_file_defining_nothing_is_refused(text):
+    with pytest.raises(FormulaSyntaxError, match="no condition defined") as exc:
+        parse_condition_file(text)
+    assert (exc.value.line, exc.value.column) == (1, 1)
 
 
 def test_condition_names_are_those_formulas_can_name():

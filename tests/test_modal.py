@@ -15,7 +15,8 @@ from epigame.beliefs import (
     parse_model,
     sample_belief_models,
 )
-from epigame.conditions import MAX_NESTING, ConditionRegistry, FormulaSyntaxError, builtin, parse_lo
+from epigame import conditions
+from epigame.conditions import MAX_NESTING, ConditionRegistry, CtxAtom, FormulaSyntaxError, builtin, parse_lo
 from epigame.games import Game, bundled_games, subsets
 from epigame.modal import (
     Box,
@@ -122,6 +123,17 @@ def test_match_imp():
     f = imp(X, Rat("gbr", None))
     assert match_imp(f) == (X, Rat("gbr", None))
     assert match_imp(Conj(X, X)) is None
+
+
+def test_both_languages_share_one_propositional_core():
+    assert Neg is conditions.Neg and Conj is conditions.Conj
+    assert match_imp(parse_lo("C(x) -> C(y)")) == (CtxAtom("x"), CtxAtom("y"))
+    lo = parse_lo("not (C(x) or C(y))")
+    nu = parse_nu("not (X or rat(gbr))")
+    assert lo == Neg(Neg(Conj(Neg(CtxAtom("x")), Neg(CtxAtom("y")))))
+    assert nu == Neg(Neg(Conj(Neg(X), Neg(Rat("gbr", None)))))
+    assert type(lo) is type(nu) is conditions.Neg
+    assert type(lo.body.body) is type(nu.body.body) is conditions.Conj
 
 
 def test_pretty_round_trip_fixtures():
@@ -613,12 +625,12 @@ def test_cached_programs_carry_nothing_between_models(data):
 @settings(max_examples=60, deadline=None)
 @given(small_models())
 def test_programs_interleaved_on_one_model_start_fresh(m):
-    """Programs with different numbers of hoisted subformulas run in turn on
-    one model, which the game keeps in mask form between the calls; each run
-    must start its hoisted values afresh."""
-    one = parse_nu("rat(gbr) and CB rat(gbr)")  # hoists rat(gbr)
-    two = parse_nu("CB rat(lsd) and not rat(gsd)")  # hoists rat(lsd), rat(gsd)
-    # hoists rat(lsd) inside the binder, in the slot where `one` keeps rat(gbr)
+    """Programs with different rat atoms run in turn on one model, which the
+    game keeps in mask form between the calls; they share that model's
+    ``rat`` memo, so each must read only the values of its own atoms."""
+    one = parse_nu("rat(gbr) and CB rat(gbr)")  # memoises rat(gbr)
+    two = parse_nu("CB rat(lsd) and not rat(gsd)")  # adds rat(lsd), rat(gsd)
+    # reads rat(lsd) inside a binder, next to the rat(gbr) that `one` left
     so = parse_nu("forall X . [1] X -> O(gsd, 1) (X and rat(lsd))")
     for run, formula in ((interpret, one), (interpret, two), (interpret_so, so), (interpret, one)):
         assert run(m, formula) == naive_interpret(m, formula, second_order=True), pretty_nu(formula)
