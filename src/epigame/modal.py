@@ -29,10 +29,14 @@ condition's :class:`~epigame.optimality.SurvivorTable` (shared by every
 model of the game) and player range, and makes every refusal.  A context
 is a tuple of per-player strategy masks.  The model in mask form memoises
 its contexts, the optimal states of each (condition, player) in them and
-the value of each ``rat`` atom, the only leaves of a fixpoint whose value
-is fixed on the model: every other subformula is recomputed on each
-fixpoint round or ``forall X`` candidate.  The game keeps the last model
-interpreted in mask form, so that calls on one model share those memos.
+the rationality rows: for each (condition, player) and possibility row of
+that player, the states where the player's strategy survives in the
+context it considers possible.  All three depend on the plays alone, so a
+sweep keeps them while only the possibility sets change.  Every other
+subformula is recomputed on each fixpoint round or ``forall X`` candidate,
+except that a conjunction skips its right side when its left is empty.
+The game keeps the last model interpreted in mask form, so that calls on
+one model share those memos.
 :func:`check_validity` feeds the program models in mask form straight
 from the enumeration or the sampler; a
 :class:`~epigame.beliefs.BeliefModel` and frozensets of state names
@@ -315,16 +319,17 @@ class _Model:
     ``int`` bitmask over its states, state k being bit k.
 
     ``plays[i][k]`` is the bit of player i's strategy at state k, and
-    ``possible[i][k]`` the mask of the states player i considers possible
-    there.  The contexts and the ``optimal`` memos depend on the plays
-    alone, so a sweep keeps them while only the possibility sets change.
-    The ``rational`` memo, the states where a set of players is rational
-    under a survivor table, depends on the possibility sets too, so
-    :meth:`believe` starts it afresh.  Every program run on the model
-    shares all three.
+    ``possible[i]`` is player i's possibility row, a tuple whose k-th mask
+    holds the states i considers possible at state k; a sweep assigns it
+    directly.  The contexts and the ``optimal`` memos depend on the plays
+    alone.  So do the ``rational`` rows, the states where a player's
+    strategy survives in the context the player considers possible, once
+    they are keyed by the possibility row.  A sweep replaces the model when
+    the plays change, so every memo holds one plays block, and every
+    program run on the model shares them all.
     """
 
-    __slots__ = ("full", "plays", "possible", "rational", "contexts", "optimal")
+    __slots__ = ("full", "plays", "possible", "contexts", "optimal", "rational")
 
     def __init__(self, plays: tuple[tuple[int, ...], ...]):
         self.full = (1 << len(plays[0])) - 1
@@ -332,12 +337,8 @@ class _Model:
         self.contexts: dict[int, tuple[int, ...]] = {}
         # (survivor table, player) -> event -> optimal states
         self.optimal: defaultdict[tuple[SurvivorTable, int], dict[int, int]] = defaultdict(dict)
-
-    def believe(self, possible: tuple[tuple[int, ...], ...]) -> None:
-        """Set the possibility sets, which every ``rat`` value depends on."""
-        self.possible = possible
-        # frozenset of (survivor table, player) -> rational states
-        self.rational: dict[frozenset[tuple[SurvivorTable, int]], int] = {}
+        # (survivor table, player) -> possibility row -> rational states
+        self.rational: defaultdict[tuple[SurvivorTable, int], dict[tuple[int, ...], int]] = defaultdict(dict)
 
     def context(self, event: int) -> tuple[int, ...]:
         """The per-player masks of the strategies played in the event."""
@@ -377,7 +378,7 @@ def _load(model: BeliefModel) -> _Model:
         [1 << names.index(row[s]) for s in states] for names, row in zip(model.game.strategies, model.plays)
     )
     loaded = _Model(plays)
-    loaded.believe(tuple([sum(map(bit_of, row[s])) for s in states] for row in model.possible))
+    loaded.possible = tuple(tuple(sum(map(bit_of, row[s])) for s in states) for row in model.possible)
     # weakly held: the model holds the game, which would otherwise keep both
     # alive in a cycle
     cache[None] = (weakref.ref(model), loaded)
@@ -420,21 +421,19 @@ class _Compiler:
             players = self._players(f.player)
             table = self._table(f.condition)
             asks = [(table, i) for i in players]
-            key = frozenset(asks)  # caches its hash, unlike a tuple
 
             def rat(m: _Model, env: int) -> int:
-                result = m.rational.get(key)
-                if result is None:
-                    result = m.full
-                    for ask in asks:
-                        memo = m.optimal[ask]
-                        for k, seen in enumerate(m.possible[ask[1]]):
-                            held = memo.get(seen)
-                            if held is None:
-                                held = m.optimal_states(ask, seen)
-                            if not held >> k & 1:
-                                result &= ~(1 << k)
-                    m.rational[key] = result
+                result = m.full
+                for ask in asks:
+                    row = m.possible[ask[1]]
+                    memo = m.rational[ask]
+                    held = memo.get(row)
+                    if held is None:
+                        held = 0
+                        for k, seen in enumerate(row):
+                            held |= m.optimal_states(ask, seen) & 1 << k
+                        memo[row] = held
+                    result &= held
                 return result
 
             return rat
@@ -443,7 +442,8 @@ class _Compiler:
             return lambda m, env: m.full ^ body(m, env)
         if isinstance(f, Conj):
             left, right = self.compile(f.left), self.compile(f.right)
-            return lambda m, env: left(m, env) & right(m, env)
+            # safe to skip: every refusal is made here, and runs only fill memos
+            return lambda m, env: (held := left(m, env)) and held & right(m, env)
         if isinstance(f, Box):
             body = self.compile(f.body)
             players = self._players(f.player)
@@ -611,7 +611,7 @@ def check_validity(
         if plays is not last:
             last = plays
             model = _Model(tuple(tuple(1 << s for s in row) for row in plays))
-        model.believe(possible)
+        model.possible = possible
         if run(model, model.full) != model.full:
             return ValidityReport(False, model_of_masks(game, plays, possible), checked)
     return ValidityReport(True, None, checked)

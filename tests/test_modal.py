@@ -17,7 +17,7 @@ from epigame.beliefs import (
 )
 from epigame import conditions
 from epigame.conditions import MAX_NESTING, ConditionRegistry, CtxAtom, FormulaSyntaxError, builtin, parse_lo
-from epigame.games import Game, bundled_games, subsets
+from epigame.games import Game, bundled_games, format_game, parse_game, subsets
 from epigame.modal import (
     Box,
     Conj,
@@ -42,6 +42,7 @@ from epigame.modal import (
     pretty_nu,
     substitute_x,
 )
+from epigame.optimality import survivor_table
 from epigame.oracles import (
     fig1_left,
     fig1_right,
@@ -627,7 +628,8 @@ def test_cached_programs_carry_nothing_between_models(data):
 def test_programs_interleaved_on_one_model_start_fresh(m):
     """Programs with different rat atoms run in turn on one model, which the
     game keeps in mask form between the calls; they share that model's
-    ``rat`` memo, so each must read only the values of its own atoms."""
+    memo of rationality rows, keyed by (survivor table, player) and
+    possibility row, so each must read only the rows of its own atoms."""
     one = parse_nu("rat(gbr) and CB rat(gbr)")  # memoises rat(gbr)
     two = parse_nu("CB rat(lsd) and not rat(gsd)")  # adds rat(lsd), rat(gsd)
     # reads rat(lsd) inside a binder, next to the rat(gbr) that `one` left
@@ -635,6 +637,17 @@ def test_programs_interleaved_on_one_model_start_fresh(m):
     for run, formula in ((interpret, one), (interpret, two), (interpret_so, so), (interpret, one)):
         assert run(m, formula) == naive_interpret(m, formula, second_order=True), pretty_nu(formula)
 
+
+
+def test_conjunction_skips_its_right_side_when_the_left_is_empty():
+    """An empty left operand settles a conjunction, so its right operand is
+    never run: here the lsd survivor table is never consulted."""
+    game = parse_game(format_game(fig1_right()))  # its survivor tables start empty
+    # nothing is possible, so no context profile exists and rat(gbr) fails
+    m = BeliefModel(game, ("w1",), ({"w1": "U"}, {"w1": "L"}), ({"w1": frozenset()},) * 2)
+    formula = parse_nu("rat(gbr) and O(lsd) X")
+    assert interpret(m, formula) == frozenset() == naive_interpret(m, formula)
+    assert survivor_table(game, builtin("lsd")).memo == ({}, {})
 
 def test_the_game_does_not_keep_interpreted_models_alive():
     game = Game(fig1_right().strategies, dict(fig1_right().payoffs))
