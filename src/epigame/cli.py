@@ -24,7 +24,19 @@ from .conditions import (
     parse_condition_file,
 )
 from .games import FormatError, parse_game
-from .modal import ForallX, ModalError, check_validity, interpret, interpret_so, iter_subformulas, parse_nu
+from .modal import (
+    ForallX,
+    FormulaNu,
+    ModalError,
+    Nu,
+    check_validity,
+    interpret,
+    interpret_so,
+    iter_subformulas,
+    parse_nu,
+    positive_in_x,
+    pretty_nu,
+)
 from .operators import (
     ConditionOperator,
     NoFixpointError,
@@ -87,6 +99,18 @@ def _resolve_condition(spec: str, name: str | None) -> FormulaO:
     return next(iter(defined.values()))
 
 
+def _note_contracted(formula: FormulaNu, registry: ConditionRegistry) -> None:
+    """Flag on stderr each ``nu`` whose body is not positive in X, whose
+    value is then not the greatest fixpoint the notation suggests."""
+    for f in dict.fromkeys(iter_subformulas(formula)):
+        if isinstance(f, Nu) and not positive_in_x(f.body, registry):
+            print(
+                f"note: the body of {pretty_nu(f)} is not positive in X,"
+                " so it is read as the contracted iteration from all states",
+                file=sys.stderr,
+            )
+
+
 def _survivors_payload(restriction) -> dict:
     return {
         str(i + 1): list(restriction.ordered(i)) for i in restriction.game.players
@@ -120,6 +144,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     second_order = any(isinstance(f, ForallX) for f in iter_subformulas(formula))
     run = interpret_so if second_order else interpret
     event = run(model, formula, registry=registry)
+    _note_contracted(formula, registry)
     ordered = model.ordered_event(event)
     if args.json:
         print(json.dumps({"states": list(ordered)}))
@@ -139,6 +164,7 @@ def _cmd_check_valid(args: argparse.Namespace) -> int:
         )
     else:
         report = check_validity(game, formula, registry, max_states=args.exhaustive)
+    _note_contracted(formula, registry)
     if args.json:
         payload: dict = {"valid": report.valid, "models_checked": report.models_checked}
         if report.countermodel is not None:

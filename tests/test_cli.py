@@ -194,6 +194,31 @@ def test_check_valid_bounds_second_order_search(files, capsys):
     assert err.startswith("error:") and "limited to 20 states" in err
 
 
+
+def test_non_positive_nu_bodies_are_flagged_on_stderr(files, capsys):
+    # the note comes with the verdict; stdout and the exit code are unchanged
+    assert main(["evaluate", files["model.model"], files["game.game"], "nu X . not X"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == "\n"
+    assert captured.err == (
+        "note: the body of (nu X . not X) is not positive in X,"
+        " so it is read as the contracted iteration from all states\n"
+    )
+    fig2 = str(Path(epigame.__file__).parent / "data" / "fig2.game")
+    lsd = "rat(gbr) and CB rat(gbr) -> nu X . O(lsd) X"
+    assert main(["check-valid", fig2, lsd, "--exhaustive", "2"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == "VALID-ON-CORPUS\n"
+    assert captured.err.startswith("note: the body of (nu X . O(lsd) X) is not positive in X")
+    assert captured.err.count("\n") == 1
+    # CB and O(gbr) keep X positive, so nothing is flagged
+    assert main(["evaluate", files["model.model"], files["game.game"], "CB rat(gbr)"]) == 0
+    assert capsys.readouterr().err == ""
+    gbr = "rat(gbr) and CB rat(gbr) -> nu X . O(gbr) X"
+    assert main(["check-valid", fig2, gbr, "--exhaustive", "2"]) == 0
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("VALID-ON-CORPUS\n", "")
+
 @pytest.mark.parametrize(
     "name, text, argv",
     [
