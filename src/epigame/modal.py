@@ -31,12 +31,12 @@ is a tuple of per-player strategy masks.  The model in mask form memoises
 its contexts, the optimal states of each (condition, player) in them and
 the rationality rows: for each (condition, player) and possibility row of
 that player, the states where the player's strategy survives in the
-context it considers possible.  All three depend on the plays alone, so a
-sweep keeps them while only the possibility sets change.  Every other
-subformula is recomputed on each fixpoint round or ``forall X`` candidate,
-except that a conjunction skips its right side when its left is empty.
-The game keeps the last model interpreted in mask form, so that calls on
-one model share those memos.
+context it considers possible.  All three hold for every model with the
+same plays, so a sweep keeps them while only the possibility sets change.
+Every other subformula is recomputed on each fixpoint round or ``forall
+X`` candidate, except that a conjunction skips its right side when its
+left is empty.  The game keeps the last model interpreted in mask form,
+so that calls on one model share those memos.
 :func:`check_validity` feeds the program models in mask form straight
 from the enumeration or the sampler; a
 :class:`~epigame.beliefs.BeliefModel` and frozensets of state names
@@ -329,7 +329,7 @@ class _Model:
     program run on the model shares them all.
     """
 
-    __slots__ = ("full", "plays", "possible", "contexts", "optimal", "rational")
+    __slots__ = ("full", "plays", "possible", "rational", "contexts", "optimal")
 
     def __init__(self, plays: tuple[tuple[int, ...], ...]):
         self.full = (1 << len(plays[0])) - 1
