@@ -100,8 +100,8 @@ def _resolve_condition(spec: str, name: str | None) -> FormulaO:
 
 
 def _note_contracted(formula: FormulaNu, registry: ConditionRegistry) -> None:
-    """Flag on stderr each ``nu`` whose body is not positive in X, whose
-    value is then not the greatest fixpoint the notation suggests."""
+    """Flag on stderr each ``nu`` whose body is not positive in X: its value
+    is then the contracted iteration, which need not be a greatest fixpoint."""
     for f in dict.fromkeys(iter_subformulas(formula)):
         if isinstance(f, Nu) and not positive_in_x(f.body, registry):
             print(
