@@ -14,20 +14,20 @@ The layers, bottom up:
   of a player satisfy a condition in a context; and the per-game survivor
   table that memoises it for the modal layer.
 - :mod:`epigame.operators` — each condition induces an elimination operator
-  on restrictions; iterate to a fixpoint, check monotonicity, compare
-  operators.
+  on restrictions; iterate to a fixpoint, check monotonicity.
 - :mod:`epigame.beliefs` — finite belief models over a game: states, played
   strategies, possibility sets, belief and common belief of events;
-  enumeration and sampling of models for validity sweeps.
+  enumeration and sampling of models, as bitmasks, for validity sweeps.
 - :mod:`epigame.modal` — a modal language with rationality atoms, belief
   modalities, optimality operators and a greatest-fixpoint binder,
   interpreted over belief models by programs compiled once per game.
 - :mod:`epigame.proofs` — line-by-line checking of derivations in that
   language, with semantically discharged implication lemmas; the bundled
   proof scripts.
-- :mod:`epigame.oracles` — independent brute-force reference implementations
-  and game/condition generators used to cross-check everything above; no
-  runtime module imports it.
+- :mod:`epigame.oracles` — independent brute-force reference implementations,
+  game, condition and belief-model generators, and the table operators and
+  outcome-inclusion check used to cross-check everything above; no runtime
+  module imports it.
 """
 
 from .beliefs import BeliefModel, common_belief, format_model, parse_model
@@ -52,12 +52,10 @@ from .modal import (
 from .operators import (
     ConditionOperator,
     ContractedOperator,
-    TableOperator,
     check_monotone,
     condition_operator,
     format_trace,
     iterate,
-    lemma_inclusion_check,
 )
 from .optimality import optimal_strategies
 from .proofs import check_proof, parse_proof, standard_lemmas
@@ -72,7 +70,6 @@ __all__ = [
     "Game",
     "OptimalityModel",
     "Restriction",
-    "TableOperator",
     "analyze",
     "builtin",
     "check_monotone",
@@ -87,7 +84,6 @@ __all__ = [
     "interpret",
     "interpret_so",
     "iterate",
-    "lemma_inclusion_check",
     "models",
     "optimal_strategies",
     "parse_game",

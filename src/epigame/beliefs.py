@@ -8,7 +8,8 @@ the restriction of strategies actually played somewhere inside it.  The
 modal evaluator works on state bitmasks instead and builds its contexts
 itself; these set-based functions are what its reference is built from.
 Validity sweeps enumerate and sample models in that mask form, in the
-order and with the random draws of the model-building generators.
+order and with the random draws of the model-building generators in
+:mod:`epigame.oracles`.
 :func:`parse_model` refuses at the offending line everything
 :class:`BeliefModel` would refuse, so a model file's errors name their line.
 """
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Iterator, Mapping
 
-from .games import FormatError, Game, Restriction, player_line, records, require_players, subsets
+from .games import FormatError, Game, Restriction, player_line, records, require_players
 
 Event = frozenset[str]
 
@@ -29,6 +30,10 @@ MAX_ENUM_STATES = 3
 
 class ModelFormatError(FormatError):
     """A malformed belief-model description."""
+
+
+class EnumerationLimitError(ValueError):
+    """An exhaustive enumeration of more than :data:`MAX_ENUM_STATES` states."""
 
 
 @dataclass(frozen=True)
@@ -140,15 +145,6 @@ def common_belief(model: BeliefModel, event: Event) -> CommonBeliefResult:
     return CommonBeliefResult(result, tuple(chain))
 
 
-def is_truthful(model: BeliefModel) -> bool:
-    """Does every player always consider the actual state possible?"""
-    return all(
-        state in model.possible_at(player, state)
-        for player in model.game.players
-        for state in model.states
-    )
-
-
 # ---------------------------------------------------------------------------
 # Enumeration and sampling, for validity sweeps
 
@@ -160,18 +156,18 @@ Masks = tuple[tuple[int, ...], ...]
 
 
 def enumerate_model_masks(game: Game, max_states: int) -> Iterator[tuple[Masks, Masks]]:
-    """The models of :func:`enumerate_belief_models` as (plays, possible)
-    masks, in the same order; consecutive models with the same plays share
-    one plays tuple.  Refuses more than :data:`MAX_ENUM_STATES` states at
-    once, not at the first model."""
+    """The models of :func:`epigame.oracles.enumerate_belief_models` as
+    (plays, possible) masks, in the same order; consecutive models with the
+    same plays share one plays tuple.  Refuses more than
+    :data:`MAX_ENUM_STATES` states at once, not at the first model."""
     if max_states > MAX_ENUM_STATES:
-        raise ValueError(f"exhaustive enumeration is limited to {MAX_ENUM_STATES} states")
+        raise EnumerationLimitError(f"exhaustive enumeration is limited to {MAX_ENUM_STATES} states")
     return _model_masks(game, max_states)
 
 
 def _model_masks(game: Game, max_states: int) -> Iterator[tuple[Masks, Masks]]:
     for count in range(1, max_states + 1):
-        # state k's possibility sets in subsets() order: the mask itself
+        # state k's possibility sets in games.subsets() order: the mask itself
         poss_choices = list(product(range(1 << count), repeat=count))
         play_choices = [list(product(range(len(names)), repeat=count)) for names in game.strategies]
         for plays in product(*play_choices):
@@ -210,32 +206,6 @@ def model_of_masks(game: Game, plays: Masks, possible: Masks) -> BeliefModel:
         tuple(dict(zip(states, map(names.__getitem__, row))) for names, row in zip(game.strategies, plays)),
         tuple(dict(zip(states, map(event, row))) for row in possible),
     )
-
-
-def enumerate_belief_models(game: Game, max_states: int) -> Iterator[BeliefModel]:
-    """Every belief model over the game with 1..max_states states, in a
-    fixed order, without duplicates: the order of
-    :func:`enumerate_model_masks`, which the tests pin."""
-    if max_states > MAX_ENUM_STATES:
-        raise ValueError(f"exhaustive enumeration is limited to {MAX_ENUM_STATES} states")
-    for count in range(1, max_states + 1):
-        states = tuple(f"w{k + 1}" for k in range(count))
-        play_choices = [list(product(game.strategies[i], repeat=count)) for i in game.players]
-        # models share their plays and possibility maps, which nothing mutates
-        poss_choices = [dict(zip(states, chosen)) for chosen in product(subsets(states), repeat=count)]
-        for plays_combo in product(*play_choices):
-            plays = tuple(dict(zip(states, chosen)) for chosen in plays_combo)
-            for possible in product(poss_choices, repeat=game.n):
-                yield BeliefModel(game, states, plays, possible)
-
-
-def sample_belief_models(
-    game: Game, count: int, max_states: int, seed: int = 0
-) -> Iterator[BeliefModel]:
-    """Seeded random models: uniform state count in 1..max_states, uniform
-    strategies, and each possibility set drawn uniformly."""
-    for plays, possible in sample_model_masks(game, count, max_states, seed):
-        yield model_of_masks(game, plays, possible)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,8 @@
 Subcommands: ``eliminate``, ``evaluate``, ``check-valid``, ``check-proof``,
 ``analyze-condition``.  Exit codes: 0 on success (and for positive semantic
 verdicts), 1 for negative semantic verdicts (invalid formula, failed proof),
-2 for usage, file, or parse errors.  Every subcommand accepts ``--json``.
+2 for usage, file, or parse errors, 3 for an internal error.  Every
+subcommand accepts ``--json``.
 """
 
 from __future__ import annotations
@@ -13,11 +14,13 @@ import json
 import sys
 from pathlib import Path
 
-from .beliefs import format_model, parse_model
+from .beliefs import EnumerationLimitError, format_model, parse_model
 from .conditions import (
     BUILTIN_CONDITION_TEXT,
     ConditionRegistry,
+    DuplicateNameError,
     FormulaO,
+    UnboundVariableError,
     UnknownNameError,
     analyze,
     builtin,
@@ -39,21 +42,27 @@ from .modal import (
 )
 from .operators import (
     ConditionOperator,
-    NoFixpointError,
     OperatorError,
     format_trace,
     iterate,
 )
 from .proofs import check_proof, parse_proof, standard_lemmas
 
+
+class UsageError(ValueError):
+    """A command line that does not pick out one condition to act on."""
+
+
 _USER_ERRORS = (
     FormatError,
     OperatorError,
     ModalError,
-    NoFixpointError,
     OSError,
     UnknownNameError,
-    ValueError,
+    DuplicateNameError,
+    EnumerationLimitError,
+    UnboundVariableError,
+    UsageError,
 )
 
 
@@ -92,10 +101,10 @@ def _resolve_condition(spec: str, name: str | None) -> FormulaO:
     defined = _read_conditions(spec)
     if name is not None:
         if name not in defined:
-            raise ValueError(f"{spec} does not define condition {name!r}")
+            raise UsageError(f"{spec} does not define condition {name!r}")
         return defined[name]
     if len(defined) != 1:
-        raise ValueError(f"{spec} defines {len(defined)} conditions; pick one with --name")
+        raise UsageError(f"{spec} defines {len(defined)} conditions; pick one with --name")
     return next(iter(defined.values()))
 
 
@@ -202,7 +211,7 @@ def _cmd_analyze_condition(args: argparse.Namespace) -> int:
     for spec in args.condition:
         for name, formula in _read_conditions(spec).items():
             if name in found:
-                raise ValueError(f"condition {name!r} is defined twice")
+                raise DuplicateNameError(f"condition {name!r} is defined twice")
             found[name] = formula
     results = {name: analyze(formula) for name, formula in found.items()}
     if args.json:
@@ -293,6 +302,11 @@ def main(argv: list[str] | None = None) -> int:
     except _USER_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        # a fault of the program, not of its input: one line, no traceback
+        message = " ".join(f"{type(exc).__name__}: {exc}".split())
+        print(f"internal error: {message}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -94,6 +94,10 @@ class UnboundVariableError(ValueError):
     pass
 
 
+class DuplicateNameError(ValueError):
+    """A condition name that is already defined."""
+
+
 class UnknownNameError(KeyError):
     """A condition or lemma name that nothing defines.  Its ``str()`` is the
     plain message, where a bare :class:`KeyError` quotes it."""
@@ -483,10 +487,10 @@ class ConditionRegistry:
         if self._frozen:
             raise ValueError("the standard registry is shared and read-only; register on a copy()")
         if name in self._entries:
-            raise ValueError(f"condition {name!r} already registered")
+            raise DuplicateNameError(f"condition {name!r} already registered")
         info = ConditionInfo(name, formula, analyze(formula))
         if not info.analysis.closed:
-            raise ValueError(f"condition {name!r} is not closed")
+            raise UnboundVariableError(f"condition {name!r} is not closed")
         self._entries[name] = info
         return info
 

@@ -2,10 +2,7 @@
 
 A condition-induced operator keeps, per player, exactly the strategies whose
 focus satisfies the player's condition in the current restriction; iterating
-it from the full game performs iterated elimination.  Table operators store
-an arbitrary restriction-to-restriction map and exist to exercise the
-lattice-theoretic facts (monotone outcomes, post-fixpoint characterization,
-outcome inclusion) on operators that conditions cannot produce.
+it from the full game performs iterated elimination.
 """
 
 from __future__ import annotations
@@ -13,10 +10,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import product
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .conditions import FormulaO, analyze, builtin
-from .games import Game, Restriction, lattice_size, restrictions
+from .games import Game, Restriction, lattice_size
 from .optimality import optimal_strategies
 
 
@@ -25,10 +22,12 @@ class OperatorError(ValueError):
 
 
 class NoFixpointError(RuntimeError):
-    """Iteration exceeded the lattice bound without repeating a stage."""
+    """Iteration exceeded the lattice bound without repeating a stage, which
+    only an operator that is neither contracting nor monotone, such as an
+    :class:`epigame.oracles.TableOperator`, can do."""
 
 
-_EXHAUSTIVE_LATTICE_LIMIT = 1 << 16
+EXHAUSTIVE_LATTICE_LIMIT = 1 << 16
 
 
 class Operator:
@@ -85,27 +84,6 @@ def condition_operator(game: Game, condition: str | FormulaO) -> ConditionOperat
     return ConditionOperator(game, formula)
 
 
-class TableOperator(Operator):
-    """An explicit restriction-to-restriction map, total on the lattice."""
-
-    def __init__(self, game: Game, table: Mapping[tuple, Restriction]):
-        self.game = game
-        if lattice_size(game) > _EXHAUSTIVE_LATTICE_LIMIT:
-            raise OperatorError("lattice too large for a table operator")
-        self.table = dict(table)
-        for restriction in restrictions(game):
-            if restriction.key() not in self.table:
-                raise OperatorError(f"table is missing an image for {restriction}")
-        for image in self.table.values():
-            if image.game != game:
-                raise OperatorError("table image belongs to a different game")
-
-    def apply(self, restriction: Restriction) -> Restriction:
-        if restriction.game != self.game:
-            raise OperatorError("restriction belongs to a different game")
-        return self.table[restriction.key()]
-
-
 class ContractedOperator(Operator):
     """The wrapped operator intersected with its argument."""
 
@@ -135,8 +113,8 @@ def iterate(op: Operator, start: Restriction | None = None) -> IterationTrace:
     """Iterate ``op`` from ``start`` (default: the full game) to a fixpoint.
 
     Raises :class:`NoFixpointError` if no stage repeats within the lattice
-    bound, which can only happen for table operators that are neither
-    contracting nor monotone.
+    bound, which can only happen for operators that are neither contracting
+    nor monotone, such as some :class:`epigame.oracles.TableOperator`.
     """
     current = op.game.full_restriction() if start is None else start
     if current.game != op.game:
@@ -215,7 +193,7 @@ def check_monotone(
         return cache[key]
 
     if samples is None:
-        if lattice_size(game) > _EXHAUSTIVE_LATTICE_LIMIT:
+        if lattice_size(game) > EXHAUSTIVE_LATTICE_LIMIT:
             raise OperatorError("lattice too large for an exhaustive check")
         pairs = _subset_pairs(game)
     else:
@@ -239,40 +217,3 @@ def check_monotone(
         if not image(small).leq(image(large)):
             return MonotonicityReport(False, (small, large), checked)
     return MonotonicityReport(True, None, checked)
-
-
-@dataclass(frozen=True)
-class InclusionReport:
-    premises_hold: bool
-    conclusion_holds: bool
-
-
-def lemma_inclusion_check(first: Operator, second: Operator) -> InclusionReport:
-    """Check the outcome-inclusion principle on a concrete operator pair.
-
-    Premises: ``first`` is pointwise below ``second`` on the whole lattice
-    and ``first`` is monotone.  Conclusion: the outcome of iterating
-    ``first`` from the full game is included in the outcome of iterating the
-    contracted ``second``.
-    """
-    if first.game != second.game:
-        raise OperatorError("operators act on different games")
-    if lattice_size(first.game) > _EXHAUSTIVE_LATTICE_LIMIT:
-        raise OperatorError("lattice too large for an exhaustive check")
-    pointwise = all(
-        first.apply(r).leq(second.apply(r)) for r in restrictions(first.game)
-    )
-    monotone = check_monotone(first).monotone
-    try:
-        conclusion = iterate(first).outcome.leq(iterate(ContractedOperator(second)).outcome)
-    except NoFixpointError:
-        conclusion = False
-    return InclusionReport(pointwise and monotone, conclusion)
-
-
-def identity_table(game: Game) -> TableOperator:
-    return TableOperator(game, {r.key(): r for r in restrictions(game)})
-
-
-def constant_table(game: Game, image: Restriction) -> TableOperator:
-    return TableOperator(game, {r.key(): image for r in restrictions(game)})

@@ -8,21 +8,37 @@ at a time by :func:`naive_optimal_strategies`, the bitmask modal evaluator
 against the set-based tree walk of :func:`naive_interpret`, and the
 fixpoint iteration against the union of post-fixpoints.  The module also
 names the reference games and generates deterministic corpora of small
-games, conditions and operator pairs.  No runtime module imports it.
+games, conditions, operator pairs and belief models.  Its table operators
+store an arbitrary restriction-to-restriction map, so that the lattice
+facts (monotone outcomes, post-fixpoints, outcome inclusion) are exercised
+on operators that conditions cannot produce.  No runtime module imports
+it.
 """
 
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Iterator
+from typing import Iterator, Mapping
 
-from .beliefs import BeliefModel, Event, believes, game_of_event
+from .beliefs import (
+    MAX_ENUM_STATES,
+    BeliefModel,
+    EnumerationLimitError,
+    Event,
+    believes,
+    game_of_event,
+    model_of_masks,
+    sample_model_masks,
+)
 from .conditions import (
     ConditionRegistry, Conj, CtxAtom, Exists, FormulaO, GeqAtom, Neg, OptimalityModel, analyze, models
 )
-from .games import Game, Profile, Restriction, bundled_game, bundled_games, restrictions, subsets
+from .games import (
+    Game, Profile, Restriction, bundled_game, bundled_games, lattice_size, restrictions, subsets
+)
 from .modal import (
     MAX_SECOND_ORDER_STATES,
     Box,
@@ -36,9 +52,17 @@ from .modal import (
     interpret,
     positive_in_x,
 )
+from .operators import (
+    EXHAUSTIVE_LATTICE_LIMIT,
+    ContractedOperator,
+    NoFixpointError,
+    Operator,
+    OperatorError,
+    check_monotone,
+    iterate,
+)
 
-# re-exported: perfbench/ imports these from here and traces the generators here
-from .beliefs import enumerate_belief_models, sample_belief_models  # noqa: F401
+# re-exported: perfbench/ imports it from here
 from .proofs import bundled_proof  # noqa: F401
 
 GENERATED_SEED = 7120394
@@ -131,8 +155,6 @@ def premise_pairs(game: Game, count: int, seed: int = 0) -> Iterator[tuple]:
     forces monotonicity), and each second image is a random superset of the
     first.
     """
-    from .operators import TableOperator
-
     rng = random.Random(seed)
     lattice = sorted(restrictions(game), key=lambda r: r.size())
     preds: dict[object, list[Restriction]] = {}
@@ -169,6 +191,68 @@ def premise_pairs(game: Game, count: int, seed: int = 0) -> Iterator[tuple]:
 def standard_corpus() -> tuple[Game, ...]:
     """The bundled games followed by the generated ones."""
     return bundled_games() + generated_games()
+
+
+# ---------------------------------------------------------------------------
+# Table operators and outcome inclusion
+
+
+class TableOperator(Operator):
+    """An explicit restriction-to-restriction map, total on the lattice."""
+
+    def __init__(self, game: Game, table: Mapping[tuple, Restriction]):
+        self.game = game
+        if lattice_size(game) > EXHAUSTIVE_LATTICE_LIMIT:
+            raise OperatorError("lattice too large for a table operator")
+        self.table = dict(table)
+        for restriction in restrictions(game):
+            if restriction.key() not in self.table:
+                raise OperatorError(f"table is missing an image for {restriction}")
+        for image in self.table.values():
+            if image.game != game:
+                raise OperatorError("table image belongs to a different game")
+
+    def apply(self, restriction: Restriction) -> Restriction:
+        if restriction.game != self.game:
+            raise OperatorError("restriction belongs to a different game")
+        return self.table[restriction.key()]
+
+
+def identity_table(game: Game) -> TableOperator:
+    return TableOperator(game, {r.key(): r for r in restrictions(game)})
+
+
+def constant_table(game: Game, image: Restriction) -> TableOperator:
+    return TableOperator(game, {r.key(): image for r in restrictions(game)})
+
+
+@dataclass(frozen=True)
+class InclusionReport:
+    premises_hold: bool
+    conclusion_holds: bool
+
+
+def lemma_inclusion_check(first: Operator, second: Operator) -> InclusionReport:
+    """Check the outcome-inclusion principle on a concrete operator pair.
+
+    Premises: ``first`` is pointwise below ``second`` on the whole lattice
+    and ``first`` is monotone.  Conclusion: the outcome of iterating
+    ``first`` from the full game is included in the outcome of iterating the
+    contracted ``second``.
+    """
+    if first.game != second.game:
+        raise OperatorError("operators act on different games")
+    if lattice_size(first.game) > EXHAUSTIVE_LATTICE_LIMIT:
+        raise OperatorError("lattice too large for an exhaustive check")
+    pointwise = all(
+        first.apply(r).leq(second.apply(r)) for r in restrictions(first.game)
+    )
+    monotone = check_monotone(first).monotone
+    try:
+        conclusion = iterate(first).outcome.leq(iterate(ContractedOperator(second)).outcome)
+    except NoFixpointError:
+        conclusion = False
+    return InclusionReport(pointwise and monotone, conclusion)
 
 
 # ---------------------------------------------------------------------------
@@ -266,6 +350,36 @@ def naive_optimal_strategies(
     return frozenset(found)
 
 
+# ---------------------------------------------------------------------------
+# Belief models and the naive modal semantics
+
+
+def enumerate_belief_models(game: Game, max_states: int) -> Iterator[BeliefModel]:
+    """Every belief model over the game with 1..max_states states, in a
+    fixed order, without duplicates: the order of
+    :func:`~epigame.beliefs.enumerate_model_masks`, which the tests pin."""
+    if max_states > MAX_ENUM_STATES:
+        raise EnumerationLimitError(f"exhaustive enumeration is limited to {MAX_ENUM_STATES} states")
+    for count in range(1, max_states + 1):
+        states = tuple(f"w{k + 1}" for k in range(count))
+        play_choices = [list(product(game.strategies[i], repeat=count)) for i in game.players]
+        # models share their plays and possibility maps, which nothing mutates
+        poss_choices = [dict(zip(states, chosen)) for chosen in product(subsets(states), repeat=count)]
+        for plays_combo in product(*play_choices):
+            plays = tuple(dict(zip(states, chosen)) for chosen in plays_combo)
+            for possible in product(poss_choices, repeat=game.n):
+                yield BeliefModel(game, states, plays, possible)
+
+
+def sample_belief_models(
+    game: Game, count: int, max_states: int, seed: int = 0
+) -> Iterator[BeliefModel]:
+    """Seeded random models: uniform state count in 1..max_states, uniform
+    strategies, and each possibility set drawn uniformly."""
+    for plays, possible in sample_model_masks(game, count, max_states, seed):
+        yield model_of_masks(game, plays, possible)
+
+
 def naive_common_belief(model: BeliefModel, event: Event) -> Event:
     """Common belief by brute force: intersect enough iterated levels that
     the level sequence must already have repeated."""
@@ -283,6 +397,15 @@ def naive_common_belief(model: BeliefModel, event: Event) -> Event:
         level = everyone(level)
         result &= level
     return result
+
+
+def is_truthful(model: BeliefModel) -> bool:
+    """Does every player always consider the actual state possible?"""
+    return all(
+        state in model.possible_at(player, state)
+        for player in model.game.players
+        for state in model.states
+    )
 
 
 def naive_interpret(

@@ -11,7 +11,6 @@ from itertools import product
 
 import pytest
 
-from epigame.beliefs import enumerate_belief_models
 from epigame.conditions import (
     ConditionRegistry,
     OptimalityModel,
@@ -31,16 +30,17 @@ from epigame.modal import (
 )
 from epigame.operators import (
     ContractedOperator,
-    TableOperator,
     check_monotone,
     condition_operator,
     iterate,
-    lemma_inclusion_check,
 )
 from epigame.oracles import (
+    TableOperator,
+    enumerate_belief_models,
     fig1_left,
     fig1_right,
     fig2,
+    lemma_inclusion_check,
     naive_common_belief,
     naive_eliminate,
     premise_pairs,

@@ -7,15 +7,18 @@ from epigame.beliefs import (
     ModelFormatError,
     believes,
     common_belief,
-    enumerate_belief_models,
     everyone_believes,
     format_model,
     game_of_event,
-    is_truthful,
     parse_model,
+)
+from epigame.oracles import (
+    enumerate_belief_models,
+    fig1_right,
+    is_truthful,
+    naive_common_belief,
     sample_belief_models,
 )
-from epigame.oracles import fig1_right, naive_common_belief
 
 MODEL_TEXT = """\
 # asymmetric introspection

@@ -173,6 +173,32 @@ def test_check_valid_refuses_an_empty_search(files, capsys, mode):
     assert captured.err.count("\n") == 1
 
 
+def test_check_valid_refuses_an_exhaustive_search_past_3_states(files, capsys):
+    assert main(["check-valid", files["game.game"], "rat(gbr)", "--exhaustive", "4"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: exhaustive enumeration is limited to 3 states\n"
+
+
+def test_an_open_condition_is_refused_at_registration(files, tmp_path, capsys):
+    open_file = tmp_path / "open.cond"
+    open_file.write_text("condition a: C(x)\n")
+    argv = ["check-valid", files["game.game"], "rat(lsd)", "--exhaustive", "1", "--conditions", str(open_file)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: condition 'a' is not closed\n")
+
+
+def test_an_internal_error_exits_3_with_one_line(files, capsys, monkeypatch):
+    def broken(*args):
+        raise ValueError("no stage\nrepeated")
+
+    monkeypatch.setattr("epigame.cli.iterate", broken)
+    assert main(["eliminate", files["game.game"], "lsd"]) == 3
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "internal error: ValueError: no stage repeated\n")
+
+
 def test_deeply_nested_formula_is_a_usage_error(files, capsys):
     formula = "not " * 1000 + "rat(gbr)"
     assert main(["check-valid", files["game.game"], formula, "--exhaustive", "1"]) == 2

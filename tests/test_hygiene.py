@@ -43,3 +43,36 @@ def test_no_unused_module_imports():
     sources += demos
     problems = [problem for path in sources for problem in unused_imports(path)]
     assert problems == []
+
+
+def oracle_imports(source: str) -> list[int]:
+    """The lines of import statements anywhere in the source, function
+    bodies included, that name the ``oracles`` module."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            dotted = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            dotted = [f"{node.module or ''}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        if any("oracles" in name.split(".") for name in dotted):
+            found.append(node.lineno)
+    return found
+
+
+def test_runtime_modules_do_not_import_the_oracles():
+    # test_cli.test_runtime_does_not_import_oracles checks the loaded modules
+    # of a CLI run in a fresh interpreter; this reads every import statement
+    for source in (
+        "from .oracles import fig2",
+        "from . import oracles",
+        "from epigame.oracles import fig2",
+        "def f():\n    import epigame.oracles",
+    ):
+        assert oracle_imports(source), source
+    runtime = sorted(p for p in SOURCES.glob("*.py") if p.name != "oracles.py")
+    assert len(runtime) > 5
+    problems = [f"{path.name}:{line}" for path in runtime for line in oracle_imports(path.read_text())]
+    assert problems == []
+

@@ -7,14 +7,7 @@ from itertools import islice, product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from epigame.beliefs import (
-    BeliefModel,
-    enumerate_belief_models,
-    enumerate_model_masks,
-    model_of_masks,
-    parse_model,
-    sample_belief_models,
-)
+from epigame.beliefs import BeliefModel, enumerate_model_masks, model_of_masks, parse_model
 from epigame import conditions
 from epigame.conditions import MAX_NESTING, ConditionRegistry, CtxAtom, FormulaSyntaxError, builtin, parse_lo
 from epigame.games import Game, bundled_games, format_game, parse_game, subsets
@@ -44,6 +37,7 @@ from epigame.modal import (
 )
 from epigame.optimality import survivor_table
 from epigame.oracles import (
+    enumerate_belief_models,
     fig1_left,
     fig1_right,
     fig2,
@@ -51,6 +45,7 @@ from epigame.oracles import (
     naive_common_belief,
     naive_interpret,
     nu_via_postfixpoints,
+    sample_belief_models,
 )
 
 REGISTRY = ConditionRegistry.standard()

@@ -10,20 +10,20 @@ from epigame.operators import (
     ContractedOperator,
     NoFixpointError,
     OperatorError,
-    TableOperator,
     check_monotone,
     condition_operator,
-    constant_table,
     format_trace,
-    identity_table,
     iterate,
-    lemma_inclusion_check,
 )
 from epigame.oracles import (
+    TableOperator,
+    constant_table,
     fig1_left,
     fig1_right,
     fig2,
     generated_conditions,
+    identity_table,
+    lemma_inclusion_check,
     premise_pairs,
     square_lattice_game,
 )

@@ -3,16 +3,11 @@ from fractions import Fraction
 import pytest
 
 from epigame.conditions import analyze
-from epigame.beliefs import (
-    enumerate_belief_models,
-    format_model,
-    model_of_masks,
-    sample_belief_models,
-    sample_model_masks,
-)
+from epigame.beliefs import format_model, model_of_masks, sample_model_masks
 from epigame.games import Game, bundled_games, lattice_size
 from epigame.operators import condition_operator, iterate
 from epigame.oracles import (
+    enumerate_belief_models,
     enumerate_optimality_models,
     fig1_left,
     fig1_right,
@@ -21,6 +16,7 @@ from epigame.oracles import (
     generated_games,
     naive_eliminate,
     premise_pairs,
+    sample_belief_models,
     square_lattice_game,
     standard_corpus,
 )

@@ -6,10 +6,11 @@ from importlib import resources
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from epigame.beliefs import ModelFormatError, format_model, parse_model, sample_belief_models
+from epigame.beliefs import ModelFormatError, format_model, parse_model
 from epigame.conditions import BUILTIN_CONDITION_TEXT, FormulaSyntaxError, parse_condition_file, parse_lo
 from epigame.games import GameFormatError, bundled_game, parse_game
 from epigame.modal import parse_nu
+from epigame.oracles import sample_belief_models
 from epigame.proofs import ProofSyntaxError, bundled_proof, parse_proof
 
 FIG2 = bundled_game("fig2")
