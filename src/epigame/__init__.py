@@ -10,9 +10,9 @@ The layers, bottom up:
   conditions ("this strategy is a best response", "not dominated", ...),
   with syntactic analyses (closed / positive / context-safe) and a naive
   reference evaluator.
-- :mod:`epigame.optimality` — the fast optimality kernel: which strategies
-  of a player satisfy a condition in a context; and the per-game survivor
-  table that memoises it for the modal layer.
+- :mod:`epigame.optimality` — the fast optimality kernel: each condition
+  compiled once into a plan that decides which strategies of a player
+  satisfy it in a context; it keeps nothing but that compile cache.
 - :mod:`epigame.operators` — each condition induces an elimination operator
   on restrictions; iterate to a fixpoint, check monotonicity.
 - :mod:`epigame.beliefs` — finite belief models over a game: states, played
@@ -20,7 +20,8 @@ The layers, bottom up:
   enumeration and sampling of models, as bitmasks, for validity sweeps.
 - :mod:`epigame.modal` — a modal language with rationality atoms, belief
   modalities, optimality operators and a greatest-fixpoint binder,
-  interpreted over belief models by programs compiled once per game.
+  interpreted over belief models by programs compiled once per game, and
+  the per-game survivor table that memoises the kernel for them.
 - :mod:`epigame.proofs` — line-by-line checking of derivations in that
   language, with semantically discharged implication lemmas; the bundled
   proof scripts.

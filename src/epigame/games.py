@@ -117,17 +117,11 @@ class Game:
         return tuple(Preferences.of(self, i) for i in self.players)
 
     @cached_property
-    def survivor_tables(self) -> dict:
-        """Condition formula -> :class:`epigame.optimality.SurvivorTable`,
-        filled on demand by :func:`epigame.optimality.survivor_table`."""
-        return {}
-
-    @cached_property
     def modal_cache(self) -> dict:
         """What :mod:`epigame.modal` keeps per game: (formula, condition
-        registry, second-order flag) -> compiled program, and None -> a
-        weak reference to the last belief model interpreted, with its mask
-        form."""
+        registry, second-order flag) -> compiled program, condition formula
+        -> survivor table, and None -> a weak reference to the last belief
+        model interpreted, with its mask form."""
         return {}
 
     def full_restriction(self) -> Restriction:

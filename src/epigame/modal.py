@@ -25,10 +25,10 @@ A formula is compiled once per (formula, registry, game) into a program
 of closures that take the model, whose events are ``int`` bitmasks of
 states, as their argument; the program is cached on the game in
 :attr:`~epigame.games.Game.modal_cache`.  Compiling resolves each
-condition's :class:`~epigame.optimality.SurvivorTable` (shared by every
-model of the game) and player range, and makes every refusal.  A context
-is a tuple of per-player strategy masks.  The model in mask form memoises
-its contexts, the optimal states of each (condition, player) in them and
+condition's :class:`SurvivorTable`, kept in the same cache and shared by
+every model of the game, and each player range, and makes every refusal.
+A context is a tuple of per-player strategy masks.  The model in mask
+form memoises its contexts, the optimal states of each (condition, player) in them and
 the rationality rows: for each (condition, player) and possibility row of
 that player, the states where the player's strategy survives in the
 context it considers possible.  All three hold for every model with the
@@ -56,9 +56,9 @@ from operator import or_
 from typing import Callable, Iterator
 
 from .beliefs import BeliefModel, Event, enumerate_model_masks, model_of_masks, sample_model_masks
-from .conditions import NAME, ConditionRegistry, Conj, Neg, _DescentParser, is_name
+from .conditions import NAME, ConditionRegistry, Conj, FormulaO, Neg, _DescentParser, is_name
 from .games import Game, read_index
-from .optimality import SurvivorTable, survivor_table
+from .optimality import plan
 
 
 class ModalError(ValueError):
@@ -312,6 +312,47 @@ def positive_in_x(formula: FormulaNu, registry: ConditionRegistry) -> bool:
 
 # ---------------------------------------------------------------------------
 # Interpretation
+
+
+class SurvivorTable:
+    """One condition's survivors in one game: :meth:`survivors` is the
+    mask of player i's strategies that satisfy it in a context (strategy k
+    of player i is bit k of ``context[i]``), computed once per (player,
+    context) by the condition's :func:`~epigame.optimality.plan`.  Belief
+    models of one game keep asking about the same few contexts, which is
+    what makes the memo pay; the operators and lemma admission visit each
+    context once and call the plan directly."""
+
+    __slots__ = ("plan", "sizes", "prefs", "memo")
+
+    def __init__(self, game: Game, formula: FormulaO):
+        # holds no reference to the game, which holds the table
+        self.plan = plan(formula)
+        self.sizes = tuple(map(len, game.strategies))
+        self.prefs = tuple(map(game.preferences, game.players))
+        self.memo: tuple[dict[tuple[int, ...], int], ...] = tuple({} for _ in game.players)
+
+    def survivors(self, player: int, context: tuple[int, ...]) -> int:
+        memo = self.memo[player]
+        found = memo.get(context)
+        if found is None:
+            inside = [
+                [bool(mask >> k & 1) for k in range(size)]
+                for mask, size in zip(context, self.sizes)
+            ]
+            found = memo[context] = self.plan(self.prefs[player], player, inside)
+        return found
+
+
+def survivor_table(game: Game, formula: FormulaO) -> SurvivorTable:
+    """The game's :class:`SurvivorTable` for a condition: one per
+    (game, condition formula), kept in :attr:`Game.modal_cache` under the
+    formula and shared by every belief model over the game."""
+    cache = game.modal_cache
+    table = cache.get(formula)
+    if table is None:
+        table = cache[formula] = SurvivorTable(game, formula)
+    return table
 
 
 class _Model:

@@ -1,7 +1,7 @@
 """Strategy-elimination operators on the restriction lattice.
 
 A condition-induced operator keeps, per player, exactly the strategies whose
-focus satisfies the player's condition in the current restriction; iterating
+focus satisfies its condition in the current restriction; iterating
 it from the full game performs iterated elimination.
 """
 
@@ -10,11 +10,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import product
-from typing import Sequence
 
 from .conditions import FormulaO, analyze, builtin
 from .games import Game, Restriction, lattice_size
-from .optimality import optimal_strategies
+from .optimality import membership, plan
 
 
 class OperatorError(ValueError):
@@ -41,45 +40,43 @@ class Operator:
 
 class ConditionOperator(Operator):
     """The elimination operator induced by one closed, context-safe
-    condition per player.  Contracting by construction."""
+    condition for every player, through the condition's compiled
+    :func:`~epigame.optimality.plan`.  Contracting by construction."""
 
-    def __init__(self, game: Game, conditions: FormulaO | Sequence[FormulaO]):
+    def __init__(self, game: Game, formula: FormulaO):
         self.game = game
-        if not isinstance(conditions, (tuple, list)):
-            conditions = (conditions,) * game.n
-        if len(conditions) != game.n:
-            raise OperatorError(f"need one condition per player, got {len(conditions)}")
-        for formula in conditions:
-            result = analyze(formula)
-            if not result.closed:
-                raise OperatorError("operator conditions must be closed")
-            if not result.context_safe:
-                raise OperatorError(
-                    "operator conditions must be context-safe "
-                    "(the focus may appear only as a compared term)"
-                )
-        self.conditions = tuple(conditions)
+        result = analyze(formula)
+        if not result.closed:
+            raise OperatorError("operator conditions must be closed")
+        if not result.context_safe:
+            raise OperatorError(
+                "operator conditions must be context-safe "
+                "(the focus may appear only as a compared term)"
+            )
+        self.formula = formula
+        self.plan = plan(formula)
 
     @property
     def certified_monotone(self) -> bool:
         """Syntactic certificate: positive conditions induce monotone operators."""
-        return all(analyze(f).positive for f in self.conditions)
+        return analyze(self.formula).positive
 
     def apply(self, restriction: Restriction) -> Restriction:
         game = self.game
         if restriction.game != game:
             raise OperatorError("restriction belongs to a different game")
+        inside = membership(restriction)
         kept = []
-        for player, formula in enumerate(self.conditions):
-            current = restriction.sets[player]
-            survivors = optimal_strategies(game, player, formula, restriction) & current
+        for player, (names, current) in enumerate(zip(game.strategies, restriction.sets)):
+            mask = self.plan(game.preferences(player), player, inside)
+            survivors = frozenset(s for k, s in enumerate(names) if mask >> k & 1 and s in current)
             # an unchanged component keeps its set: stages share what they do not change
             kept.append(current if len(survivors) == len(current) else survivors)
         return Restriction(game, tuple(kept))
 
 
 def condition_operator(game: Game, condition: str | FormulaO) -> ConditionOperator:
-    """Convenience: build the operator for a builtin name or a single formula."""
+    """Convenience: build the operator for a builtin name or a formula."""
     formula = builtin(condition) if isinstance(condition, str) else condition
     return ConditionOperator(game, formula)
 

@@ -1,22 +1,20 @@
 """The optimality kernel: which strategies of a player satisfy a condition.
 
-:func:`optimal_strategies` and :class:`SurvivorTable` are the one place
-the elimination operators, the modal layer and lemma admission ask "does
-strategy s of player i satisfy condition c in context C".  The kernel
-evaluates the core AST of :mod:`epigame.conditions` with quantifier
-projection (argued in that module's docstring), every subformula as a
-bitmask over the player's strategies, and payoffs compared through
+:func:`plan` is the one place the elimination operators, the modal layer
+and lemma admission ask "does strategy s of player i satisfy condition c
+in context C".  The kernel evaluates the core AST of
+:mod:`epigame.conditions` with quantifier projection (argued in that
+module's docstring), every subformula as a bitmask over the player's
+strategies, and payoffs compared through
 :meth:`epigame.games.Game.preferences`.  It agrees with the naive
 reference :func:`epigame.conditions.models`, which the tests check.  Each
 condition is compiled once, in one walk, into a survivors function whose
 subformulas are closures that take the state of one call (strategy mask,
 membership flags, slot domains and values, payoff table) as their
 argument, so one compiled plan serves every game, player and context.
-
-The modal layer asks through :func:`survivor_table` instead: one
-:class:`SurvivorTable` per (game, condition), kept on the game the way
-its preference table is, memoises the same core by (player, context
-masks) for every belief model over that game.
+:func:`membership` reads a restriction into the flags a plan takes, and
+:func:`optimal_strategies` wraps the two.  The kernel keeps no state but
+its compile cache; the modal layer keeps its own memo of survivors.
 """
 
 from __future__ import annotations
@@ -45,7 +43,7 @@ _Node = Callable[["_Run"], int]
 
 
 @lru_cache(maxsize=256)
-def _plan(formula: FormulaO) -> Callable[[Preferences, int, list[list[bool]]], int]:
+def plan(formula: FormulaO) -> Callable[[Preferences, int, list[list[bool]]], int]:
     """A closed, context-safe condition compiled once, as its survivors
     function: ``survivors(prefs, player, inside)`` is the mask of the
     player's strategies that satisfy it, given the player's payoff
@@ -173,6 +171,15 @@ class _Run:
     prefs: Preferences
 
 
+
+
+def membership(context: Restriction) -> list[list[bool]]:
+    """Every player's context membership flags in strategy order, the form
+    in which a :func:`plan` reads a context."""
+    strategies = context.game.strategies
+    return [[s in chosen for s in names] for names, chosen in zip(strategies, context.sets)]
+
+
 def optimal_strategies(
     game: Game, player: int, formula: FormulaO, context: Restriction
 ) -> frozenset[str]:
@@ -180,65 +187,13 @@ def optimal_strategies(
     satisfies a closed, context-safe condition in that context.
 
     Equal to the strategies s for which :func:`~epigame.conditions.models`
-    holds on any focus profile with s in the player's place, but computed
-    for all strategies at once: every subformula evaluates to a bitmask
-    over the player's strategies, quantifiers range over projected domains
-    and payoffs are compared through the game's
-    :meth:`~epigame.games.Game.preferences` table.  Not memoised: the
-    elimination operators rarely ask twice (see :class:`SurvivorTable`).
+    holds on any focus profile with s in the player's place, but decided
+    for all of them at once by the condition's :func:`plan`.
     """
     if not 0 <= player < game.n:
         raise ValueError(f"owner {player} out of range")
     if context.game != game:
         raise ValueError("context restricts a different game")
-    inside = [[s in chosen for s in names] for names, chosen in zip(game.strategies, context.sets)]
-    mask = _plan(formula)(game.preferences(player), player, inside)
+    mask = plan(formula)(game.preferences(player), player, membership(context))
     names = game.strategies[player]
     return frozenset(s for k, s in enumerate(names) if mask >> k & 1)
-
-
-class SurvivorTable:
-    """One condition's survivors in one game, memoised for the modal layer.
-
-    A context is a tuple of per-player strategy masks (strategy k of
-    player i is bit k of ``context[i]``); :meth:`survivors` returns the
-    mask of player i's strategies satisfying the condition there, computed
-    once per (player, context) by the same core as
-    :func:`optimal_strategies`.  Belief models of one game keep asking
-    about the same few contexts, which is what makes the memo pay.  The
-    elimination operators do not use it: an iteration visits each context
-    once, so a memo there only holds memory.  Lemma admission builds its
-    own tables per sweep, not the game's (see
-    :meth:`epigame.proofs.LemmaRegistry.register`).
-    """
-
-    __slots__ = ("plan", "sizes", "prefs", "memo")
-
-    def __init__(self, game: Game, formula: FormulaO):
-        # holds no reference to the game, which holds the table
-        self.plan = _plan(formula)
-        self.sizes = tuple(map(len, game.strategies))
-        self.prefs = tuple(map(game.preferences, game.players))
-        self.memo: tuple[dict[tuple[int, ...], int], ...] = tuple({} for _ in game.players)
-
-    def survivors(self, player: int, context: tuple[int, ...]) -> int:
-        memo = self.memo[player]
-        found = memo.get(context)
-        if found is None:
-            inside = [
-                [bool(mask >> k & 1) for k in range(size)]
-                for mask, size in zip(context, self.sizes)
-            ]
-            found = memo[context] = self.plan(self.prefs[player], player, inside)
-        return found
-
-
-def survivor_table(game: Game, formula: FormulaO) -> SurvivorTable:
-    """The game's :class:`SurvivorTable` for a condition: one per
-    (game, condition formula), kept in :attr:`Game.survivor_tables` and
-    shared by every belief model over the game."""
-    tables = game.survivor_tables
-    table = tables.get(formula)
-    if table is None:
-        table = tables[formula] = SurvivorTable(game, formula)
-    return table

@@ -24,7 +24,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from importlib import resources
-from itertools import product
 from typing import Iterator, Sequence
 
 from .conditions import (
@@ -52,7 +51,7 @@ from .modal import (
     positive_in_x,
     substitute_x,
 )
-from .optimality import SurvivorTable
+from .optimality import membership, plan
 
 TAUT_ATOM_LIMIT = 16
 
@@ -289,21 +288,19 @@ def _first_counterexample(
 ) -> tuple[Restriction, Profile, int] | None:
     """The first item of :func:`implication_counterexamples`, found with the
     optimality kernel: per context, one survivor-mask difference per player."""
-    lhs_table, rhs_table = SurvivorTable(game, lhs), SurvivorTable(game, rhs)
-    for context in product(*(range(1 << len(names)) for names in game.strategies)):
+    lhs_plan, rhs_plan = plan(lhs), plan(rhs)
+    prefs = tuple(map(game.preferences, game.players))
+    for context in restrictions(game):
+        inside = membership(context)
         escaping = [
-            lhs_table.survivors(player, context) & ~rhs_table.survivors(player, context)
+            lhs_plan(prefs[player], player, inside) & ~rhs_plan(prefs[player], player, inside)
             for player in game.players
         ]
         if any(escaping):
-            restriction = Restriction(game, tuple(
-                frozenset(s for k, s in enumerate(names) if mask >> k & 1)
-                for names, mask in zip(game.strategies, context)
-            ))
             for focus in game.profiles():
                 for owner in game.players:
                     if escaping[owner] >> game.strategies[owner].index(focus[owner]) & 1:
-                        return restriction, focus, owner
+                        return context, focus, owner
     return None
 
 
@@ -336,15 +333,13 @@ class LemmaRegistry:
         :class:`UndecidableLemmaError` is raised before any sweep.  For
         such a condition, whether a (context, focus, owner) model satisfies
         it depends only on the owner's strategy in the focus, which is the
-        contract of :func:`~epigame.optimality.optimal_strategies`.  So per
-        context, one mask per player, lhs survivors minus rhs survivors,
-        decides every focus of that player at once: the implication fails
-        exactly at the foci whose owner strategy is in that mask.  Contexts
-        are walked as strategy masks in :func:`~epigame.games.restrictions`
-        order, and only a context with an escaping strategy is turned into
-        a :class:`~epigame.games.Restriction` and scanned for the first
-        escaping (focus, owner).  The survivor tables are built for this
-        call, not taken from the game.
+        contract of :func:`~epigame.optimality.plan`.  So per context, one
+        mask per player, lhs survivors minus rhs survivors, decides every
+        focus of that player at once: the implication fails exactly at the
+        foci whose owner strategy is in that mask.  Contexts are walked in
+        :func:`~epigame.games.restrictions` order, and only a context with
+        an escaping strategy is scanned for the first escaping (focus,
+        owner).
         """
         if name in self._entries:
             raise ValueError(f"lemma {name!r} already registered")

@@ -27,9 +27,9 @@ from epigame.conditions import (
     satisfies,
 )
 from epigame.games import Game, Restriction, bundled_games, restrictions
-from epigame.modal import ModalError, Rat, interpret, parse_nu
+from epigame.modal import ModalError, Rat, interpret, parse_nu, survivor_table
 from epigame.operators import ConditionOperator, OperatorError, condition_operator, iterate
-from epigame.optimality import _plan, optimal_strategies, survivor_table
+from epigame.optimality import optimal_strategies, plan
 from epigame.oracles import (
     enumerate_optimality_models,
     fig1_left,
@@ -407,14 +407,14 @@ def test_one_plan_serves_every_game_player_and_context(data):
     conditions = [builtin(n) for n in BUILTIN_CONDITION_TEXT] + list(generated_conditions())
     formula = data.draw(st.sampled_from(conditions))
     games = data.draw(st.lists(st.sampled_from(generated_games()), min_size=2, max_size=4))
-    _plan.cache_clear()  # compiled afresh here, then reused by every call below
-    plan = _plan(formula)
+    plan.cache_clear()  # compiled afresh here, then reused by every call below
+    compiled = plan(formula)
     for game in games:
         for owner in data.draw(st.permutations(game.players)):
             context = data.draw(restriction_of(game))
             expected = naive_optimal_strategies(game, owner, formula, context)
             assert optimal_strategies(game, owner, formula, context) == expected, pretty_lo(formula)
-    assert _plan(formula) is plan
+    assert plan(formula) is compiled
 
 
 def guess_game(players, choices):

@@ -34,8 +34,8 @@ from epigame.modal import (
     positive_in_x,
     pretty_nu,
     substitute_x,
+    survivor_table,
 )
-from epigame.optimality import survivor_table
 from epigame.oracles import (
     enumerate_belief_models,
     fig1_left,

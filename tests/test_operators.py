@@ -31,8 +31,6 @@ from epigame.oracles import (
 
 def test_operator_validation():
     g = fig1_right()
-    with pytest.raises(OperatorError, match="one condition per player"):
-        ConditionOperator(g, (builtin("lsd"),))
     with pytest.raises(OperatorError, match="must be closed"):
         ConditionOperator(g, parse_lo("C(x)"))
     with pytest.raises(OperatorError, match="context-safe"):

@@ -310,7 +310,7 @@ def test_lemma_sides_must_be_closed_and_context_safe():
 def test_lemma_sweep_leaves_the_game_memo_alone():
     corpus = [copy.copy(game) for game in bundled_games()]  # copies start without caches
     standard_lemmas(REGISTRY, corpus)
-    assert not any("survivor_tables" in vars(game) for game in corpus)
+    assert not any("modal_cache" in vars(game) for game in corpus)
 
 
 LEMMA_SIDES = [builtin(name) for name in BUILTIN_CONDITION_TEXT] + list(generated_conditions())
