@@ -27,7 +27,8 @@ from importlib import resources
 from typing import Iterator, Sequence
 
 from .conditions import (
-    ConditionRegistry, FormulaO, FormulaSyntaxError, OptimalityModel, UnknownNameError, models,
+    ConditionRegistry, DuplicateNameError, FormulaO, FormulaSyntaxError, OptimalityModel,
+    UnknownNameError, models,
 )
 from .games import (
     FormatError, Game, Profile, Restriction, bundled_games, lattice_size, read_index, records,
@@ -236,9 +237,12 @@ class SweepEvidence:
 
 @dataclass(frozen=True)
 class Lemma:
+    """``lhs -> rhs``, admitted for the two names' ``formulas`` then."""
+
     name: str
     lhs: str
     rhs: str
+    formulas: tuple[FormulaO, FormulaO]
     evidence: SweepEvidence
 
 
@@ -263,8 +267,8 @@ class LemmaRefused(Exception):
 
 
 class UndecidableLemmaError(ValueError):
-    """A lemma side the optimality kernel cannot decide: not closed, or
-    not context-safe."""
+    """A lemma side the optimality kernel cannot decide: one that is not
+    context-safe."""
 
 
 def implication_counterexamples(
@@ -329,8 +333,9 @@ class LemmaRegistry:
         every corpus game; raises :class:`LemmaRefused` on the first
         counterexample, in :func:`implication_counterexamples` order.
 
-        Both sides must be closed and context-safe, else
-        :class:`UndecidableLemmaError` is raised before any sweep.  For
+        A repeated name raises :class:`~epigame.conditions.DuplicateNameError`.
+        Both sides must be context-safe (registered conditions are closed),
+        else :class:`UndecidableLemmaError` is raised before any sweep.  For
         such a condition, whether a (context, focus, owner) model satisfies
         it depends only on the owner's strategy in the focus, which is the
         contract of :func:`~epigame.optimality.plan`.  So per context, one
@@ -339,16 +344,18 @@ class LemmaRegistry:
         foci whose owner strategy is in that mask.  Contexts are walked in
         :func:`~epigame.games.restrictions` order, and only a context with
         an escaping strategy is scanned for the first escaping (focus,
-        owner).
+        owner).  ``link`` compares the recorded formulas with its own
+        registry's.
         """
         if name in self._entries:
-            raise ValueError(f"lemma {name!r} already registered")
+            raise DuplicateNameError(f"lemma {name!r} already registered")
         sides = []
         for which, side in (("left", lhs), ("right", rhs)):
             info = conditions.get(side)
-            if not (info.analysis.closed and info.analysis.context_safe):
-                flaw = "context-safe" if info.analysis.closed else "closed"
-                raise UndecidableLemmaError(f"lemma {name!r}: its {which} side {side!r} is not {flaw}")
+            if not info.analysis.context_safe:
+                raise UndecidableLemmaError(
+                    f"lemma {name!r}: its {which} side {side!r} is not context-safe"
+                )
             sides.append(info.formula)
         checked = 0
         for index, game in enumerate(corpus):
@@ -356,7 +363,7 @@ class LemmaRegistry:
             if witness is not None:
                 raise LemmaRefused(name, ImplicationWitness(index, *witness))
             checked += lattice_size(game) * len(list(game.profiles())) * game.n
-        lemma = Lemma(name, lhs, rhs, SweepEvidence(len(corpus), checked))
+        lemma = Lemma(name, lhs, rhs, tuple(sides), SweepEvidence(len(corpus), checked))
         self._entries[name] = lemma
         return lemma
 
@@ -451,6 +458,9 @@ def _check_line(
         expected = imp(Opt(lemma.lhs, None, X), Opt(lemma.rhs, None, X))
         if line.formula != expected:
             return f"formula does not match 'O({lemma.lhs}) X -> O({lemma.rhs}) X'"
+        for side, formula in zip((lemma.lhs, lemma.rhs), lemma.formulas):
+            if conditions.get(side).formula != formula:
+                return f"lemma {name!r} was admitted for another formula of {side!r}"
         return None
     return f"unknown rule {rule!r}"
 

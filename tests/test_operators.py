@@ -3,7 +3,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from epigame.conditions import analyze, builtin, parse_lo
+from epigame.conditions import BUILTIN_CONDITION_TEXT, analyze, builtin, parse_lo, pretty_lo
 from epigame.games import restrictions
 from epigame.operators import (
     ConditionOperator,
@@ -24,6 +24,7 @@ from epigame.oracles import (
     generated_conditions,
     identity_table,
     lemma_inclusion_check,
+    naive_optimal_strategies,
     premise_pairs,
     square_lattice_game,
 )
@@ -110,6 +111,22 @@ def test_condition_operators_are_contracting():
         op = condition_operator(g, f)
         for r in restrictions(g):
             assert op.apply(r).leq(r)
+
+
+def test_apply_matches_the_naive_reference():
+    """Each stage keeps, per player, exactly the reference's survivors
+    inside the restriction.  ``notworst`` compares the focus on the right
+    of ``>=``, so it reads the payoff table no builtin reads."""
+    formulas = [builtin(n) for n in BUILTIN_CONDITION_TEXT] + list(generated_conditions())
+    formulas.append(parse_lo("forall z in C . exists y . not y >= o @ z"))
+    for game in (fig1_left(), fig1_right(), fig2()):
+        for f in formulas:
+            op = ConditionOperator(game, f)
+            for r in restrictions(game):
+                image = op.apply(r)
+                for i in game.players:
+                    expected = naive_optimal_strategies(game, i, f, r) & r.sets[i]
+                    assert image.sets[i] == expected, (pretty_lo(f), r, i)
 
 
 def test_closure_ordinal_bounded_by_strategy_count():

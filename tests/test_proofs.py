@@ -4,8 +4,10 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from epigame.conditions import BUILTIN_CONDITION_TEXT, ConditionRegistry, builtin, parse_lo
-from epigame.modal import Box, Conj, Neg, Nu, Rat, X, imp, parse_nu, substitute_x
+from epigame.conditions import (
+    BUILTIN_CONDITION_TEXT, ConditionRegistry, DuplicateNameError, builtin, parse_lo,
+)
+from epigame.modal import Box, Conj, Neg, Nu, Rat, X, check_validity, imp, parse_nu, substitute_x
 from epigame.proofs import (
     AtomBudgetExceeded,
     ImplicationWitness,
@@ -250,6 +252,28 @@ def test_link_side_conditions():
     assert not report.ok and "does not match" in report.failure.reason
 
 
+def test_link_refuses_lemmas_admitted_for_other_formulas():
+    """A lemma was swept for the formulas its names had at admission; a
+    registry that gives either name another formula cannot link it."""
+    lemmas = standard_lemmas()
+    swapped = ConditionRegistry()
+    for name, formula in (("gbr", "lsd"), ("lsd", "gbr"), ("gsd", "gsd")):
+        swapped.register(name, builtin(formula))
+    script = parse_proof("1. O(gbr) X -> O(lsd) X ; link gbr_implies_lsd\n")
+    # the line is false under the swapped names, so accepting it is unsound
+    assert not check_validity(fig2(), script.theorem, swapped).valid
+    report = check_proof(script, swapped, lemmas)
+    assert not report.ok
+    assert report.failure.reason == "lemma 'gbr_implies_lsd' was admitted for another formula of 'gbr'"
+
+    renamed_right = ConditionRegistry()
+    for name, formula in (("gbr", "gbr"), ("gsd", "lsd")):
+        renamed_right.register(name, builtin(formula))
+    report = check_proof(parse_proof("1. O(gbr) X -> O(gsd) X ; link gbr_implies_gsd\n"), renamed_right, lemmas)
+    assert not report.ok
+    assert report.failure.reason == "lemma 'gbr_implies_gsd' was admitted for another formula of 'gsd'"
+
+
 # --- the lemma registry ---------------------------------------------------------
 
 
@@ -291,6 +315,13 @@ def test_lemma_registry_rejects_duplicates():
     lemmas = standard_lemmas(REGISTRY)
     with pytest.raises(ValueError, match="already registered"):
         lemmas.register("gbr_implies_lsd", "gbr", "lsd", REGISTRY, [fig2()])
+
+
+def test_a_repeated_lemma_name_is_a_duplicate_name_error():
+    registry = LemmaRegistry()
+    registry.register("gbr_implies_gsd", "gbr", "gsd", REGISTRY, [fig2()])
+    with pytest.raises(DuplicateNameError, match="lemma 'gbr_implies_gsd' already registered"):
+        registry.register("gbr_implies_gsd", "gbr", "lsd", REGISTRY, [fig2()])
 
 
 def test_lemma_sides_must_be_closed_and_context_safe():
