@@ -25,10 +25,10 @@ A formula is compiled once per (formula, registry, game) into a program
 of closures that take the model, whose events are ``int`` bitmasks of
 states, as their argument; the program is cached on the game in
 :attr:`~epigame.games.Game.modal_cache`.  Compiling resolves each
-condition's :class:`SurvivorTable`, kept in the same cache and shared by
-every model of the game, and each player range, and makes every refusal.
-A context is a tuple of per-player strategy masks.  The model in mask
-form memoises its contexts, the optimal states of each (condition, player) in them and
+condition's :class:`SurvivorTable` (in the same cache, shared by every
+model of the game) and player range, and makes every refusal.  A context
+is a tuple of per-player strategy masks.  The model in mask form memoises
+its contexts, the optimal states of each (condition, player) in them and
 the rationality rows: for each (condition, player) and possibility row of
 that player, the states where the player's strategy survives in the
 context it considers possible.  All three hold for every model with the

@@ -1,8 +1,8 @@
 """Strategy-elimination operators on the restriction lattice.
 
 A condition-induced operator keeps, per player, exactly the strategies whose
-focus satisfies its condition in the current restriction; iterating
-it from the full game performs iterated elimination.
+focus satisfies its condition in the current restriction; iterating it from
+the full game performs iterated elimination.
 """
 
 from __future__ import annotations

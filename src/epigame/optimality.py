@@ -171,8 +171,6 @@ class _Run:
     prefs: Preferences
 
 
-
-
 def membership(context: Restriction) -> list[list[bool]]:
     """Every player's context membership flags in strategy order, the form
     in which a :func:`plan` reads a context."""
