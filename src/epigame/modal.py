@@ -66,7 +66,9 @@ class ModalError(ValueError):
 
 
 #: The most states a model may have where ``forall X`` (or the post-fixpoint
-#: reference) enumerates every event: 2**20 events per quantifier.
+#: reference) enumerates every event: 2**20 events per quantifier.  Sampled
+#: validity checks keep to it too, as each drawn model costs K**2 coins per
+#: player.
 MAX_SECOND_ORDER_STATES = 20
 
 
@@ -626,8 +628,8 @@ def check_validity(
     instead.  A free X is read universally, as ``forall X . formula``.
     Returns the first countermodel found.  Raises :class:`ModalError` when
     the search would check no model at all, so a positive verdict is never
-    earned on an empty corpus, and when a second-order formula comes with
-    more than :data:`MAX_SECOND_ORDER_STATES` states.
+    earned on an empty corpus, and when a second-order formula or a sampled
+    search comes with more than :data:`MAX_SECOND_ORDER_STATES` states.
     """
     if max_states < 1:
         raise ModalError(f"models need at least 1 state, got {max_states}")
@@ -636,10 +638,9 @@ def check_validity(
     if has_free_x(formula):
         formula = ForallX(formula)
     second_order = any(isinstance(f, ForallX) for f in iter_subformulas(formula))
-    if second_order and max_states > MAX_SECOND_ORDER_STATES:
-        raise ModalError(
-            f"second-order validity checks are limited to {MAX_SECOND_ORDER_STATES} states"
-        )
+    if max_states > MAX_SECOND_ORDER_STATES and (second_order or samples is not None):
+        kind = "second-order" if second_order else "sampled"
+        raise ModalError(f"{kind} validity checks are limited to {MAX_SECOND_ORDER_STATES} states")
     if samples is None:
         candidates = enumerate_model_masks(game, max_states)
     else:

@@ -218,7 +218,11 @@ def test_check_valid_bounds_second_order_search(files, capsys):
     assert main(argv + ["--seed", "19"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "limited to 20 states" in err
-
+    # a first-order sampled sweep is bounded too, before its first draw
+    assert main(["check-valid", files["game.game"], "rat(gbr)", "--random", "3", "100000"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: sampled validity checks are limited to 20 states\n"
 
 
 def test_non_positive_nu_bodies_are_flagged_on_stderr(files, capsys):

@@ -434,6 +434,12 @@ def test_validity_bounds_second_order_search():
         check_validity(fig1_left(), X, samples=1, max_states=21)
     report = check_validity(fig1_left(), tautology, samples=3, max_states=5, seed=19)
     assert report.valid and report.models_checked == 3
+    # a sampled first-order sweep draws K**2 coins per player and model
+    first_order = parse_nu("rat(gbr) or not rat(gbr)")
+    with pytest.raises(ModalError, match="sampled validity checks are limited to 20 states"):
+        check_validity(fig1_left(), first_order, samples=3, max_states=100_000)
+    report = check_validity(fig1_left(), first_order, samples=3, max_states=20)
+    assert report.valid and report.models_checked == 3
 
 
 def test_validity_reads_a_free_x_universally():
