@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import lru_cache
 from pathlib import Path
 
 from .beliefs import EnumerationLimitError, format_model, parse_model
@@ -46,7 +47,7 @@ from .operators import (
     format_trace,
     iterate,
 )
-from .proofs import check_proof, parse_proof, standard_lemmas
+from .proofs import LemmaRegistry, check_proof, parse_proof, standard_lemmas
 
 
 class UsageError(ValueError):
@@ -187,12 +188,21 @@ def _cmd_check_valid(args: argparse.Namespace) -> int:
     return 0 if report.valid else 1
 
 
+@lru_cache(maxsize=None)
+def _standard_lemmas() -> LemmaRegistry:
+    return standard_lemmas(ConditionRegistry.standard())
+
+
 def _cmd_check_proof(args: argparse.Namespace) -> int:
     script = parse_proof(_read(args.proof))
     registry = _load_registry(args.conditions)
-    # only link reads lemmas, so only a script that uses it pays their sweep
+    # Only link reads lemmas, so only a script that uses it pays their sweep,
+    # once per process.  Every registry here is the standard one or a copy
+    # of it plus new names (register refuses to redefine gbr, lsd or gsd),
+    # so the lemmas' recorded formulas match; were they to differ, link
+    # would fail the line, never pass it.
     linked = any(line.justification.rule == "link" for line in script.lines)
-    report = check_proof(script, registry, standard_lemmas(registry) if linked else None)
+    report = check_proof(script, registry, _standard_lemmas() if linked else None)
     if args.json:
         payload = {"ok": report.ok}
         if report.failure:
@@ -294,9 +304,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    # built on the first call, not at import; parsing leaves it unchanged
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except _USER_ERRORS as exc:

@@ -8,7 +8,8 @@ import pytest
 
 import epigame
 from epigame.beliefs import parse_model
-from epigame.cli import main
+from epigame import cli
+from epigame.cli import build_parser, main
 from epigame.games import parse_game
 from epigame.modal import interpret, parse_nu
 from epigame.proofs import LemmaRegistry, bundled_proof
@@ -225,6 +226,7 @@ def test_check_valid_bounds_second_order_search(files, capsys):
     assert captured.err == "error: sampled validity checks are limited to 20 states\n"
 
 
+
 def test_non_positive_nu_bodies_are_flagged_on_stderr(files, capsys):
     # the note comes with the verdict; stdout and the exit code are unchanged
     assert main(["evaluate", files["model.model"], files["game.game"], "nu X . not X"]) == 0
@@ -300,8 +302,10 @@ def test_check_proof_json(files, capsys):
     assert json.loads(capsys.readouterr().out) == {"ok": True}
 
 
-def test_check_proof_admits_lemmas_only_for_link(files, capsys, monkeypatch):
-    """Only ``link`` reads lemmas, so a script without it sweeps none."""
+def test_check_proof_admits_lemmas_only_for_link(files, tmp_path, capsys, monkeypatch):
+    """Only ``link`` reads lemmas, so a script without it sweeps none, and
+    the process admits them once for every later script."""
+    cli._standard_lemmas.cache_clear()
     registered = []
     register = LemmaRegistry.register
 
@@ -315,6 +319,43 @@ def test_check_proof_admits_lemmas_only_for_link(files, capsys, monkeypatch):
     assert main(["check-proof", files["THM-IMP.prf"]]) == 0
     assert capsys.readouterr().out == "OK\n"
     assert registered == ["gbr_implies_lsd", "gbr_implies_gsd"]
+
+    assert main(["check-proof", files["THM-IMP.prf"]]) == 0
+    assert capsys.readouterr().out == "OK\n"
+    wrong = tmp_path / "wrong.prf"
+    wrong.write_text(
+        bundled_proof("THM-IMP").replace("; link gbr_implies_lsd", "; link gbr_implies_gsd")
+    )
+    assert main(["check-proof", str(wrong)]) == 1
+    assert capsys.readouterr().out == (
+        "FAIL line 9: formula does not match 'O(gbr) X -> O(gsd) X'\n"
+    )
+    # a registry with an extra condition reuses the standard admission
+    assert main(["check-proof", files["THM-IMP.prf"], "--conditions", files["conditions.txt"]]) == 0
+    assert capsys.readouterr().out == "OK\n"
+    assert registered == ["gbr_implies_lsd", "gbr_implies_gsd"]
+
+
+def test_the_shared_parser_carries_nothing_between_calls(files, capsys):
+    weak = ["evaluate", files["model.model"], files["game.game"], "rat(weak) -> rat(weak)"]
+    assert main(weak + ["--conditions", files["conditions.txt"]]) == 0
+    assert capsys.readouterr().out == "w\n"
+    # without --conditions the standard registry is used: weak is unknown
+    assert main(weak) == 2
+    assert capsys.readouterr().err == "error: unknown condition 'weak'\n"
+
+    assert main(["eliminate", files["game.game"], "lsd", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["survivors"] == {"1": ["U"], "2": ["L"]}
+    assert main(["eliminate", files["game.game"], "lsd"]) == 0
+    assert capsys.readouterr().out == "1: U / 2: L\n"
+
+    with pytest.raises(SystemExit) as exit_info:
+        main(["check-valid", files["game.game"], "rat(gbr)"])
+    assert exit_info.value.code == 2 and "--exhaustive" in capsys.readouterr().err
+    assert main(["check-valid", files["game.game"], "rat(gbr)", "--exhaustive", "1"]) == 1
+    assert capsys.readouterr().out.startswith("countermodel:\n")
+
+    assert build_parser() is not build_parser()
 
 
 def test_analyze_condition(files, capsys):
