@@ -6,7 +6,10 @@ in context C".  The kernel evaluates the core AST of
 :mod:`epigame.conditions` with quantifier projection (argued in that
 module's docstring), every subformula as a bitmask over the player's
 strategies, and payoffs compared through
-:meth:`epigame.games.Game.preferences`.  It agrees with the naive
+:meth:`epigame.games.Game.preferences`.  A quantifier guarded by its own
+``C(.)`` ranges over the context only, as every builtin's does: the guard
+becomes the binder's domain instead of a test run on every value of the
+whole game.  It agrees with the naive
 reference :func:`epigame.conditions.models`, which the tests check.  Each
 condition is compiled once, in one walk, into a survivors function whose
 subformulas are closures that take the state of one call (strategy mask,
@@ -54,8 +57,13 @@ def plan(formula: FormulaO) -> Callable[[Preferences, int, list[list[bool]]], in
     :class:`_Run` argument and captures nothing of one game or one call.
     Bound variables are numbered by binder (slots), so shadowing needs no
     environment copies.  ``reads[slot]`` says how the owner's component and
-    the opponents' partial profile of that variable are read, which fixes
-    the domains each call sets up.
+    the opponents' partial profile of that variable are read, and whether
+    the variable is guarded, which fixes the domains each call sets up.
+    ``exists v . body`` is guarded when the top-level conjunction chain of
+    ``body`` has a ``C(v)`` conjunct of that binder, in any position: that
+    conjunct is dropped from the compiled body and ``v`` ranges over the
+    context instead (see :func:`_domain`).  A ``C(.)`` of any other
+    variable, or one under a negation or a nested binder, stays a test.
     """
     analysis = analyze(formula)
     if not analysis.closed:
@@ -64,15 +72,22 @@ def plan(formula: FormulaO) -> Callable[[Preferences, int, list[list[bool]]], in
         raise ValueError(
             "condition must be context-safe (the focus may appear only as a compared term)"
         )
+    # per slot: how the owner's component is read, how the opponents'
+    # partial profile is read, and whether a C(.) guard was pushed down
     reads: list[list[int]] = []
 
     def read(slot: int, own: int, others: int) -> None:
         reads[slot][0] = max(reads[slot][0], own)
         reads[slot][1] = max(reads[slot][1], others)
 
-    def compile_(f: FormulaO, scope: dict[str, int]) -> _Node:
+    def compile_(f: FormulaO, scope: dict[str, int], guard: int | None = None) -> _Node:
+        # ``guard`` is the slot of the binder whose top-level conjunction
+        # chain ``f`` lies in; a C(.) of that binder becomes its domain
         if isinstance(f, CtxAtom):
             slot = scope[f.term]
+            if slot == guard:
+                reads[slot][2] = True
+                return _true
             read(slot, _MEMBERSHIP, _MEMBERSHIP)
             return lambda r: r.everyone if r.own_in[r.own[slot]] and r.others_in[r.others[slot]] else 0
         if isinstance(f, GeqAtom):
@@ -83,7 +98,7 @@ def plan(formula: FormulaO) -> Callable[[Preferences, int, list[list[bool]]], in
             slot = scope[f.ctx]
             read(slot, _UNREAD, _VALUE)
             if left is None and right is None:
-                return lambda r: r.everyone
+                return _true
             if right is None:
                 return lambda r: r.prefs.at_most[r.others[slot]][r.own[left]]
             if left is None:
@@ -95,7 +110,11 @@ def plan(formula: FormulaO) -> Callable[[Preferences, int, list[list[bool]]], in
             body = compile_(f.body, scope)
             return lambda r: r.everyone ^ body(r)
         if isinstance(f, Conj):
-            first, second = compile_(f.left, scope), compile_(f.right, scope)
+            first, second = compile_(f.left, scope, guard), compile_(f.right, scope, guard)
+            if first is _true:
+                return second
+            if second is _true:
+                return first
 
             def conj(r: _Run) -> int:
                 found = first(r)
@@ -103,8 +122,8 @@ def plan(formula: FormulaO) -> Callable[[Preferences, int, list[list[bool]]], in
 
             return conj
         slot = len(reads)
-        reads.append([_UNREAD, _UNREAD])
-        body = compile_(f.body, {**scope, f.var: slot})
+        reads.append([_UNREAD, _UNREAD, False])
+        body = compile_(f.body, {**scope, f.var: slot}, slot)
 
         def exists(r: _Run) -> int:
             own, others, everyone = r.own, r.others, r.everyone
@@ -125,7 +144,10 @@ def plan(formula: FormulaO) -> Callable[[Preferences, int, list[list[bool]]], in
         own_in = inside[player]
         # membership of each opponents' partial profile, in the table's order
         others_in = [all(flags) for flags in product(*inside[:player], *inside[player + 1 :])]
-        domains = [(_domain(own, own_in), _domain(others, others_in)) for own, others in reads]
+        domains = [
+            (_domain(own, own_in, guarded), _domain(others, others_in, guarded))
+            for own, others, guarded in reads
+        ]
         return root(
             _Run(
                 everyone=(1 << len(own_in)) - 1,
@@ -141,10 +163,15 @@ def plan(formula: FormulaO) -> Callable[[Preferences, int, list[list[bool]]], in
     return survivors
 
 
-def _domain(read: int, inside: list[bool]) -> Iterable[int]:
-    """The values one component of a bound variable must take: all of them
-    when compared by ``>=``, one per membership bit that occurs when read
-    only by ``C(.)``, and any single one when unread."""
+def _domain(read: int, inside: list[bool], guarded: bool) -> Iterable[int]:
+    """The values one component of a bound variable must take.  Under a
+    ``C(.)`` guard: the values inside the context when compared by ``>=``,
+    else one inside the context, or none when no value is inside.  Without
+    one: all of them when compared by ``>=``, one per membership bit that
+    occurs when read only by ``C(.)``, and any single one when unread."""
+    if guarded:
+        values = [k for k, flag in enumerate(inside) if flag]
+        return values if read == _VALUE else values[:1]
     if read == _VALUE:
         return range(len(inside))
     if read == _MEMBERSHIP:
@@ -153,6 +180,11 @@ def _domain(read: int, inside: list[bool]) -> Iterable[int]:
             first.setdefault(flag, k)
         return tuple(first.values())
     return (0,)
+
+
+def _true(r: _Run) -> int:
+    """The compiled form of a subformula true of every strategy."""
+    return r.everyone
 
 
 @dataclass(slots=True)
