@@ -72,8 +72,6 @@ def plan(formula: FormulaO) -> Callable[[Preferences, int, list[list[bool]]], in
         raise ValueError(
             "condition must be context-safe (the focus may appear only as a compared term)"
         )
-    # per slot: how the owner's component is read, how the opponents'
-    # partial profile is read, and whether a C(.) guard was pushed down
     reads: list[list[int]] = []
 
     def read(slot: int, own: int, others: int) -> None:

@@ -29,7 +29,7 @@ from epigame.conditions import (
 from epigame.games import Game, Restriction, bundled_games, restrictions
 from epigame.modal import ModalError, Rat, interpret, parse_nu, survivor_table
 from epigame.operators import ConditionOperator, OperatorError, condition_operator, iterate
-from epigame.optimality import optimal_strategies, plan
+from epigame.optimality import membership, optimal_strategies, plan
 from epigame.oracles import (
     enumerate_optimality_models,
     fig1_left,
@@ -398,6 +398,118 @@ def test_kernel_matches_reference_on_random_games(data):
     )
 
 
+def conjunction_chains(parts):
+    """Every way to bracket ``parts`` into a chain of conjunctions, in order."""
+    if len(parts) == 1:
+        return st.just(parts[0])
+    return st.integers(1, len(parts) - 1).flatmap(
+        lambda cut: st.builds(Conj, conjunction_chains(parts[:cut]), conjunction_chains(parts[cut:]))
+    )
+
+
+@st.composite
+def guarded_formulas(draw, scope=(), depth=3):
+    """Context-safe formulas over the variables in ``scope`` whose binders
+    are often guarded by their own ``C(.)``: first, last or deeper in the
+    body's conjunction chain, or alone.  Binders reuse the names in scope,
+    so inner ones shadow outer ones, and the chains also hold ``C(w)`` of
+    outer variables, which are not guards."""
+    if not scope or (depth > 0 and draw(st.integers(0, 2))):
+        kinds = ["guarded", "guarded", "exists", "not", "and"] if scope else ["guarded", "exists"]
+        kind = draw(st.sampled_from(kinds))
+        if kind == "not":
+            return Neg(draw(guarded_formulas(scope, depth - 1)))
+        if kind == "and":
+            return Conj(draw(guarded_formulas(scope, depth - 1)), draw(guarded_formulas(scope, depth - 1)))
+        var = draw(st.sampled_from(["x", "y", "z"]))
+        inner = scope + (var,)
+        if kind == "exists":
+            return Exists(var, draw(guarded_formulas(inner, depth - 1)))
+        parts = draw(st.lists(guarded_formulas(inner, depth - 1), max_size=3))
+        parts.insert(draw(st.integers(0, len(parts))), CtxAtom(var))
+        return Exists(var, draw(conjunction_chains(parts)))
+    variables = st.sampled_from(scope)
+    return draw(
+        st.one_of(
+            st.builds(CtxAtom, variables),
+            st.builds(GeqAtom, st.sampled_from(scope + ("o",)), st.sampled_from(scope + ("o",)), variables),
+        )
+    )
+
+
+# One of each guarded shape, so that every one is checked on every run.
+GUARDED_SHAPES = [
+    "exists x . C(x) and o >= x @ x",
+    "exists x . o >= x @ x and C(x)",
+    "exists x . x >= o @ x and (not o >= x @ x and C(x))",
+    "exists x . (x >= o @ x and C(x)) and not o >= x @ x",
+    "exists x . C(x)",
+    "not exists x . C(x) and not o >= x @ x",
+    "exists x . C(x) and (exists x . C(x) and not o >= x @ x)",
+    "exists x . (exists x . not x >= o @ x) and C(x)",
+    "exists w . not exists v . C(w) and v >= o @ v",
+    "exists w . exists v . o >= v @ w and C(w) and C(v)",
+]
+
+
+def with_emptied_components(context):
+    """The context, then each variant of it with one component emptied."""
+    yield context
+    for j in context.game.players:
+        yield Restriction(context.game, context.sets[:j] + (frozenset(),) + context.sets[j + 1 :])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_kernel_matches_reference_on_guarded_binders(data):
+    game = data.draw(tied_games())
+    formula = data.draw(st.one_of(st.sampled_from(GUARDED_SHAPES).map(parse_lo), guarded_formulas()))
+    assert analyze(formula).closed and analyze(formula).context_safe
+    for context in with_emptied_components(data.draw(restriction_of(game))):
+        for owner in game.players:
+            expected = naive_optimal_strategies(game, owner, formula, context)
+            assert optimal_strategies(game, owner, formula, context) == expected, (
+                context, owner, pretty_lo(formula)
+            )
+
+
+@pytest.mark.parametrize("text", GUARDED_SHAPES)
+def test_each_guarded_shape_matches_reference_on_bundled_games(text):
+    formula = parse_lo(text)
+    for game in bundled_games():
+        for context in restrictions(game):
+            for owner in game.players:
+                expected = naive_optimal_strategies(game, owner, formula, context)
+                assert optimal_strategies(game, owner, formula, context) == expected, (
+                    game, context, owner
+                )
+
+
+# Each builtin with every C(.) guard written after the body it guards.
+COMMUTED_BUILTINS = {
+    "gbr": "exists z . (forall y . o >= y @ z) and C(z)",
+    "gsd": "forall y . exists z . o >= y @ z and C(z)",
+    "lsd": "not exists y . (not exists z . o >= y @ z and C(z)) and C(y)",
+}
+
+
+@pytest.mark.parametrize("name", sorted(COMMUTED_BUILTINS))
+def test_commuted_builtins_have_the_builtin_survivors(name):
+    late, builtin_plan = plan(parse_lo(COMMUTED_BUILTINS[name])), plan(builtin(name))
+    assert parse_lo(COMMUTED_BUILTINS[name]) != builtin(name)
+    checked = 0
+    for game in bundled_games() + generated_games():
+        for context in restrictions(game):
+            inside = membership(context)
+            for owner in game.players:
+                prefs = game.preferences(owner)
+                assert late(prefs, owner, inside) == builtin_plan(prefs, owner, inside), (
+                    game, context, owner
+                )
+                checked += 1
+    assert checked == 832
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.data())
 def test_one_plan_serves_every_game_player_and_context(data):
@@ -443,9 +555,7 @@ def sampled_restrictions(game, step):
     """Every step-th restriction in canonical order, each followed by its
     variants with one component emptied."""
     for r in islice(restrictions(game), 0, None, step):
-        yield r
-        for j in game.players:
-            yield Restriction(game, r.sets[:j] + (frozenset(),) + r.sets[j + 1 :])
+        yield from with_emptied_components(r)
 
 
 @pytest.mark.parametrize(
