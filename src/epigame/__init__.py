@@ -46,7 +46,6 @@ from .modal import (
     check_validity,
     common_belief_formula,
     interpret,
-    interpret_so,
     parse_nu,
     pretty_nu,
 )
@@ -83,7 +82,6 @@ __all__ = [
     "format_model",
     "format_trace",
     "interpret",
-    "interpret_so",
     "iterate",
     "models",
     "optimal_strategies",

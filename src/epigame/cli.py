@@ -29,13 +29,11 @@ from .conditions import (
 )
 from .games import FormatError, parse_game
 from .modal import (
-    ForallX,
     FormulaNu,
     ModalError,
     Nu,
     check_validity,
     interpret,
-    interpret_so,
     iter_subformulas,
     parse_nu,
     positive_in_x,
@@ -151,9 +149,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     model = parse_model(_read(args.model), game)
     registry = _load_registry(args.conditions)
     formula = parse_nu(args.formula)
-    second_order = any(isinstance(f, ForallX) for f in iter_subformulas(formula))
-    run = interpret_so if second_order else interpret
-    event = run(model, formula, registry=registry)
+    event = interpret(model, formula, registry=registry)
     _note_contracted(formula, registry)
     ordered = model.ordered_event(event)
     if args.json:
@@ -190,7 +186,7 @@ def _cmd_check_valid(args: argparse.Namespace) -> int:
 
 @lru_cache(maxsize=None)
 def _standard_lemmas() -> LemmaRegistry:
-    return standard_lemmas(ConditionRegistry.standard())
+    return standard_lemmas()
 
 
 def _cmd_check_proof(args: argparse.Namespace) -> int:

@@ -8,17 +8,16 @@ fixpoint ``nu X . psi`` over the single set variable X.  Omitting a player
 index bundles a node over all players by conjunction, so formulas stay
 independent of the player count; ``box psi`` and ``CB psi`` (common belief,
 ``nu X . box (X and psi)``) are parsed the same way.  ``forall X . psi`` is
-the second-order quantifier, handled only by :func:`interpret_so`.
-Negation, conjunction and the parser skeleton are the condition
-language's, from :mod:`epigame.conditions`.
+the second-order quantifier.  Negation, conjunction and the parser skeleton
+are the condition language's, from :mod:`epigame.conditions`.
 
 The fixpoint is computed by iterating the body intersected with the current
 set from the full state space; that always terminates and agrees with the
 union of post-fixpoints whenever the body is positive in X.  Otherwise it is
 the contracted iteration, which ``THM-IMP``'s ``nu X . O(lsd) X`` relies on.
 A free X denotes ``env``, the whole state space by default; validity
-checks read it universally instead, as ``forall X``.  Second-order
-evaluation enumerates every event, so it is limited to
+checks read it universally instead, as ``forall X``.  A ``forall X``
+enumerates every event, so it is refused on models of more than
 :data:`MAX_SECOND_ORDER_STATES` states.
 
 A formula is compiled once per (formula, registry, game) into a program
@@ -41,7 +40,7 @@ so that calls on one model share those memos.
 from the enumeration or the sampler; a
 :class:`~epigame.beliefs.BeliefModel` and frozensets of state names
 appear only at the boundary: a countermodel, the ``env`` argument and the
-results of :func:`interpret` and :func:`interpret_so`.
+result of :func:`interpret`.
 """
 
 from __future__ import annotations
@@ -436,10 +435,9 @@ class _Compiler:
     formula would meet it.
     """
 
-    def __init__(self, game: Game, registry: ConditionRegistry, second_order: bool):
+    def __init__(self, game: Game, registry: ConditionRegistry):
         self.game = game
         self.registry = registry
-        self.second_order = second_order
 
     def _players(self, tag: int | None) -> range | tuple[int, ...]:
         if tag is None:
@@ -529,8 +527,6 @@ class _Compiler:
 
             return nu
         if isinstance(f, ForallX):
-            if not self.second_order:
-                raise ModalError("forall X needs the second-order interpreter")
             body = self.compile(f.body)
 
             def forall(m: _Model, env: int) -> int:
@@ -545,13 +541,13 @@ class _Compiler:
         raise ModalError(f"cannot interpret {f!r}")
 
 
-def _program(game: Game, formula: FormulaNu, registry: ConditionRegistry, second_order: bool) -> _Node:
+def _program(game: Game, formula: FormulaNu, registry: ConditionRegistry) -> _Node:
     """The game's compiled program for the formula, kept in
     :attr:`Game.modal_cache` and keyed on the registry object itself."""
-    key = (formula, registry, second_order)
+    key = (formula, registry)
     program = game.modal_cache.get(key)
     if program is None:
-        program = _Compiler(game, registry, second_order).compile(formula)
+        program = _Compiler(game, registry).compile(formula)
         game.modal_cache[key] = program
     return program
 
@@ -561,9 +557,10 @@ def _interpret(
     formula: FormulaNu,
     env: Event | None,
     registry: ConditionRegistry | None,
-    second_order: bool,
 ) -> Event:
     states = model.states
+    if len(states) > MAX_SECOND_ORDER_STATES and any(isinstance(f, ForallX) for f in iter_subformulas(formula)):
+        raise ModalError(f"second-order interpretation is limited to {MAX_SECOND_ORDER_STATES} states")
     if env is None:
         start = (1 << len(states)) - 1
     else:
@@ -571,7 +568,7 @@ def _interpret(
         if unknown:
             raise ModalError(f"unknown state {sorted(unknown)[0]!r} in the environment")
         start = sum(1 << k for k, state in enumerate(states) if state in env)
-    run = _program(model.game, formula, registry or ConditionRegistry.standard(), second_order)
+    run = _program(model.game, formula, registry or ConditionRegistry.standard())
     result = run(_load(model), start)
     return frozenset(s for k, s in enumerate(states) if result >> k & 1)
 
@@ -583,8 +580,9 @@ def interpret(
     registry: ConditionRegistry | None = None,
 ) -> Event:
     """The event where the formula holds; ``env`` interprets free X.
-    Raises :class:`ModalError` when ``env`` names a state the model lacks."""
-    return _interpret(model, formula, env, registry, second_order=False)
+    Raises :class:`ModalError` when ``env`` names a state the model lacks,
+    and for a ``forall X`` on more than :data:`MAX_SECOND_ORDER_STATES` states."""
+    return _interpret(model, formula, env, registry)
 
 
 def interpret_so(
@@ -593,13 +591,8 @@ def interpret_so(
     env: Event | None = None,
     registry: ConditionRegistry | None = None,
 ) -> Event:
-    """Like :func:`interpret` but allowing ``forall X`` (enumerates all
-    events at each quantifier, so exponential in the state count)."""
-    if len(model.states) > MAX_SECOND_ORDER_STATES:
-        raise ModalError(
-            f"second-order interpretation is limited to {MAX_SECOND_ORDER_STATES} states"
-        )
-    return _interpret(model, formula, env, registry, second_order=True)
+    """:func:`interpret` under a second name, kept apart so profiles count each name's calls."""
+    return _interpret(model, formula, env, registry)
 
 
 # ---------------------------------------------------------------------------
@@ -645,7 +638,7 @@ def check_validity(
         candidates = enumerate_model_masks(game, max_states)
     else:
         candidates = sample_model_masks(game, samples, max_states, seed)
-    run = _program(game, formula, registry or ConditionRegistry.standard(), second_order)
+    run = _program(game, formula, registry or ConditionRegistry.standard())
     checked = 0
     last = model = None
     for plays, possible in candidates:

@@ -106,16 +106,14 @@ class IterationTrace:
     outcome: Restriction
 
 
-def iterate(op: Operator, start: Restriction | None = None) -> IterationTrace:
-    """Iterate ``op`` from ``start`` (default: the full game) to a fixpoint.
+def iterate(op: Operator) -> IterationTrace:
+    """Iterate ``op`` from the full game to a fixpoint.
 
     Raises :class:`NoFixpointError` if no stage repeats within the lattice
     bound, which can only happen for operators that are neither contracting
     nor monotone, such as some :class:`epigame.oracles.TableOperator`.
     """
-    current = op.game.full_restriction() if start is None else start
-    if current.game != op.game:
-        raise OperatorError("start restriction belongs to a different game")
+    current = op.game.full_restriction()
     stages = [current]
     # contracting operators drop a strategy at every stage until one
     # repeats, so they stop long before this lattice-wide bound

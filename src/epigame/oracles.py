@@ -413,14 +413,13 @@ def naive_interpret(
     formula: FormulaNu,
     env: Event | None = None,
     registry: ConditionRegistry | None = None,
-    second_order: bool = False,
 ) -> Event:
     """The event where a modal formula holds, by a tree walk over sets of
     state names: each context is the restriction
     :func:`~epigame.beliefs.game_of_event` builds, decided by
     :func:`naive_optimal_strategies`.  The reference that
     :func:`~epigame.modal.interpret` and :func:`~epigame.modal.interpret_so`
-    are checked against; ``forall X`` needs ``second_order``."""
+    are checked against."""
     registry = registry or ConditionRegistry.standard()
     game = model.game
     universe = model.universe
@@ -488,8 +487,6 @@ def naive_interpret(
                     return current
                 current = nxt
         if isinstance(f, ForallX):
-            if not second_order:
-                raise ModalError("forall X needs the second-order interpreter")
             result = universe
             for candidate in subsets(model.states):
                 result &= walk(f.body, candidate)

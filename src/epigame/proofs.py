@@ -501,14 +501,11 @@ def _condition_refs(formula: FormulaNu) -> Iterator[Rat | Opt]:
             yield sub
 
 
-def standard_lemmas(
-    conditions: ConditionRegistry | None = None,
-    corpus: Sequence[Game] | None = None,
-) -> LemmaRegistry:
+def standard_lemmas() -> LemmaRegistry:
     """The registry used by the bundled scripts: best response implies both
-    undominatedness notions, discharged over the bundled game corpus."""
-    conditions = conditions or ConditionRegistry.standard()
-    corpus = list(corpus) if corpus is not None else list(bundled_games())
+    undominatedness notions of the standard registry, on the bundled games."""
+    conditions = ConditionRegistry.standard()
+    corpus = bundled_games()
     registry = LemmaRegistry()
     registry.register("gbr_implies_lsd", "gbr", "lsd", conditions, corpus)
     registry.register("gbr_implies_gsd", "gbr", "gsd", conditions, corpus)

@@ -327,8 +327,11 @@ def big_model(states_count):
 
 def test_state_count_guards():
     huge = big_model(21)
-    with pytest.raises(ModalError, match="limited to 20 states"):
-        interpret_so(huge, ForallX(X))
+    for run in (interpret, interpret_so):
+        with pytest.raises(ModalError, match="limited to 20 states"):
+            run(huge, ForallX(X))
+        # the limit holds only for formulas with forall X
+        assert run(huge, Rat("gbr")) == huge.universe
     with pytest.raises(ModalError, match="limited to 20 states"):
         nu_via_postfixpoints(huge, X)
 
@@ -366,11 +369,6 @@ def test_second_order_rationality_diverges_for_non_monotone_condition():
     m = next(islice(enumerate_belief_models(fig1_left(), 2), 1040, None))
     assert interpret_so(m, second_order_rat("lsd", 0)) == {"w1"}
     assert interpret(m, Rat("lsd", 0)) == {"w1", "w2"}
-
-
-def test_first_order_interpreter_rejects_forall():
-    with pytest.raises(ModalError, match="second-order interpreter"):
-        interpret(single_state_model(), ForallX(X))
 
 
 # --- error paths ----------------------------------------------------------------
@@ -519,13 +517,9 @@ def test_interpret_matches_naive_reference(data):
     m = data.draw(small_models())
     formula = data.draw(modal_formulas(m.game.n))
     env = data.draw(st.one_of(st.none(), st.sets(st.sampled_from(m.states)).map(frozenset)))
-    expected = naive_interpret(m, formula, env, second_order=True)
+    expected = naive_interpret(m, formula, env)
     assert interpret_so(m, formula, env) == expected
-    if any(isinstance(f, ForallX) for f in iter_subformulas(formula)):
-        with pytest.raises(ModalError, match="second-order interpreter"):
-            interpret(m, formula, env)
-    else:
-        assert interpret(m, formula, env) == expected
+    assert interpret(m, formula, env) == expected
 
 
 # The formulas the cli benchmark workload expects check-valid to refute.
@@ -592,7 +586,7 @@ def test_exhaustive_sweeps_match_the_naive_loop(game, formula):
     checked, countermodel = 0, None
     for m in enumerate_belief_models(game, 2):
         checked += 1
-        if naive_interpret(m, closed, second_order=True) != m.universe:
+        if naive_interpret(m, closed) != m.universe:
             countermodel = m
             break
     report = check_validity(game, formula, max_states=2)
@@ -620,7 +614,7 @@ def test_cached_programs_carry_nothing_between_models(data):
     for _ in range(data.draw(st.integers(2, 5))):
         m = data.draw(models_over(game))
         for formula in formulas:
-            expected = naive_interpret(m, formula, second_order=True)
+            expected = naive_interpret(m, formula)
             assert interpret_so(m, formula) == expected, formula
 
 
@@ -636,7 +630,7 @@ def test_programs_interleaved_on_one_model_start_fresh(m):
     # reads rat(lsd) inside a binder, next to the rat(gbr) that `one` left
     so = parse_nu("forall X . [1] X -> O(gsd, 1) (X and rat(lsd))")
     for run, formula in ((interpret, one), (interpret, two), (interpret_so, so), (interpret, one)):
-        assert run(m, formula) == naive_interpret(m, formula, second_order=True), pretty_nu(formula)
+        assert run(m, formula) == naive_interpret(m, formula), pretty_nu(formula)
 
 
 

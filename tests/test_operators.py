@@ -93,16 +93,6 @@ def test_format_trace_text():
     )
 
 
-def test_iterate_from_custom_start():
-    g = fig1_right()
-    start = g.restriction({"U"}, {"L", "R"})
-    trace = iterate(condition_operator(g, "lsd"), start)
-    assert trace.stages[0] == start
-    assert trace.closure_ordinal == 1
-    with pytest.raises(OperatorError, match="different game"):
-        iterate(condition_operator(g, "lsd"), fig1_left().full_restriction())
-
-
 def test_condition_operators_are_contracting():
     g = fig1_right()
     formulas = [builtin(n) for n in ("lsd", "gsd", "gbr")]

@@ -138,7 +138,7 @@ def test_bundled_proofs_check():
     assert report.ok and report.failure is None
     assert report.theorem == MAIN.theorem
 
-    report = check_proof(IMP, lemmas=standard_lemmas(REGISTRY))
+    report = check_proof(IMP, lemmas=standard_lemmas())
     assert report.ok
     assert report.theorem == IMP.theorem
 
@@ -199,7 +199,7 @@ def test_taut_line_must_be_a_tautology():
 
 
 def test_incl_side_conditions():
-    lemmas = standard_lemmas(REGISTRY)
+    lemmas = standard_lemmas()
 
     ok = parse_proof(
         "1. O(gbr) X -> O(lsd) X ; link gbr_implies_lsd\n"
@@ -237,7 +237,7 @@ def test_incl_side_conditions():
 
 
 def test_link_side_conditions():
-    lemmas = standard_lemmas(REGISTRY)
+    lemmas = standard_lemmas()
 
     doubled = parse_proof("1. O(gbr) X -> O(lsd) X ; link gbr_implies_lsd, gbr_implies_gsd")
     report = check_proof(doubled, lemmas=lemmas)
@@ -278,7 +278,7 @@ def test_link_refuses_lemmas_admitted_for_other_formulas():
 
 
 def test_standard_lemmas_sweep_evidence():
-    lemmas = standard_lemmas(REGISTRY)
+    lemmas = standard_lemmas()
     for name in ("gbr_implies_lsd", "gbr_implies_gsd"):
         lemma = lemmas.get(name)
         assert lemma.lhs == "gbr"
@@ -312,7 +312,7 @@ def test_counterexample_stream_contains_the_textbook_case():
 
 
 def test_lemma_registry_rejects_duplicates():
-    lemmas = standard_lemmas(REGISTRY)
+    lemmas = standard_lemmas()
     with pytest.raises(ValueError, match="already registered"):
         lemmas.register("gbr_implies_lsd", "gbr", "lsd", REGISTRY, [fig2()])
 
@@ -340,7 +340,9 @@ def test_lemma_sides_must_be_closed_and_context_safe():
 
 def test_lemma_sweep_leaves_the_game_memo_alone():
     corpus = [copy.copy(game) for game in bundled_games()]  # copies start without caches
-    standard_lemmas(REGISTRY, corpus)
+    registry = LemmaRegistry()
+    for rhs in ("lsd", "gsd"):
+        registry.register(f"gbr_implies_{rhs}", "gbr", rhs, REGISTRY, corpus)
     assert not any("modal_cache" in vars(game) for game in corpus)
 
 
@@ -379,7 +381,7 @@ def test_theorems_hold_on_sampled_models():
 
 
 def test_mutants_do_not_slip_through():
-    lemmas = standard_lemmas(REGISTRY)
+    lemmas = standard_lemmas()
     rng = random.Random(99)
     rejected = 0
     for _ in range(60):
