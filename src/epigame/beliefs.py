@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Iterator, Mapping
 
-from .games import FormatError, Game, Restriction, player_line, records, require_players
+from .games import FormatError, Game, Restriction, check_names, player_line, records, require_players
 
 Event = frozenset[str]
 
@@ -46,6 +46,7 @@ class BeliefModel:
     def __post_init__(self):
         if not self.states:
             raise ModelFormatError("state set must be non-empty")
+        check_names(self.states, "=,{}", "state name", ModelFormatError)
         if len(set(self.states)) != len(self.states):
             raise ModelFormatError("duplicate state name")
         if len(self.plays) != self.game.n or len(self.possible) != self.game.n:
@@ -238,6 +239,7 @@ def parse_model(text: str, game: Game) -> BeliefModel:
             states = tuple(line[len("states:") :].split())
             if not states:
                 raise ModelFormatError("state set must be non-empty", lineno)
+            check_names(states, "=,{}", "state name", ModelFormatError, lineno)
             if len(set(states)) != len(states):
                 raise ModelFormatError("duplicate state name", lineno)
         elif line.startswith("plays") or line.startswith("possible"):

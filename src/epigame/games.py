@@ -11,8 +11,9 @@ This lowest layer also holds the input skeleton every parser shares:
 :class:`FormatError`, the base of each parser's error, which names the
 line (and column) of a refusal; :func:`records`, the blank-and-comment
 line reader; :func:`player_line` and :func:`require_players`, which read
-the per-player ``<keyword> <i>:`` heads; and :func:`read_index`, which
-reads counts and indices in ASCII digits only.
+the per-player ``<keyword> <i>:`` heads; :func:`check_names`, which
+refuses names a text format could not write back; and :func:`read_index`,
+which reads counts and indices in ASCII digits only.
 """
 
 from __future__ import annotations
@@ -65,6 +66,7 @@ class Game:
         for i, names in enumerate(self.strategies):
             if not names:
                 raise GameFormatError(f"player {i + 1} has no strategies")
+            check_names(names, ":", "strategy name", GameFormatError)
             if len(set(names)) != len(names):
                 raise GameFormatError(f"duplicate strategy name for player {i + 1}")
         known = [frozenset(names) for names in self.strategies]
@@ -307,6 +309,17 @@ def require_players(
                 raise error(f"missing {keyword} for player {player}", number)
 
 
+def check_names(
+    names: Iterable[str], reserved: str, what: str, error: type[FormatError], number: int | None = None
+) -> None:
+    """Refuse the first name a text format could not write back: an empty
+    one, or one holding whitespace or a character of ``reserved``."""
+    for name in names:
+        bad = next((c for c in name if c.isspace() or c in reserved), None)
+        if not name or bad is not None:
+            raise error(f"{what} {name!r} " + ("is empty" if not name else f"contains {bad!r}"), number)
+
+
 def _parse_rational(text: str) -> Fraction:
     # Fraction also reads Unicode digits, '_' separators and exponents, and
     # '1e999999999' alone would build a billion-digit integer; what is left
@@ -365,6 +378,7 @@ def parse_game(text: str) -> Game:
             names = tuple(map(sys.intern, body.split()))
             if not names:
                 raise GameFormatError(f"player {player} has no strategies", lineno)
+            check_names(names, ":", "strategy name", GameFormatError, lineno)
             if len(set(names)) != len(names):
                 raise GameFormatError(f"duplicate strategy name for player {player}", lineno)
             strategies[player] = names

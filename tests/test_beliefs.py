@@ -1,6 +1,7 @@
 from itertools import islice
 
 import pytest
+from hypothesis import given, strategies as st
 
 from epigame.beliefs import (
     BeliefModel,
@@ -43,9 +44,17 @@ def test_parse_model_fixture():
     assert m.possible_at(1, "w2") == frozenset()
 
 
-def test_format_parse_round_trip():
+@given(st.data())
+def test_format_parse_round_trip(data):
     m = fixture_model()
     assert parse_model(format_model(m), fig1_right()) == m
+    g = fig1_right()
+    names = st.text(alphabet="w#.-_()':", min_size=1, max_size=4)
+    states = tuple(data.draw(st.lists(names, min_size=1, max_size=3, unique=True)))
+    plays = tuple({s: data.draw(st.sampled_from(strategies)) for s in states} for strategies in g.strategies)
+    possible = tuple({s: frozenset(data.draw(st.sets(st.sampled_from(states)))) for s in states} for _ in g.players)
+    m = BeliefModel(g, states, plays, possible)
+    assert parse_model(format_model(m), g) == m
 
 
 def test_game_of_event():
@@ -203,6 +212,11 @@ def test_parse_model_errors():
         ("states: w1 w2\nplays 1: w1=U w2=D\nplays 2: w1=L w2=R\npossible 2: w2={}\n",
          "player 2 has no possibility set at w1", 4),
         ("states: w\nplays ²: w=U\n", "expected 'plays <i>: ...'", 2),
+        # names a plays or possible line could not write back
+        ("# states\nstates: w a=b\n", "state name 'a=b' contains '='", 2),
+        ("states: c,d\n", "state name 'c,d' contains ','", 1),
+        ("states: {w}\n", "state name '{w}' contains '{'", 1),
+        ("states: w}\n", "state name 'w}' contains '}'", 1),
     ]
     for text, message, line in cases:
         with pytest.raises(ModelFormatError, match=message) as exc:
@@ -223,6 +237,10 @@ def test_model_validation_direct():
         )
     with pytest.raises(ModelFormatError, match="every player"):
         BeliefModel(g, ("w",), ({"w": "U"},), ({"w": frozenset()},))
+    for name, fault in (("a=b", "contains '='"), ("c,d", "contains ','"), ("w x", "contains ' '"), ("", "is empty")):
+        with pytest.raises(ModelFormatError) as exc:
+            BeliefModel(g, (name,), ({name: "U"}, {name: "L"}), ({name: frozenset()},) * 2)
+        assert str(exc.value) == f"state name {name!r} {fault}"
 
 
 def test_models_hash_consistently():

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, strategies as st
@@ -92,6 +93,17 @@ def test_duplicate_strategy_rejected():
         parse_game(RIGHT_GAME.replace("strategies 1: U D", "strategies 1: U U"))
 
 
+def test_strategy_names_the_format_cannot_write_are_refused():
+    # no payoff line could name 'a:b', so the refusal would otherwise land past the end
+    with pytest.raises(GameFormatError) as exc:
+        parse_game("players: 2\nstrategies 1: a:b c\nstrategies 2: x\n")
+    assert (str(exc.value), exc.value.line) == ("line 2: strategy name 'a:b' contains ':'", 2)
+    for name, fault in (("a:b", "contains ':'"), ("a b", "contains ' '"), ("a\tb", "contains '\\t'"), ("", "is empty")):
+        with pytest.raises(GameFormatError) as exc:
+            Game(((name, "c"), ("x",)), {(name, "x"): (Fraction(0),) * 2, ("c", "x"): (Fraction(0),) * 2})
+        assert str(exc.value) == f"strategy name {name!r} {fault}"
+
+
 def test_duplicate_payoff_line_rejected():
     with pytest.raises(GameFormatError, match="line 9: duplicate payoff"):
         parse_game(RIGHT_GAME + "payoff U L : 2 2\n")
@@ -129,8 +141,18 @@ def test_fractional_payoffs_are_exact():
     assert g.payoff(1, ("U", "L")) == Fraction(-2, 7)
 
 
-def test_format_parse_round_trip():
+NAMES = st.text(alphabet="ab#.-_()'=,{}", min_size=1, max_size=4)
+
+
+@given(st.data())
+def test_format_parse_round_trip(data):
     g = right_game()
+    assert parse_game(format_game(g)) == g
+    sizes = data.draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    strategies = tuple(tuple(data.draw(st.lists(NAMES, min_size=k, max_size=k, unique=True))) for k in sizes)
+    values = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+    payoffs = {p: tuple(data.draw(values) for _ in sizes) for p in product(*strategies)}
+    g = Game(strategies, payoffs)
     assert parse_game(format_game(g)) == g
 
 
