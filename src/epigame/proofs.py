@@ -16,7 +16,7 @@ comparison of survivor masks (see :meth:`LemmaRegistry.register`).
 All schemas are matched structurally against the bundled (player-index-free)
 forms, which keeps proof scripts independent of any particular game.
 Line numbers and references are ASCII digits; a malformed script raises
-:class:`ProofSyntaxError` at its line.
+:class:`ProofSyntaxError` at its line, and at the column of a bad formula.
 """
 
 from __future__ import annotations
@@ -111,7 +111,7 @@ def _parse_justification(text: str, lineno: int) -> Justification:
 def parse_proof(text: str) -> ProofScript:
     """Parse ``n. <formula> ; <justification>`` lines; a line starting with # is a comment."""
     lines: list[ProofLine] = []
-    for lineno, stripped, _ in records(text):
+    for lineno, stripped, raw in records(text):
         head, dot, rest = stripped.partition(".")
         number = read_index(head.strip()) if dot else None
         if number is None:
@@ -124,7 +124,9 @@ def parse_proof(text: str) -> ProofScript:
         try:
             formula = parse_nu(formula_text)
         except FormulaSyntaxError as exc:
-            raise ProofSyntaxError(f"bad formula: {exc}", lineno) from None
+            # the formula text starts just past the number's dot
+            start = raw.index(stripped) + len(head) + 1
+            raise ProofSyntaxError(exc.message, lineno, start + exc.column) from None
         lines.append(
             ProofLine(number, formula, _parse_justification(justification_text, lineno), lineno)
         )

@@ -58,7 +58,9 @@ def test_parse_proof_errors():
         ("2. rat(gbr) ; taut", "expected line number 1"),
         ("1. rat(gbr) taut", "missing ';'"),
         ("1. rat(gbr) ; zap", "bad justification 'zap'"),
-        ("1. rat( ; taut", "bad formula"),
+        ("1. rat( ; taut", "^line 1, column 9: expected a condition name$"),
+        # formula columns count from the start of the file's line
+        ("# one\n  1. rat(gbr -> rat(gbr) ; taut", r"^line 2, column 14: expected '\)'$"),
         ("# nothing here\n", "empty proof"),
         ("one. rat(gbr) ; taut", "expected '<number>"),
         ("1. rat(gbr) ; link", "bad justification"),
