@@ -121,9 +121,10 @@ class Game:
     @cached_property
     def modal_cache(self) -> dict:
         """What :mod:`epigame.modal` keeps per game: (formula, condition
-        registry, second-order flag) -> compiled program, condition formula
-        -> survivor table, and None -> a weak reference to the last belief
-        model interpreted, with its mask form."""
+        registry) -> compiled program, condition formula -> survivor table,
+        and None -> a weak reference to the last belief model interpreted,
+        with its mask form.  Emptied before a program is compiled into it
+        once it holds :data:`~epigame.modal.MAX_CACHED_PROGRAMS` entries."""
         return {}
 
     def full_restriction(self) -> Restriction:

@@ -70,6 +70,11 @@ class ModalError(ValueError):
 #: player.
 MAX_SECOND_ORDER_STATES = 20
 
+#: The entries a :attr:`~epigame.games.Game.modal_cache` may hold before it
+#: is emptied to compile one more program: as many as the ``plan`` and
+#: ``analyze`` caches keep.
+MAX_CACHED_PROGRAMS = 256
+
 
 # ---------------------------------------------------------------------------
 # AST. ``player`` is 0-based internally; None bundles over all players.
@@ -543,12 +548,16 @@ class _Compiler:
 
 def _program(game: Game, formula: FormulaNu, registry: ConditionRegistry) -> _Node:
     """The game's compiled program for the formula, kept in
-    :attr:`Game.modal_cache` and keyed on the registry object itself."""
+    :attr:`Game.modal_cache` and keyed on the registry object itself.  A
+    full cache is emptied first; its survivor tables and last model are
+    rebuilt on demand."""
+    cache = game.modal_cache
     key = (formula, registry)
-    program = game.modal_cache.get(key)
+    program = cache.get(key)
     if program is None:
-        program = _Compiler(game, registry).compile(formula)
-        game.modal_cache[key] = program
+        if len(cache) >= MAX_CACHED_PROGRAMS:
+            cache.clear()
+        program = cache[key] = _Compiler(game, registry).compile(formula)
     return program
 
 

@@ -1,3 +1,4 @@
+import copy
 import gc
 import pickle
 import weakref
@@ -14,6 +15,7 @@ from epigame.games import Game, bundled_games, format_game, parse_game, subsets
 from epigame.modal import (
     Box,
     Conj,
+    MAX_CACHED_PROGRAMS,
     ForallX,
     ModalError,
     Neg,
@@ -675,3 +677,20 @@ def test_programs_are_cached_per_registry():
     renamed.register("gbr", builtin("lsd"))
     assert interpret(m, Rat("gbr", 0), registry=renamed) == frozenset({"w1"})
     assert interpret(m, Rat("gbr", 0)) == frozenset()
+
+
+def test_the_program_cache_is_bounded():
+    game = copy.copy(fig1_right())  # starts without caches
+    m = BeliefModel(
+        game, ("w1", "w2"), ({"w1": "U", "w2": "D"}, {"w1": "L", "w2": "R"}),
+        ({"w1": frozenset({"w1", "w2"}), "w2": frozenset({"w2"})}, {"w1": frozenset(), "w2": frozenset({"w1"})}),
+    )
+    atoms = [kind(c, p) for kind in (Rat, lambda c, p: Opt(c, p, X)) for c in ("lsd", "gsd", "gbr") for p in (None, 0, 1)]
+    sizes = []
+    for k, formula in enumerate(islice((Conj(a, Box(None, b)) for a, b in product(atoms, atoms)), 300)):
+        result = interpret(m, formula)
+        sizes.append(len(game.modal_cache))
+        if k % 25 == 0:
+            assert result == naive_interpret(m, formula), k
+    assert max(sizes) <= MAX_CACHED_PROGRAMS == 256
+    assert any(after < before for before, after in zip(sizes, sizes[1:]))  # emptied once full
