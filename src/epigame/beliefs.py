@@ -17,6 +17,7 @@ order and with the random draws of the model-building generators in
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import dataclass
 from itertools import product
 from typing import Iterator, Mapping
@@ -26,6 +27,9 @@ from .games import FormatError, Game, Restriction, check_names, player_line, rec
 Event = frozenset[str]
 
 MAX_ENUM_STATES = 3
+
+# what a state name may not hold, so that plays and possible lines can name it
+_STATE_RESERVED = re.compile(r"[\s=,{}]")
 
 
 class ModelFormatError(FormatError):
@@ -46,7 +50,7 @@ class BeliefModel:
     def __post_init__(self):
         if not self.states:
             raise ModelFormatError("state set must be non-empty")
-        check_names(self.states, "=,{}", "state name", ModelFormatError)
+        check_names(self.states, _STATE_RESERVED, "state name", ModelFormatError)
         if len(set(self.states)) != len(self.states):
             raise ModelFormatError("duplicate state name")
         if len(self.plays) != self.game.n or len(self.possible) != self.game.n:
@@ -239,7 +243,7 @@ def parse_model(text: str, game: Game) -> BeliefModel:
             states = tuple(line[len("states:") :].split())
             if not states:
                 raise ModelFormatError("state set must be non-empty", lineno)
-            check_names(states, "=,{}", "state name", ModelFormatError, lineno)
+            check_names(states, _STATE_RESERVED, "state name", ModelFormatError, lineno)
             if len(set(states)) != len(states):
                 raise ModelFormatError("duplicate state name", lineno)
         elif line.startswith("plays") or line.startswith("possible"):

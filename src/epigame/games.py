@@ -18,6 +18,7 @@ which reads counts and indices in ASCII digits only.
 
 from __future__ import annotations
 
+import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -28,6 +29,9 @@ from math import prod
 from typing import Container, Iterable, Iterator, Mapping, Sequence
 
 Profile = tuple[str, ...]
+
+# what a strategy name may not hold, so that a payoff line can name it
+_STRATEGY_RESERVED = re.compile(r"[\s:]")
 
 
 class FormatError(ValueError):
@@ -66,7 +70,7 @@ class Game:
         for i, names in enumerate(self.strategies):
             if not names:
                 raise GameFormatError(f"player {i + 1} has no strategies")
-            check_names(names, ":", "strategy name", GameFormatError)
+            check_names(names, _STRATEGY_RESERVED, "strategy name", GameFormatError)
             if len(set(names)) != len(names):
                 raise GameFormatError(f"duplicate strategy name for player {i + 1}")
         known = [frozenset(names) for names in self.strategies]
@@ -311,14 +315,15 @@ def require_players(
 
 
 def check_names(
-    names: Iterable[str], reserved: str, what: str, error: type[FormatError], number: int | None = None
+    names: Sequence[str], reserved: re.Pattern[str], what: str, error: type[FormatError], number: int | None = None
 ) -> None:
     """Refuse the first name a text format could not write back: an empty
-    one, or one holding whitespace or a character of ``reserved``."""
-    for name in names:
-        bad = next((c for c in name if c.isspace() or c in reserved), None)
-        if not name or bad is not None:
-            raise error(f"{what} {name!r} " + ("is empty" if not name else f"contains {bad!r}"), number)
+    one, or one holding a character that ``reserved`` matches."""
+    # one search over all the names: models are built by the thousand
+    if "" in names or reserved.search("".join(names)):
+        name = next(name for name in names if not name or reserved.search(name))
+        fault = f"contains {reserved.search(name).group()!r}" if name else "is empty"
+        raise error(f"{what} {name!r} {fault}", number)
 
 
 def _parse_rational(text: str) -> Fraction:
@@ -379,7 +384,7 @@ def parse_game(text: str) -> Game:
             names = tuple(map(sys.intern, body.split()))
             if not names:
                 raise GameFormatError(f"player {player} has no strategies", lineno)
-            check_names(names, ":", "strategy name", GameFormatError, lineno)
+            check_names(names, _STRATEGY_RESERVED, "strategy name", GameFormatError, lineno)
             if len(set(names)) != len(names):
                 raise GameFormatError(f"duplicate strategy name for player {player}", lineno)
             strategies[player] = names
