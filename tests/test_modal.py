@@ -15,8 +15,8 @@ from epigame.games import Game, bundled_games, format_game, parse_game, subsets
 from epigame.modal import (
     Box,
     Conj,
-    MAX_CACHED_PROGRAMS,
     ForallX,
+    MAX_CACHED_PROGRAMS,
     ModalError,
     Neg,
     Nu,
