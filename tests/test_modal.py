@@ -373,6 +373,13 @@ def test_second_order_rationality_diverges_for_non_monotone_condition():
     assert interpret(m, Rat("lsd", 0)) == {"w1", "w2"}
 
 
+def test_first_order_interpreter_rejects_forall():
+    # interpret refuses forall X only on models past the second-order limit
+    with pytest.raises(ModalError, match="second-order interpretation is limited"):
+        interpret(big_model(21), ForallX(X))
+    assert interpret(single_state_model(), ForallX(X)) == frozenset()
+
+
 # --- error paths ----------------------------------------------------------------
 
 
