@@ -101,11 +101,9 @@ def game_of_event(model: BeliefModel, event: Event) -> Restriction:
 
     The reference path: :func:`epigame.oracles.naive_interpret` builds its
     contexts with it, and :mod:`epigame.modal` must agree with that."""
-    sets = tuple(
-        frozenset(model.strategy_of(i, state) for state in event)
-        for i in model.game.players
+    return model.game.restriction(
+        *({model.strategy_of(i, state) for state in event} for i in model.game.players)
     )
-    return Restriction(model.game, sets)
 
 
 def believes(model: BeliefModel, player: int, event: Event) -> Event:

@@ -431,11 +431,12 @@ def satisfies(
     if not 0 <= owner < game.n:
         raise ValueError(f"owner {owner} out of range")
     assignment = dict(assignment or {})
+    inside = [frozenset(model.context.ordered(i)) for i in game.players]
 
     def run(f: FormulaO, env: dict[str, Profile]) -> bool:
         if isinstance(f, CtxAtom):
             profile = _resolve(f.term, env, model.focus)
-            return all(s in model.context.sets[i] for i, s in enumerate(profile))
+            return all(map(frozenset.__contains__, inside, profile))
         if isinstance(f, GeqAtom):
             a = _resolve(f.left, env, model.focus)
             b = _resolve(f.right, env, model.focus)

@@ -2,8 +2,11 @@
 
 A game fixes one finite, ordered strategy set per player and one rational
 payoff per player per strategy profile.  A restriction picks a subset of each
-player's strategies; restrictions of a game form a complete lattice under
-componentwise inclusion, which is what the elimination operators act on.
+player's strategies, held as one bitmask per player (strategy k is bit k),
+the form the optimality kernel reads; strategy names appear only when a
+restriction is built from them or read back.  Restrictions of a game form a
+complete lattice under componentwise inclusion, which is what the
+elimination operators act on.
 Players are 0-indexed throughout the Python API; the text format and all
 printed output use 1-based indices.
 
@@ -26,6 +29,7 @@ from functools import cached_property
 from importlib import resources
 from itertools import product
 from math import prod
+from operator import and_, or_
 from typing import Container, Iterable, Iterator, Mapping, Sequence
 
 Profile = tuple[str, ...]
@@ -132,13 +136,19 @@ class Game:
         return {}
 
     def full_restriction(self) -> Restriction:
-        return Restriction(self, tuple(frozenset(names) for names in self.strategies))
+        return Restriction(self, tuple((1 << len(names)) - 1 for names in self.strategies))
 
     def restriction(self, *components: Iterable[str]) -> Restriction:
         """Build a restriction from one strategy collection per player."""
         if len(components) != self.n:
             raise ValueError(f"expected {self.n} components, got {len(components)}")
-        return Restriction(self, tuple(frozenset(c) for c in components))
+        masks = []
+        for i, (names, chosen) in enumerate(zip(self.strategies, map(set, components))):
+            rogue = chosen.difference(names)
+            if rogue:
+                raise ValueError(f"unknown strategy {sorted(rogue)[0]!r} for player {i + 1}")
+            masks.append(_mask(s in chosen for s in names))
+        return Restriction(self, tuple(masks))
 
 
 @dataclass(frozen=True)
@@ -150,9 +160,12 @@ class Preferences:
     player's own strategies are numbered by position, strategy k being
     bit k of a mask.  ``at_least[r][t]`` is the mask of own strategies
     whose payoff against opponents' profile r is at least strategy t's.
+    ``sizes`` holds every player's strategy count, by which a context's
+    masks are read.
     """
 
     at_least: tuple[tuple[int, ...], ...]
+    sizes: tuple[int, ...]
 
     @classmethod
     def of(cls, game: Game, player: int) -> Preferences:
@@ -167,7 +180,7 @@ class Preferences:
                 for s in game.strategies[player]
             ]
             at_least.append(tuple(_mask(r >= pivot for r in ranks) for pivot in ranks))
-        return cls(tuple(at_least))
+        return cls(tuple(at_least), tuple(map(len, game.strategies)))
 
     @cached_property
     def at_most(self) -> tuple[tuple[int, ...], ...]:
@@ -191,18 +204,19 @@ def profile_with(profile: Profile, player: int, strategy: str) -> Profile:
 
 @dataclass(frozen=True)
 class Restriction:
-    """A componentwise subset of a game's strategy sets.  Components may be empty."""
+    """A componentwise subset of a game's strategy sets, holding strategy k
+    of player i when bit k of ``masks[i]`` is set.  Components may be empty."""
 
     game: Game
-    sets: tuple[frozenset[str], ...]
+    masks: tuple[int, ...]
 
     def __post_init__(self):
-        if len(self.sets) != self.game.n:
+        if len(self.masks) != self.game.n:
             raise ValueError("restriction must have one component per player")
-        for i, chosen in enumerate(self.sets):
-            rogue = chosen - set(self.game.strategies[i])
-            if rogue:
-                raise ValueError(f"unknown strategy {sorted(rogue)[0]!r} for player {i + 1}")
+        for i, (mask, names) in enumerate(zip(self.masks, self.game.strategies)):
+            # a negative mask shifts to -1, so this also refuses one
+            if mask >> len(names):
+                raise ValueError(f"mask {mask} has a bit past player {i + 1}'s {len(names)} strategies")
 
     def _check_same_game(self, other: Restriction) -> None:
         if self.game != other.game:
@@ -211,30 +225,27 @@ class Restriction:
     def leq(self, other: Restriction) -> bool:
         """Componentwise inclusion: is every component of self inside other's?"""
         self._check_same_game(other)
-        return all(a <= b for a, b in zip(self.sets, other.sets))
+        return all(a & b == a for a, b in zip(self.masks, other.masks))
 
     def meet(self, other: Restriction) -> Restriction:
         self._check_same_game(other)
-        return Restriction(self.game, tuple(a & b for a, b in zip(self.sets, other.sets)))
+        return Restriction(self.game, tuple(map(and_, self.masks, other.masks)))
 
     def join(self, other: Restriction) -> Restriction:
         self._check_same_game(other)
-        return Restriction(self.game, tuple(a | b for a, b in zip(self.sets, other.sets)))
+        return Restriction(self.game, tuple(map(or_, self.masks, other.masks)))
 
     def is_empty(self) -> bool:
         """True when every component is empty (the lattice bottom)."""
-        return all(not c for c in self.sets)
+        return not any(self.masks)
 
     def ordered(self, player: int) -> tuple[str, ...]:
-        """One component as a tuple, in the game's strategy order."""
-        return tuple(s for s in self.game.strategies[player] if s in self.sets[player])
-
-    def key(self) -> tuple[tuple[str, ...], ...]:
-        """A canonical hashable form (used as a dict key; game-relative)."""
-        return tuple(self.ordered(i) for i in self.game.players)
+        """One component's strategy names, in the game's strategy order."""
+        mask = self.masks[player]
+        return tuple(s for k, s in enumerate(self.game.strategies[player]) if mask >> k & 1)
 
     def size(self) -> int:
-        return sum(len(c) for c in self.sets)
+        return sum(mask.bit_count() for mask in self.masks)
 
     def __str__(self) -> str:
         parts = []
@@ -254,18 +265,15 @@ def subsets(items: Sequence[str]) -> Iterator[frozenset[str]]:
 def restrictions(game: Game) -> Iterator[Restriction]:
     """Every restriction of the game, in a fixed canonical order.
 
-    Per player, subsets are enumerated by :func:`subsets` over the strategy
-    order; players vary with the last one fastest.
+    Per player, masks count up from the empty component to the full one,
+    the order of :func:`subsets`; players vary with the last one fastest.
     """
-    for combo in product(*map(subsets, game.strategies)):
-        yield Restriction(game, combo)
+    for masks in product(*(range(1 << len(names)) for names in game.strategies)):
+        yield Restriction(game, masks)
 
 
 def lattice_size(game: Game) -> int:
-    size = 1
-    for names in game.strategies:
-        size <<= len(names)
-    return size
+    return 1 << sum(map(len, game.strategies))
 
 
 def records(text: str) -> Iterator[tuple[int, str, str]]:

@@ -26,8 +26,10 @@ states, as their argument; the program is cached on the game in
 :attr:`~epigame.games.Game.modal_cache`.  Compiling resolves each
 condition's :class:`SurvivorTable` (in the same cache, shared by every
 model of the game) and player range, and makes every refusal.  A context
-is a tuple of per-player strategy masks.  The model in mask form memoises
-its contexts, the optimal states of each (condition, player) in them and
+is a tuple of per-player strategy masks, the form of
+:attr:`~epigame.games.Restriction.masks`, which a condition's
+:func:`~epigame.optimality.plan` reads as it is.  The model in mask form
+memoises its contexts, the optimal states of each (condition, player) in them and
 the rationality rows: for each (condition, player) and possibility row of
 that player, the states where the player's strategy survives in the
 context it considers possible.  All three hold for every model with the
@@ -329,12 +331,11 @@ class SurvivorTable:
     what makes the memo pay; the operators and lemma admission visit each
     context once and call the plan directly."""
 
-    __slots__ = ("plan", "sizes", "prefs", "memo")
+    __slots__ = ("plan", "prefs", "memo")
 
     def __init__(self, game: Game, formula: FormulaO):
         # holds no reference to the game, which holds the table
         self.plan = plan(formula)
-        self.sizes = tuple(map(len, game.strategies))
         self.prefs = tuple(map(game.preferences, game.players))
         self.memo: tuple[dict[tuple[int, ...], int], ...] = tuple({} for _ in game.players)
 
@@ -342,11 +343,7 @@ class SurvivorTable:
         memo = self.memo[player]
         found = memo.get(context)
         if found is None:
-            inside = [
-                [bool(mask >> k & 1) for k in range(size)]
-                for mask, size in zip(context, self.sizes)
-            ]
-            found = memo[context] = self.plan(self.prefs[player], player, inside)
+            found = memo[context] = self.plan(self.prefs[player], player, context)
         return found
 
 

@@ -13,7 +13,7 @@ from itertools import product
 
 from .conditions import FormulaO, analyze, builtin
 from .games import Game, Restriction, lattice_size
-from .optimality import membership, plan
+from .optimality import plan
 
 
 class OperatorError(ValueError):
@@ -65,13 +65,8 @@ class ConditionOperator(Operator):
         game = self.game
         if restriction.game != game:
             raise OperatorError("restriction belongs to a different game")
-        inside = membership(restriction)
-        kept = []
-        for player, (names, current) in enumerate(zip(game.strategies, restriction.sets)):
-            mask = self.plan(game.preferences(player), player, inside)
-            survivors = frozenset(s for k, s in enumerate(names) if mask >> k & 1 and s in current)
-            # an unchanged component keeps its set: stages share what they do not change
-            kept.append(current if len(survivors) == len(current) else survivors)
+        masks = restriction.masks
+        kept = (self.plan(game.preferences(i), i, masks) & mask for i, mask in enumerate(masks))
         return Restriction(game, tuple(kept))
 
 
@@ -153,20 +148,17 @@ def _subset_pairs(game: Game):
     per_player = []
     for names in game.strategies:
         pairs = []
-        for large_mask in range(1 << len(names)):
-            large = frozenset(s for b, s in enumerate(names) if large_mask >> b & 1)
-            sub_mask = large_mask
+        for large in range(1 << len(names)):
+            small = large
             while True:
-                small = frozenset(s for b, s in enumerate(names) if sub_mask >> b & 1)
                 pairs.append((small, large))
-                if sub_mask == 0:
+                if small == 0:
                     break
-                sub_mask = (sub_mask - 1) & large_mask
+                small = (small - 1) & large
         per_player.append(pairs)
     for combo in product(*per_player):
-        small = Restriction(game, tuple(p[0] for p in combo))
-        large = Restriction(game, tuple(p[1] for p in combo))
-        yield small, large
+        small, large = zip(*combo)
+        yield Restriction(game, small), Restriction(game, large)
 
 
 def check_monotone(
@@ -176,21 +168,24 @@ def check_monotone(
 
     Exhaustive over all comparable pairs by default (lattice must have at
     most 2^16 elements); with ``samples`` set, draws that many seeded random
-    comparable pairs instead.
+    comparable pairs instead, at least one.  Per player, one coin per
+    strategy in strategy order picks the large component, then one coin per
+    strategy of it, again in strategy order, the small one.
     """
     game = op.game
-    cache: dict[tuple, Restriction] = {}
+    cache: dict[tuple[int, ...], Restriction] = {}
 
     def image(r: Restriction) -> Restriction:
-        key = r.key()
-        if key not in cache:
-            cache[key] = op.apply(r)
-        return cache[key]
+        if r.masks not in cache:
+            cache[r.masks] = op.apply(r)
+        return cache[r.masks]
 
     if samples is None:
         if lattice_size(game) > EXHAUSTIVE_LATTICE_LIMIT:
             raise OperatorError("lattice too large for an exhaustive check")
         pairs = _subset_pairs(game)
+    elif samples < 1:
+        raise OperatorError(f"a sampled check needs at least one pair, not {samples}")
     else:
         rng = random.Random(seed)
 
@@ -198,8 +193,8 @@ def check_monotone(
             for _ in range(samples):
                 larges, smalls = [], []
                 for names in game.strategies:
-                    large = frozenset(s for s in names if rng.random() < 0.5)
-                    small = frozenset(s for s in large if rng.random() < 0.5)
+                    large = sum(1 << k for k in range(len(names)) if rng.random() < 0.5)
+                    small = sum(1 << k for k in range(len(names)) if large >> k & 1 and rng.random() < 0.5)
                     larges.append(large)
                     smalls.append(small)
                 yield Restriction(game, tuple(smalls)), Restriction(game, tuple(larges))

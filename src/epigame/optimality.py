@@ -14,10 +14,11 @@ reference :func:`epigame.conditions.models`, which the tests check.  Each
 condition is compiled once, in one walk, into a survivors function whose
 subformulas are closures that take the state of one call (strategy mask,
 membership flags, slot domains and values, payoff table) as their
-argument, so one compiled plan serves every game, player and context.
-:func:`membership` reads a restriction into the flags a plan takes, and
-:func:`optimal_strategies` wraps the two.  The kernel keeps no state but
-its compile cache; the modal layer keeps its own memo of survivors.
+argument, so one compiled plan serves every game, player and context.  A
+context is read as :attr:`epigame.games.Restriction.masks`, one bitmask
+per player, and :func:`optimal_strategies` names the survivors.  The
+kernel keeps no state but its compile cache; the modal layer keeps its own
+memo of survivors.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 from .conditions import (
     CONSTANT,
@@ -46,12 +47,13 @@ _Node = Callable[["_Run"], int]
 
 
 @lru_cache(maxsize=256)
-def plan(formula: FormulaO) -> Callable[[Preferences, int, list[list[bool]]], int]:
+def plan(formula: FormulaO) -> Callable[[Preferences, int, Sequence[int]], int]:
     """A closed, context-safe condition compiled once, as its survivors
-    function: ``survivors(prefs, player, inside)`` is the mask of the
+    function: ``survivors(prefs, player, context)`` is the mask of the
     player's strategies that satisfy it, given the player's payoff
-    comparisons and every player's context membership flags in strategy
-    order.  One plan serves every game, player and context.
+    comparisons and the context as one mask per player (strategy k of
+    player i is bit k of ``context[i]``).  One plan serves every game,
+    player and context.
 
     Each subformula is a closure that reads one call's state from its
     :class:`_Run` argument and captures nothing of one game or one call.
@@ -138,7 +140,8 @@ def plan(formula: FormulaO) -> Callable[[Preferences, int, list[list[bool]]], in
 
     root = compile_(formula, {})
 
-    def survivors(prefs: Preferences, player: int, inside: list[list[bool]]) -> int:
+    def survivors(prefs: Preferences, player: int, context: Sequence[int]) -> int:
+        inside = [[mask >> k & 1 for k in range(size)] for mask, size in zip(context, prefs.sizes)]
         own_in = inside[player]
         # membership of each opponents' partial profile, in the table's order
         others_in = [all(flags) for flags in product(*inside[:player], *inside[player + 1 :])]
@@ -161,7 +164,7 @@ def plan(formula: FormulaO) -> Callable[[Preferences, int, list[list[bool]]], in
     return survivors
 
 
-def _domain(read: int, inside: list[bool], guarded: bool) -> Iterable[int]:
+def _domain(read: int, inside: list[int], guarded: bool) -> Iterable[int]:
     """The values one component of a bound variable must take.  Under a
     ``C(.)`` guard: the values inside the context when compared by ``>=``,
     else one inside the context, or none when no value is inside.  Without
@@ -173,7 +176,7 @@ def _domain(read: int, inside: list[bool], guarded: bool) -> Iterable[int]:
     if read == _VALUE:
         return range(len(inside))
     if read == _MEMBERSHIP:
-        first: dict[bool, int] = {}
+        first: dict[int, int] = {}
         for k, flag in enumerate(inside):
             first.setdefault(flag, k)
         return tuple(first.values())
@@ -193,19 +196,12 @@ class _Run:
     payoff comparisons."""
 
     everyone: int
-    own_in: list[bool]
+    own_in: list[int]
     others_in: list[bool]
     domains: list[tuple[Iterable[int], Iterable[int]]]
     own: list[int]
     others: list[int]
     prefs: Preferences
-
-
-def membership(context: Restriction) -> list[list[bool]]:
-    """Every player's context membership flags in strategy order, the form
-    in which a :func:`plan` reads a context."""
-    strategies = context.game.strategies
-    return [[s in chosen for s in names] for names, chosen in zip(strategies, context.sets)]
 
 
 def optimal_strategies(
@@ -222,6 +218,6 @@ def optimal_strategies(
         raise ValueError(f"owner {player} out of range")
     if context.game != game:
         raise ValueError("context restricts a different game")
-    mask = plan(formula)(game.preferences(player), player, membership(context))
+    mask = plan(formula)(game.preferences(player), player, context.masks)
     names = game.strategies[player]
     return frozenset(s for k, s in enumerate(names) if mask >> k & 1)

@@ -157,34 +157,31 @@ def premise_pairs(game: Game, count: int, seed: int = 0) -> Iterator[tuple]:
     """
     rng = random.Random(seed)
     lattice = sorted(restrictions(game), key=lambda r: r.size())
-    preds: dict[object, list[Restriction]] = {}
-    for r in lattice:
-        below = []
-        for player in game.players:
-            for gone in r.sets[player]:
-                smaller = list(r.sets)
-                smaller[player] = r.sets[player] - {gone}
-                below.append(Restriction(game, tuple(smaller)))
-        preds[r.key()] = below
+    # the masks of each restriction's immediate predecessors: one strategy dropped
+    preds = {
+        r.masks: [
+            r.masks[:i] + (mask & ~(1 << k),) + r.masks[i + 1 :]
+            for i, mask in enumerate(r.masks)
+            for k in range(mask.bit_length())
+            if mask >> k & 1
+        ]
+        for r in lattice
+    }
 
     def grow(rng: random.Random, floor: Restriction) -> Restriction:
-        sets = tuple(
-            floor.sets[i]
-            | frozenset(s for s in game.strategies[i] if rng.random() < 0.5)
-            for i in game.players
-        )
-        return Restriction(game, sets)
+        coins = (sum(1 << k for k in range(len(names)) if rng.random() < 0.5) for names in game.strategies)
+        return floor.join(Restriction(game, tuple(coins)))
 
-    bottom = Restriction(game, tuple(frozenset() for _ in game.players))
+    bottom = Restriction(game, (0,) * game.n)
     for _ in range(count):
-        first: dict[object, Restriction] = {}
-        second: dict[object, Restriction] = {}
+        first: dict[tuple[int, ...], Restriction] = {}
+        second: dict[tuple[int, ...], Restriction] = {}
         for r in lattice:
             floor = bottom
-            for p in preds[r.key()]:
-                floor = floor.join(first[p.key()])
-            first[r.key()] = grow(rng, floor)
-            second[r.key()] = grow(rng, first[r.key()])
+            for p in preds[r.masks]:
+                floor = floor.join(first[p])
+            first[r.masks] = grow(rng, floor)
+            second[r.masks] = grow(rng, first[r.masks])
         yield TableOperator(game, first), TableOperator(game, second)
 
 
@@ -198,15 +195,16 @@ def standard_corpus() -> tuple[Game, ...]:
 
 
 class TableOperator(Operator):
-    """An explicit restriction-to-restriction map, total on the lattice."""
+    """An explicit restriction-to-restriction map, total on the lattice and
+    keyed by each restriction's masks."""
 
-    def __init__(self, game: Game, table: Mapping[tuple, Restriction]):
+    def __init__(self, game: Game, table: Mapping[tuple[int, ...], Restriction]):
         self.game = game
         if lattice_size(game) > EXHAUSTIVE_LATTICE_LIMIT:
             raise OperatorError("lattice too large for a table operator")
         self.table = dict(table)
         for restriction in restrictions(game):
-            if restriction.key() not in self.table:
+            if restriction.masks not in self.table:
                 raise OperatorError(f"table is missing an image for {restriction}")
         for image in self.table.values():
             if image.game != game:
@@ -215,15 +213,15 @@ class TableOperator(Operator):
     def apply(self, restriction: Restriction) -> Restriction:
         if restriction.game != self.game:
             raise OperatorError("restriction belongs to a different game")
-        return self.table[restriction.key()]
+        return self.table[restriction.masks]
 
 
 def identity_table(game: Game) -> TableOperator:
-    return TableOperator(game, {r.key(): r for r in restrictions(game)})
+    return TableOperator(game, {r.masks: r for r in restrictions(game)})
 
 
 def constant_table(game: Game, image: Restriction) -> TableOperator:
-    return TableOperator(game, {r.key(): image for r in restrictions(game)})
+    return TableOperator(game, {r.masks: image for r in restrictions(game)})
 
 
 @dataclass(frozen=True)
@@ -331,7 +329,7 @@ def naive_eliminate(game: Game, condition: str, rounds: int | None = None) -> Re
             [s for s in ctx[i] if check(game, i, s, ctx)]
             for i in game.players
         ]
-    return Restriction(game, tuple(frozenset(c) for c in ctx))
+    return game.restriction(*ctx)
 
 
 def naive_optimal_strategies(
@@ -423,7 +421,7 @@ def naive_interpret(
     registry = registry or ConditionRegistry.standard()
     game = model.game
     universe = model.universe
-    # (condition, player, context sets) -> the player's optimal strategies
+    # (condition, player, context masks) -> the player's optimal strategies
     optimal: dict[tuple, frozenset[str]] = {}
 
     def players_of(tag: int | None) -> range | tuple[int, ...]:
@@ -434,7 +432,7 @@ def naive_interpret(
         return (tag,)
 
     def holds(name: str, player: int, strategy: str, context: Restriction) -> bool:
-        key = (name, player, context.sets)
+        key = (name, player, context.masks)
         if key not in optimal:
             info = registry.get(name)
             if not info.analysis.context_safe:

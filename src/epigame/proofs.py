@@ -52,7 +52,7 @@ from .modal import (
     positive_in_x,
     substitute_x,
 )
-from .optimality import membership, plan
+from .optimality import plan
 
 TAUT_ATOM_LIMIT = 16
 
@@ -269,8 +269,9 @@ class LemmaRefused(Exception):
 
 
 class UndecidableLemmaError(ValueError):
-    """A lemma side the optimality kernel cannot decide: one that is not
-    context-safe."""
+    """A lemma admission that cannot be decided: a side the optimality
+    kernel cannot evaluate, one that is not context-safe, or an empty
+    corpus, which holds no model to sweep."""
 
 
 def implication_counterexamples(
@@ -297,9 +298,9 @@ def _first_counterexample(
     lhs_plan, rhs_plan = plan(lhs), plan(rhs)
     prefs = tuple(map(game.preferences, game.players))
     for context in restrictions(game):
-        inside = membership(context)
+        masks = context.masks
         escaping = [
-            lhs_plan(prefs[player], player, inside) & ~rhs_plan(prefs[player], player, inside)
+            lhs_plan(prefs[player], player, masks) & ~rhs_plan(prefs[player], player, masks)
             for player in game.players
         ]
         if any(escaping):
@@ -336,10 +337,11 @@ class LemmaRegistry:
         counterexample, in :func:`implication_counterexamples` order.
 
         A repeated name raises :class:`~epigame.conditions.DuplicateNameError`.
-        Both sides must be context-safe (registered conditions are closed),
-        else :class:`UndecidableLemmaError` is raised before any sweep.  For
-        such a condition, whether a (context, focus, owner) model satisfies
-        it depends only on the owner's strategy in the focus, which is the
+        Both sides must be context-safe (registered conditions are closed)
+        and the corpus must hold a game, else :class:`UndecidableLemmaError`
+        is raised before any sweep.  For a context-safe condition, whether
+        a (context, focus, owner) model satisfies it depends only on the
+        owner's strategy in the focus, which is the
         contract of :func:`~epigame.optimality.plan`.  So per context, one
         mask per player, lhs survivors minus rhs survivors, decides every
         focus of that player at once: the implication fails exactly at the
@@ -359,12 +361,14 @@ class LemmaRegistry:
                     f"lemma {name!r}: its {which} side {side!r} is not context-safe"
                 )
             sides.append(info.formula)
+        if not corpus:
+            raise UndecidableLemmaError(f"lemma {name!r}: an empty corpus has no model to sweep")
         checked = 0
         for index, game in enumerate(corpus):
             witness = _first_counterexample(game, *sides)
             if witness is not None:
                 raise LemmaRefused(name, ImplicationWitness(index, *witness))
-            checked += lattice_size(game) * len(list(game.profiles())) * game.n
+            checked += lattice_size(game) * len(game.payoffs) * game.n
         lemma = Lemma(name, lhs, rhs, tuple(sides), SweepEvidence(len(corpus), checked))
         self._entries[name] = lemma
         return lemma

@@ -144,7 +144,7 @@ def test_table_operator_laws():
     with certify("contracted table operators preserve outcomes and match the greatest fixpoint"):
         game = square_lattice_game()
         lattice = list(restrictions(game))
-        keys = [r.key() for r in lattice]
+        keys = [r.masks for r in lattice]
         monotone = 0
         for images in product(lattice, repeat=len(lattice)):
             op = TableOperator(game, dict(zip(keys, images)))

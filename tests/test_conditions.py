@@ -29,7 +29,7 @@ from epigame.conditions import (
 from epigame.games import Game, Restriction, bundled_games, restrictions
 from epigame.modal import ModalError, Rat, interpret, parse_nu, survivor_table
 from epigame.operators import ConditionOperator, OperatorError, condition_operator, iterate
-from epigame.optimality import membership, optimal_strategies, plan
+from epigame.optimality import optimal_strategies, plan
 from epigame.oracles import (
     enumerate_optimality_models,
     fig1_left,
@@ -151,7 +151,7 @@ def reference_eval(model, owner, formula, env):
 
     if isinstance(formula, CtxAtom):
         profile = value(formula.term)
-        return all(profile[i] in model.context.sets[i] for i in range(game.n))
+        return all(profile[i] in model.context.ordered(i) for i in range(game.n))
     if isinstance(formula, GeqAtom):
         base = list(value(formula.ctx))
         left, right = list(base), list(base)
@@ -213,7 +213,7 @@ def test_local_dominance_holds_on_own_singleton_context():
     lsd = builtin("lsd")
     for game in (fig1_left(), fig1_right()):
         for context, focus in enumerate_optimality_models(game):
-            if context.sets[0] == frozenset({focus[0]}):
+            if context.ordered(0) == (focus[0],):
                 assert models(OptimalityModel(game, context, focus), 0, lsd)
 
 
@@ -456,7 +456,7 @@ def with_emptied_components(context):
     """The context, then each variant of it with one component emptied."""
     yield context
     for j in context.game.players:
-        yield Restriction(context.game, context.sets[:j] + (frozenset(),) + context.sets[j + 1 :])
+        yield Restriction(context.game, context.masks[:j] + (0,) + context.masks[j + 1 :])
 
 
 @settings(max_examples=200, deadline=None)
@@ -500,10 +500,9 @@ def test_commuted_builtins_have_the_builtin_survivors(name):
     checked = 0
     for game in bundled_games() + generated_games():
         for context in restrictions(game):
-            inside = membership(context)
             for owner in game.players:
                 prefs = game.preferences(owner)
-                assert late(prefs, owner, inside) == builtin_plan(prefs, owner, inside), (
+                assert late(prefs, owner, context.masks) == builtin_plan(prefs, owner, context.masks), (
                     game, context, owner
                 )
                 checked += 1
@@ -576,10 +575,7 @@ def test_survivor_table_matches_restriction_path(game, contexts, naive_every):
     asked with a restriction and with the naive reference."""
     checked = empty = 0
     for index, context in enumerate(contexts(game)):
-        masks = tuple(
-            sum(1 << k for k, s in enumerate(names) if s in chosen)
-            for names, chosen in zip(game.strategies, context.sets)
-        )
+        masks = context.masks
         empty += 0 in masks
         for name in BUILTIN_CONDITION_TEXT:
             formula = builtin(name)

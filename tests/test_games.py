@@ -7,11 +7,13 @@ from hypothesis import given, strategies as st
 from epigame.games import (
     Game,
     GameFormatError,
+    Restriction,
     format_game,
     lattice_size,
     parse_game,
     profile_with,
     restrictions,
+    subsets,
 )
 
 RIGHT_GAME = """\
@@ -43,7 +45,7 @@ def test_one_player_game():
     g = Game((("a",),), {("a",): (Fraction(0),)})
     assert g.n == 1
     assert list(g.profiles()) == [("a",)]
-    assert g.full_restriction().sets == (frozenset({"a"}),)
+    assert g.full_restriction().masks == (1,)
 
 
 def test_zero_players_rejected():
@@ -221,19 +223,24 @@ def test_lattice_laws_exhaustive():
                     assert high.leq(c)
 
 
-def _subset(draw, names):
-    return frozenset(draw(st.sets(st.sampled_from(sorted(names)))))
+@st.composite
+def games_with_name_sets(draw):
+    """A game of 1-3 players with 1-3 strategies each, and three restrictions
+    of it given as one set of strategy names per player."""
+    shape = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    strategies = tuple(tuple(f"p{i}s{k}" for k in range(m)) for i, m in enumerate(shape))
+    game = Game(strategies, {p: tuple(Fraction(0) for _ in shape) for p in product(*strategies)})
+    sets = [tuple(frozenset(draw(st.sets(st.sampled_from(names)))) for names in strategies) for _ in range(3)]
+    return game, sets
 
 
-restriction_pairs = st.tuples(
-    st.sets(st.sampled_from(["U", "D"])), st.sets(st.sampled_from(["L", "R"]))
-)
-
-
-@given(restriction_pairs, restriction_pairs, restriction_pairs)
-def test_lattice_algebra(xs, ys, zs):
-    g = right_game()
-    a, b, c = (g.restriction(*pair) for pair in (xs, ys, zs))
+@given(games_with_name_sets())
+def test_lattice_algebra(drawn):
+    """The lattice laws, and the masks agree with the name sets they were
+    built from: leq, meet, join, size, is_empty and ordered are inclusion,
+    intersection, union, count, emptiness and strategy order."""
+    g, (xs, ys, zs) = drawn
+    a, b, c = (g.restriction(*sets) for sets in (xs, ys, zs))
     assert a.meet(b) == b.meet(a)
     assert a.join(b) == b.join(a)
     assert a.meet(b.meet(c)) == a.meet(b).meet(c)
@@ -242,6 +249,43 @@ def test_lattice_algebra(xs, ys, zs):
     assert a.join(a.meet(b)) == a
     if a.leq(b) and b.leq(c):
         assert a.leq(c)
+
+    def names(r):
+        return tuple(frozenset(r.ordered(i)) for i in g.players)
+
+    assert a.leq(b) == all(map(frozenset.issubset, xs, ys))
+    assert names(a.meet(b)) == tuple(map(frozenset.intersection, xs, ys))
+    assert names(a.join(b)) == tuple(map(frozenset.union, xs, ys))
+    for r, sets in ((a, xs), (b, ys), (c, zs)):
+        assert names(r) == sets
+        assert r.size() == sum(map(len, sets))
+        assert r.is_empty() == (not any(sets))
+        for i, strategies in enumerate(g.strategies):
+            assert r.ordered(i) == tuple(s for s in strategies if s in sets[i])
+
+
+@given(games_with_name_sets())
+def test_restrictions_count_masks_in_subsets_order(drawn):
+    g, _ = drawn
+    named = [tuple(frozenset(r.ordered(i)) for i in g.players) for r in restrictions(g)]
+    assert named == list(product(*map(subsets, g.strategies)))
+    assert len(named) == len(set(named)) == lattice_size(g)
+
+
+@given(games_with_name_sets())
+def test_restriction_refuses_a_wrong_arity_and_a_stray_bit(drawn):
+    g, _ = drawn
+    full = g.full_restriction().masks
+    assert Restriction(g, full) == g.restriction(*g.strategies)
+    with pytest.raises(ValueError, match="one component per player"):
+        Restriction(g, full + (0,))
+    with pytest.raises(ValueError, match="one component per player"):
+        Restriction(g, full[1:])
+    for i, names in enumerate(g.strategies):
+        for stray in (1 << len(names), -1):
+            masks = full[:i] + (stray,) + full[i + 1 :]
+            with pytest.raises(ValueError, match=f"bit past player {i + 1}'s {len(names)} strategies"):
+                Restriction(g, masks)
 
 
 def test_cross_game_lattice_ops_rejected():

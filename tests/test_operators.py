@@ -1,8 +1,13 @@
+import os
+import subprocess
+import sys
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import epigame
 from epigame.conditions import BUILTIN_CONDITION_TEXT, analyze, builtin, parse_lo, pretty_lo
 from epigame.games import restrictions
 from epigame.operators import (
@@ -22,6 +27,7 @@ from epigame.oracles import (
     fig1_right,
     fig2,
     generated_conditions,
+    generated_games,
     identity_table,
     lemma_inclusion_check,
     naive_optimal_strategies,
@@ -115,8 +121,8 @@ def test_apply_matches_the_naive_reference():
             for r in restrictions(game):
                 image = op.apply(r)
                 for i in game.players:
-                    expected = naive_optimal_strategies(game, i, f, r) & r.sets[i]
-                    assert image.sets[i] == expected, (pretty_lo(f), r, i)
+                    expected = naive_optimal_strategies(game, i, f, r) & set(r.ordered(i))
+                    assert set(image.ordered(i)) == expected, (pretty_lo(f), r, i)
 
 
 def test_closure_ordinal_bounded_by_strategy_count():
@@ -161,12 +167,45 @@ def test_sampled_monotonicity_check():
     assert report.monotone and report.pairs_checked == 200
 
 
+def test_a_sampled_check_of_no_pairs_is_refused():
+    op = condition_operator(fig2(), "lsd")
+    for samples in (0, -1):
+        with pytest.raises(OperatorError, match=f"at least one pair, not {samples}"):
+            check_monotone(op, samples=samples)
+
+
+SAMPLED_MONOTONICITY = """
+from epigame.operators import check_monotone, condition_operator
+from epigame.oracles import generated_games
+report = check_monotone(condition_operator(generated_games()[8], "lsd"), samples=200, seed=5)
+print(report.monotone, report.pairs_checked, *map(str, report.witness or ()), sep=" | ")
+"""
+
+
+def test_sampled_monotonicity_does_not_depend_on_the_hash_seed():
+    """The pairs are drawn in strategy order, never in a set's hash order,
+    so one seed gives one report in every interpreter."""
+    src = str(Path(epigame.__file__).parents[1])
+    outputs = [
+        subprocess.run(
+            [sys.executable, "-c", SAMPLED_MONOTONICITY],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": hash_seed},
+        ).stdout
+        for hash_seed in ("0", "1")
+    ]
+    report = check_monotone(condition_operator(generated_games()[8], "lsd"), samples=200, seed=5)
+    here = " | ".join([str(report.monotone), str(report.pairs_checked), *map(str, report.witness or ())])
+    assert outputs == [here + "\n"] * 2
+    assert not report.monotone
+
+
 # --- table operators on the four-element lattice -----------------------------
 
 
 def all_table_operators(game):
     lattice = list(restrictions(game))
-    keys = [r.key() for r in lattice]
+    keys = [r.masks for r in lattice]
     for images in product(lattice, repeat=len(lattice)):
         yield TableOperator(game, dict(zip(keys, images)))
 
@@ -206,7 +245,7 @@ def test_no_fixpoint_error_message():
     game = square_lattice_game()
     lattice = list(restrictions(game))
     # map each element to its complement: a two-cycle from every start
-    flip = {r.key(): lattice[3 - i] for i, r in enumerate(lattice)}
+    flip = {r.masks: lattice[3 - i] for i, r in enumerate(lattice)}
     with pytest.raises(NoFixpointError, match="no fixpoint reached"):
         iterate(TableOperator(game, flip))
 
@@ -215,7 +254,7 @@ def test_table_validation():
     game = square_lattice_game()
     lattice = list(restrictions(game))
     with pytest.raises(OperatorError, match="missing an image"):
-        TableOperator(game, {lattice[0].key(): lattice[0]})
+        TableOperator(game, {lattice[0].masks: lattice[0]})
     with pytest.raises(OperatorError, match="different game"):
         constant_table(game, fig2().full_restriction())
 
@@ -286,7 +325,7 @@ square_images = st.sampled_from(list(restrictions(square_lattice_game())))
 @given(st.tuples(square_images, square_images, square_images, square_images))
 def test_contraction_tames_any_table(images):
     game = square_lattice_game()
-    keys = [r.key() for r in restrictions(game)]
+    keys = [r.masks for r in restrictions(game)]
     op = ContractedOperator(TableOperator(game, dict(zip(keys, images))))
     for r in restrictions(game):
         assert op.apply(r).leq(r)

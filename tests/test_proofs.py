@@ -340,6 +340,15 @@ def test_lemma_sides_must_be_closed_and_context_safe():
     assert "focal_implies_gsd" not in registry and "gbr_implies_focal" not in registry
 
 
+def test_an_empty_corpus_admits_no_lemma():
+    # lsd -> gbr is false: nothing but a sweep of no game would admit it
+    registry = LemmaRegistry()
+    with pytest.raises(UndecidableLemmaError) as refusal:
+        registry.register("bad", "lsd", "gbr", REGISTRY, [])
+    assert str(refusal.value) == "lemma 'bad': an empty corpus has no model to sweep"
+    assert "bad" not in registry
+
+
 def test_lemma_sweep_leaves_the_game_memo_alone():
     corpus = [copy.copy(game) for game in bundled_games()]  # copies start without caches
     registry = LemmaRegistry()
