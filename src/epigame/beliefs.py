@@ -7,9 +7,8 @@ are plain sets of states here; ``game_of_event`` projects an event down to
 the restriction of strategies actually played somewhere inside it.  The
 modal evaluator works on state bitmasks instead and builds its contexts
 itself; these set-based functions are what its reference is built from.
-Validity sweeps enumerate and sample models in that mask form, in the
-order and with the random draws of the model-building generators in
-:mod:`epigame.oracles`.
+Sampled validity sweeps draw models in that mask form, with the random
+draws of the model-building generator in :mod:`epigame.oracles`.
 :func:`parse_model` refuses at the offending line everything
 :class:`BeliefModel` would refuse, so a model file's errors name their line.
 """
@@ -19,7 +18,6 @@ from __future__ import annotations
 import random
 import re
 from dataclasses import dataclass
-from itertools import product
 from typing import Iterator, Mapping
 
 from .games import FormatError, Game, Restriction, check_names, player_line, records, require_players
@@ -149,33 +147,13 @@ def common_belief(model: BeliefModel, event: Event) -> CommonBeliefResult:
 
 
 # ---------------------------------------------------------------------------
-# Enumeration and sampling, for validity sweeps
+# Sampling, for validity sweeps
 
 
 # A model in mask form, as the modal evaluator reads it: ``plays[i][k]`` is
 # the index of player i's strategy at state k, and ``possible[i][k]`` the
 # mask of the states player i considers possible there (state k is bit k).
 Masks = tuple[tuple[int, ...], ...]
-
-
-def enumerate_model_masks(game: Game, max_states: int) -> Iterator[tuple[Masks, Masks]]:
-    """The models of :func:`epigame.oracles.enumerate_belief_models` as
-    (plays, possible) masks, in the same order; consecutive models with the
-    same plays share one plays tuple.  Refuses more than
-    :data:`MAX_ENUM_STATES` states at once, not at the first model."""
-    if max_states > MAX_ENUM_STATES:
-        raise EnumerationLimitError(f"exhaustive enumeration is limited to {MAX_ENUM_STATES} states")
-    return _model_masks(game, max_states)
-
-
-def _model_masks(game: Game, max_states: int) -> Iterator[tuple[Masks, Masks]]:
-    for count in range(1, max_states + 1):
-        # state k's possibility sets in games.subsets() order: the mask itself
-        poss_choices = list(product(range(1 << count), repeat=count))
-        play_choices = [list(product(range(len(names)), repeat=count)) for names in game.strategies]
-        for plays in product(*play_choices):
-            for possible in product(poss_choices, repeat=game.n):
-                yield plays, possible
 
 
 def sample_model_masks(

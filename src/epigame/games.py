@@ -143,7 +143,13 @@ class Game:
         if len(components) != self.n:
             raise ValueError(f"expected {self.n} components, got {len(components)}")
         masks = []
-        for i, (names, chosen) in enumerate(zip(self.strategies, map(set, components))):
+        for i, (names, chosen) in enumerate(zip(self.strategies, components)):
+            if isinstance(chosen, str):
+                raise ValueError(
+                    f"player {i + 1}'s component is the string {chosen!r}; "
+                    "a component is a collection of strategy names"
+                )
+            chosen = set(chosen)
             rogue = chosen.difference(names)
             if rogue:
                 raise ValueError(f"unknown strategy {sorted(rogue)[0]!r} for player {i + 1}")
@@ -246,6 +252,10 @@ class Restriction:
 
     def size(self) -> int:
         return sum(mask.bit_count() for mask in self.masks)
+
+    def __repr__(self) -> str:
+        # the game, payoffs and all, would bury the masks
+        return f"Restriction({self.masks}, {str(self)!r})"
 
     def __str__(self) -> str:
         parts = []

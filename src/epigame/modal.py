@@ -29,20 +29,37 @@ model of the game) and player range, and makes every refusal.  A context
 is a tuple of per-player strategy masks, the form of
 :attr:`~epigame.games.Restriction.masks`, which a condition's
 :func:`~epigame.optimality.plan` reads as it is.  The model in mask form
-memoises its contexts, the optimal states of each (condition, player) in them and
-the rationality rows: for each (condition, player) and possibility row of
-that player, the states where the player's strategy survives in the
-context it considers possible.  All three hold for every model with the
-same plays, so a sweep keeps them while only the possibility sets change.
-Every other subformula is recomputed on each fixpoint round or ``forall
+memoises its contexts, the optimal states of each (condition, player) in
+them and the rationality atoms.  Every other subformula is recomputed on each fixpoint round or ``forall
 X`` candidate, except that a conjunction skips its right side when its
 left is empty.  The game keeps the last model interpreted in mask form,
-so that calls on one model share those memos.
-:func:`check_validity` feeds the program models in mask form straight
-from the enumeration or the sampler; a
+so that calls on one model share those memos.  :func:`interpret` and
+sampled validity checks run this per-model program; a sampled check feeds
+it models in mask form straight from the sampler.  A
 :class:`~epigame.beliefs.BeliefModel` and frozensets of state names
 appear only at the boundary: a countermodel, the ``env`` argument and the
 result of :func:`interpret`.
+
+Exhaustive validity checks compile the same formula, with the same
+refusals, into a block program instead, which evaluates every model of a
+plays block at once: the run of consecutive models, in
+:func:`~epigame.oracles.enumerate_model_masks` order, that share their
+plays.  An event is one ``int`` per state, a bit vector whose bit t, or
+lane t, stands for the block's model t.  The players' possibility rows
+are fixed digits of t, so "player i considers v possible at k" is a
+periodic lane pattern, computed once per (player count, state count).
+Negation, conjunction, belief and X are bit operations.  ``rat(c, i)`` at
+state k is the OR of the "possibility set equals S" patterns over the
+events S whose context keeps the strategy played at k, read from the
+survivor tables; ``O(c, i) E`` is the same OR over "E equals S" vectors.
+A fixpoint iterates whole vectors until none changes, which is exact
+because each lane is its own model's decreasing sequence, and ``forall
+X`` is the AND over the constant events.  The verdict is the AND over the
+states; its lowest clear lane, added to the block's offset, gives the
+first countermodel and the count of models checked, so both match a sweep
+of one model at a time.  A vector holds at most ``2**BLOCK_BITS`` lanes:
+a larger block, such as one of three players at three states, is swept
+in slices that fix the leading players' rows.
 """
 
 from __future__ import annotations
@@ -51,12 +68,14 @@ import re
 import weakref
 from collections import defaultdict
 from dataclasses import dataclass
-from functools import reduce
-from itertools import compress
-from operator import or_
+from functools import cache, reduce
+from itertools import compress, product
+from operator import and_, or_
 from typing import Callable, Iterator
 
-from .beliefs import BeliefModel, Event, enumerate_model_masks, model_of_masks, sample_model_masks
+from .beliefs import (
+    MAX_ENUM_STATES, BeliefModel, EnumerationLimitError, Event, model_of_masks, sample_model_masks
+)
 from .conditions import NAME, ConditionRegistry, Conj, FormulaO, Neg, _DescentParser, is_name
 from .games import Game, read_index
 from .optimality import plan
@@ -76,6 +95,11 @@ MAX_SECOND_ORDER_STATES = 20
 #: is emptied to compile one more program: as many as the ``plan`` and
 #: ``analyze`` caches keep.
 MAX_CACHED_PROGRAMS = 256
+
+#: log2 of the most models one lane vector of an exhaustive sweep holds.  A
+#: plays block with more models is swept in slices that each fix the
+#: leading players' possibility rows.
+BLOCK_BITS = 18
 
 
 # ---------------------------------------------------------------------------
@@ -364,25 +388,23 @@ class _Model:
 
     ``plays[i][k]`` is the bit of player i's strategy at state k, and
     ``possible[i]`` is player i's possibility row, a tuple whose k-th mask
-    holds the states i considers possible at state k; a sweep assigns it
-    directly.  The contexts and the ``optimal`` memos depend on the plays
-    alone.  So do the ``rational`` rows, the states where a player's
-    strategy survives in the context the player considers possible, once
-    they are keyed by the possibility row.  A sweep replaces the model when
-    the plays change, so every memo holds one plays block, and every
+    holds the states i considers possible at state k.  The model memoises
+    its contexts, the ``optimal`` states of each (survivor table, player)
+    in them, and the ``rational`` states of each, where the player's
+    strategy survives in the context the player considers possible; every
     program run on the model shares them all.
     """
 
     __slots__ = ("full", "plays", "possible", "rational", "contexts", "optimal")
 
-    def __init__(self, plays: tuple[tuple[int, ...], ...]):
+    def __init__(self, plays: tuple[tuple[int, ...], ...], possible: tuple[tuple[int, ...], ...]):
         self.full = (1 << len(plays[0])) - 1
         self.plays = plays
+        self.possible = possible
         self.contexts: dict[int, tuple[int, ...]] = {}
         # (survivor table, player) -> event -> optimal states
         self.optimal: defaultdict[tuple[SurvivorTable, int], dict[int, int]] = defaultdict(dict)
-        # (survivor table, player) -> possibility row -> rational states
-        self.rational: defaultdict[tuple[SurvivorTable, int], dict[tuple[int, ...], int]] = defaultdict(dict)
+        self.rational: dict[tuple[SurvivorTable, int], int] = {}
 
     def context(self, event: int) -> tuple[int, ...]:
         """The per-player masks of the strategies played in the event."""
@@ -421,8 +443,7 @@ def _load(model: BeliefModel) -> _Model:
     plays = tuple(
         [1 << names.index(row[s]) for s in states] for names, row in zip(model.game.strategies, model.plays)
     )
-    loaded = _Model(plays)
-    loaded.possible = tuple(tuple(sum(map(bit_of, row[s])) for s in states) for row in model.possible)
+    loaded = _Model(plays, tuple(tuple(sum(map(bit_of, row[s])) for s in states) for row in model.possible))
     # weakly held: the model holds the game, which would otherwise keep both
     # alive in a cycle
     cache[None] = (weakref.ref(model), loaded)
@@ -468,14 +489,12 @@ class _Compiler:
             def rat(m: _Model, env: int) -> int:
                 result = m.full
                 for ask in asks:
-                    row = m.possible[ask[1]]
-                    memo = m.rational[ask]
-                    held = memo.get(row)
+                    held = m.rational.get(ask)
                     if held is None:
                         held = 0
-                        for k, seen in enumerate(row):
+                        for k, seen in enumerate(m.possible[ask[1]]):
                             held |= m.optimal_states(ask, seen) & 1 << k
-                        memo[row] = held
+                        m.rational[ask] = held
                     result &= held
                 return result
 
@@ -543,18 +562,239 @@ class _Compiler:
         raise ModalError(f"cannot interpret {f!r}")
 
 
-def _program(game: Game, formula: FormulaNu, registry: ConditionRegistry) -> _Node:
-    """The game's compiled program for the formula, kept in
-    :attr:`Game.modal_cache` and keyed on the registry object itself.  A
-    full cache is emptied first; its survivor tables and last model are
-    rebuilt on demand."""
+# ---------------------------------------------------------------------------
+# Block programs: every model of one plays block at once
+
+
+def _minterms(event: tuple[int, ...], full: int) -> list[int]:
+    """``terms[S]``: the lanes where the per-state vectors of ``event``
+    hold at exactly the states of mask S, by Shannon expansion."""
+    terms = [full]
+    for inside in event:
+        outside = full ^ inside
+        terms = [t & outside for t in terms] + [t & inside for t in terms]
+    return terms
+
+
+@cache
+def _lanes(players: int, states: int) -> tuple[int, tuple, tuple]:
+    """The lane patterns of ``players`` free possibility rows over
+    ``states`` states, shared by every game.  Lane t is the model whose rows
+    are the digits of t in :func:`~epigame.oracles.enumerate_model_masks`
+    order: the first free player's row is the most significant, and within
+    a row so is state 0's set, state v being bit v.  Returns the full
+    vector, ``seen[f][k][v]``, the lanes where the f-th free player
+    considers v possible at k, and ``rows[f][k][S]``, those where that
+    possibility set is exactly S."""
+    full = (1 << (1 << players * states * states)) - 1
+
+    def digit(p: int) -> int:  # the lanes whose index has bit p set
+        return full // ((1 << (1 << p)) + 1) << (1 << p)
+
+    seen = tuple(
+        tuple(tuple(digit(((players - 1 - f) * states + states - 1 - k) * states + v) for v in range(states))
+              for k in range(states))
+        for f in range(players)
+    )
+    return full, seen, tuple(tuple(_minterms(vs, full) for vs in row) for row in seen)
+
+
+class _Block:
+    """The models of one plays block, or of one slice of it, as block
+    programs read them: an event is a tuple of per-state lane vectors, bit
+    t of a vector standing for the slice's model t.  ``plays`` is in the
+    form of :attr:`_Model.plays`, ``full`` is every lane, ``lanes`` the
+    universe event, and ``seen`` and ``rows`` are the :func:`_lanes`
+    patterns of every player, constant vectors for the ``fixed`` leading
+    rows of the slice.  ``rational`` holds the slice's rationality vectors per
+    ``rat`` node."""
+
+    __slots__ = ("plays", "contexts", "kept", "rational", "full", "lanes", "fixed", "seen", "rows")
+
+    def __init__(self, plays: tuple[tuple[int, ...], ...]):
+        self.plays = plays
+        # contexts[e]: the per-player masks of the strategies played in event
+        # e, which adds its lowest state to e's other states
+        self.contexts = [(0,) * len(plays)]
+        for e in range(1, 1 << len(plays[0])):
+            low = (e & -e).bit_length() - 1
+            self.contexts.append(tuple(c | row[low] for c, row in zip(self.contexts[e & e - 1], plays)))
+        self.kept: dict[tuple[SurvivorTable, int], tuple[tuple[int, ...], ...]] = {}
+
+    def keeps(self, ask: tuple[SurvivorTable, int]) -> tuple[tuple[int, ...], ...]:
+        """Per state k, the events (state masks) whose context keeps the
+        strategy the player plays at k, for ``ask`` = (table, player)."""
+        found = self.kept.get(ask)
+        if found is None:
+            table, player = ask
+            held = [table.survivors(player, context) for context in self.contexts]
+            found = self.kept[ask] = tuple(
+                tuple(e for e, survivors in enumerate(held) if survivors & bit) for bit in self.plays[player]
+            )
+        return found
+
+    def possible(self, lane: int) -> tuple[tuple[int, ...], ...]:
+        """The possibility rows of the lane's model, as a sweep yields them."""
+        states = len(self.plays[0])
+        free = len(self.seen) - len(self.fixed)
+        digits = (lane >> (free - 1 - f) * states * states for f in range(free))
+        return self.fixed + tuple(_row(d & (1 << states * states) - 1, states) for d in digits)
+
+
+def _any_of(vectors: list[int], events: tuple[int, ...]) -> int:
+    return reduce(or_, map(vectors.__getitem__, events), 0)
+
+
+class _BlockCompiler(_Compiler):
+    """Turns formulas into block programs: ``run(block, env)`` is the
+    formula's event on a :class:`_Block` when X denotes ``env``.  Each lane
+    computes what the per-model program computes on its model; compiling
+    makes the same refusals in the same order."""
+
+    def compile(self, f: FormulaNu) -> Callable:
+        if isinstance(f, Rat):
+            players = self._players(f.player)
+            table = self._table(f.condition)
+            asks = [(table, i) for i in players]
+
+            def rat(b: _Block, env: tuple[int, ...]) -> tuple[int, ...]:
+                result = b.rational.get(rat)
+                if result is None:
+                    result = b.lanes
+                    for ask in asks:
+                        result = tuple(map(and_, result, map(_any_of, b.rows[ask[1]], b.keeps(ask))))
+                    b.rational[rat] = result
+                return result
+
+            return rat
+        if isinstance(f, Neg):
+            body = self.compile(f.body)
+            return lambda b, env: tuple(b.full ^ v for v in body(b, env))
+        if isinstance(f, Conj):
+            left, right = self.compile(f.left), self.compile(f.right)
+
+            def conj(b: _Block, env: tuple[int, ...]) -> tuple[int, ...]:
+                held = left(b, env)
+                return tuple(map(and_, held, right(b, env))) if any(held) else held
+
+            return conj
+        if isinstance(f, Box):
+            body = self.compile(f.body)
+            players = self._players(f.player)
+
+            def box(b: _Block, env: tuple[int, ...]) -> tuple[int, ...]:
+                outside = [b.full ^ v for v in body(b, env)]
+                result = list(b.lanes)
+                for i in players:
+                    for k, seen in enumerate(b.seen[i]):
+                        result[k] &= ~reduce(or_, map(and_, seen, outside))
+                return tuple(result)
+
+            return box
+        if isinstance(f, Opt):
+            body = self.compile(f.body)
+            table = self._table(f.condition)
+            asks = [(table, i) for i in self._players(f.player)]
+
+            def opt(b: _Block, env: tuple[int, ...]) -> tuple[int, ...]:
+                terms = _minterms(body(b, env), b.full)
+                result = b.lanes
+                for ask in asks:
+                    result = tuple(r & _any_of(terms, keep) for r, keep in zip(result, b.keeps(ask)))
+                return result
+
+            return opt
+        if isinstance(f, SetVar):
+            return lambda b, env: env
+        if isinstance(f, Nu):
+            body = self.compile(f.body)
+
+            def nu(b: _Block, env: tuple[int, ...]) -> tuple[int, ...]:
+                # each lane's sequence is its model's, stationary once stable
+                current = b.lanes
+                while True:
+                    nxt = tuple(map(and_, body(b, current), current))
+                    if nxt == current:
+                        return current
+                    current = nxt
+
+            return nu
+        if isinstance(f, ForallX):
+            body = self.compile(f.body)
+
+            def forall(b: _Block, env: tuple[int, ...]) -> tuple[int, ...]:
+                result = b.lanes
+                states = range(len(result))
+                for candidate in range(1 << len(result)):
+                    constant = tuple(b.full if candidate >> v & 1 else 0 for v in states)
+                    result = tuple(map(and_, result, body(b, constant)))
+                    if not any(result):
+                        break
+                return result
+
+            return forall
+        raise ModalError(f"cannot interpret {f!r}")
+
+
+def _row(index: int, states: int) -> tuple[int, ...]:
+    """The possibility row whose per-state masks are the digits of index."""
+    return tuple(index >> (states - 1 - k) * states & (1 << states) - 1 for k in range(states))
+
+
+def _slices(game: Game, states: int) -> Iterator[tuple[tuple[tuple[int, ...], ...], _Block]]:
+    """(plays, block) for every slice of every plays block of the models
+    with ``states`` states, in the order of
+    :func:`~epigame.oracles.enumerate_model_masks`.  The slices of one plays
+    block are one :class:`_Block`, updated in place."""
+    row_bits = states * states
+    free = min(game.n, max(1, BLOCK_BITS // row_bits))
+    full, seen, rows = _lanes(free, states)
+    lanes = (full,) * states
+    # per slice: the fixed leading rows, then every player's patterns
+    slices = []
+    for leading in product(range(1 << row_bits), repeat=game.n - free):
+        fixed = tuple(_row(r, states) for r in leading)
+        slices.append((
+            fixed,
+            tuple(tuple(tuple(full if m >> v & 1 else 0 for v in range(states)) for m in row) for row in fixed)
+            + seen,
+            tuple(tuple([full if e == m else 0 for e in range(1 << states)] for m in row) for row in fixed)
+            + rows,
+        ))
+    for plays in product(*(product(range(len(names)), repeat=states) for names in game.strategies)):
+        block = _Block(tuple(tuple(1 << s for s in row) for row in plays))
+        block.full, block.lanes = full, lanes
+        for block.fixed, block.seen, block.rows in slices:
+            block.rational = {}
+            yield plays, block
+
+
+def _sweep_blocks(game: Game, run: Callable, max_states: int) -> ValidityReport:
+    """Run a block program over every model with up to ``max_states``
+    states, in the order of :func:`~epigame.oracles.enumerate_model_masks`."""
+    checked = 0
+    for states in range(1, max_states + 1):
+        for plays, block in _slices(game, states):
+            failed = block.full ^ reduce(and_, run(block, block.lanes))
+            if failed:
+                lane = (failed & -failed).bit_length() - 1
+                return ValidityReport(False, model_of_masks(game, plays, block.possible(lane)), checked + lane + 1)
+            checked += block.full.bit_length()
+    return ValidityReport(True, None, checked)
+
+
+def _program(game: Game, formula: FormulaNu, registry: ConditionRegistry, compiler: type = _Compiler) -> Callable:
+    """The game's program for the formula, per-model or block by
+    ``compiler``, kept in :attr:`Game.modal_cache` and keyed on the
+    registry object itself.  A full cache is emptied first; its survivor
+    tables and last model are rebuilt on demand."""
     cache = game.modal_cache
-    key = (formula, registry)
+    key = (formula, registry, compiler)
     program = cache.get(key)
     if program is None:
         if len(cache) >= MAX_CACHED_PROGRAMS:
             cache.clear()
-        program = cache[key] = _Compiler(game, registry).compile(formula)
+        program = cache[key] = compiler(game, registry).compile(formula)
     return program
 
 
@@ -628,7 +868,11 @@ def check_validity(
     Returns the first countermodel found.  Raises :class:`ModalError` when
     the search would check no model at all, so a positive verdict is never
     earned on an empty corpus, and when a second-order formula or a sampled
-    search comes with more than :data:`MAX_SECOND_ORDER_STATES` states.
+    search comes with more than :data:`MAX_SECOND_ORDER_STATES` states;
+    raises :class:`~epigame.beliefs.EnumerationLimitError` for an exhaustive
+    search past :data:`~epigame.beliefs.MAX_ENUM_STATES` states, before any
+    work.  The exhaustive search runs the block program, the sampled one the
+    per-model program.
     """
     if max_states < 1:
         raise ModalError(f"models need at least 1 state, got {max_states}")
@@ -640,19 +884,14 @@ def check_validity(
     if max_states > MAX_SECOND_ORDER_STATES and (second_order or samples is not None):
         kind = "second-order" if second_order else "sampled"
         raise ModalError(f"{kind} validity checks are limited to {MAX_SECOND_ORDER_STATES} states")
+    registry = registry or ConditionRegistry.standard()
     if samples is None:
-        candidates = enumerate_model_masks(game, max_states)
-    else:
-        candidates = sample_model_masks(game, samples, max_states, seed)
-    run = _program(game, formula, registry or ConditionRegistry.standard())
-    checked = 0
-    last = model = None
-    for plays, possible in candidates:
-        checked += 1
-        if plays is not last:
-            last = plays
-            model = _Model(tuple(tuple(1 << s for s in row) for row in plays))
-        model.possible = possible
+        if max_states > MAX_ENUM_STATES:
+            raise EnumerationLimitError(f"exhaustive enumeration is limited to {MAX_ENUM_STATES} states")
+        return _sweep_blocks(game, _program(game, formula, registry, _BlockCompiler), max_states)
+    run = _program(game, formula, registry)
+    for checked, (plays, possible) in enumerate(sample_model_masks(game, samples, max_states, seed), 1):
+        model = _Model(tuple(tuple(1 << s for s in row) for row in plays), possible)
         if run(model, model.full) != model.full:
             return ValidityReport(False, model_of_masks(game, plays, possible), checked)
-    return ValidityReport(True, None, checked)
+    return ValidityReport(True, None, samples)

@@ -28,6 +28,7 @@ from .beliefs import (
     BeliefModel,
     EnumerationLimitError,
     Event,
+    Masks,
     believes,
     game_of_event,
     model_of_masks,
@@ -355,7 +356,7 @@ def naive_optimal_strategies(
 def enumerate_belief_models(game: Game, max_states: int) -> Iterator[BeliefModel]:
     """Every belief model over the game with 1..max_states states, in a
     fixed order, without duplicates: the order of
-    :func:`~epigame.beliefs.enumerate_model_masks`, which the tests pin."""
+    :func:`enumerate_model_masks`, which the tests pin."""
     if max_states > MAX_ENUM_STATES:
         raise EnumerationLimitError(f"exhaustive enumeration is limited to {MAX_ENUM_STATES} states")
     for count in range(1, max_states + 1):
@@ -367,6 +368,28 @@ def enumerate_belief_models(game: Game, max_states: int) -> Iterator[BeliefModel
             plays = tuple(dict(zip(states, chosen)) for chosen in plays_combo)
             for possible in product(poss_choices, repeat=game.n):
                 yield BeliefModel(game, states, plays, possible)
+
+
+def enumerate_model_masks(game: Game, max_states: int) -> Iterator[tuple[Masks, Masks]]:
+    """The models of :func:`enumerate_belief_models` as (plays, possible)
+    masks, in the same order: the lane order of the exhaustive sweeps of
+    :func:`~epigame.modal.check_validity`.  Consecutive models with the
+    same plays share one plays tuple.  Refuses more than
+    :data:`~epigame.beliefs.MAX_ENUM_STATES` states at once, not at the
+    first model."""
+    if max_states > MAX_ENUM_STATES:
+        raise EnumerationLimitError(f"exhaustive enumeration is limited to {MAX_ENUM_STATES} states")
+    return _model_masks(game, max_states)
+
+
+def _model_masks(game: Game, max_states: int) -> Iterator[tuple[Masks, Masks]]:
+    for count in range(1, max_states + 1):
+        # state k's possibility sets in games.subsets() order: the mask itself
+        poss_choices = list(product(range(1 << count), repeat=count))
+        play_choices = [list(product(range(len(names)), repeat=count)) for names in game.strategies]
+        for plays in product(*play_choices):
+            for possible in product(poss_choices, repeat=game.n):
+                yield plays, possible
 
 
 def sample_belief_models(

@@ -8,6 +8,7 @@ from epigame.games import (
     Game,
     GameFormatError,
     Restriction,
+    bundled_game,
     format_game,
     lattice_size,
     parse_game,
@@ -15,6 +16,7 @@ from epigame.games import (
     restrictions,
     subsets,
 )
+from epigame.oracles import generated_games
 
 RIGHT_GAME = """\
 # dominance example
@@ -297,6 +299,15 @@ def test_cross_game_lattice_ops_rejected():
 def test_restriction_unknown_strategy_rejected():
     with pytest.raises(ValueError, match="unknown strategy"):
         right_game().restriction({"U", "Q"}, {"L"})
+
+
+def test_restriction_refuses_a_string_component():
+    # a str is a collection of characters: "UD" would read as {"U", "D"}
+    for game, components in ((bundled_game("fig2"), ("UD", "LR")), (generated_games()[8], ("a1", "b1"))):
+        with pytest.raises(ValueError, match="player 1's component is the string .* collection of strategy names"):
+            game.restriction(*components)
+    with pytest.raises(ValueError, match="player 2's component is the string 'L'"):
+        right_game().restriction({"U"}, "L")
 
 
 def test_restriction_str_uses_dash_for_empty():

@@ -2,14 +2,14 @@ import copy
 import gc
 import pickle
 import weakref
-from fractions import Fraction
 from itertools import islice, product
+from math import prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from epigame.beliefs import BeliefModel, enumerate_model_masks, model_of_masks, parse_model
-from epigame import conditions
+from epigame.beliefs import BeliefModel, EnumerationLimitError, model_of_masks, parse_model
+from epigame import conditions, modal
 from epigame.conditions import MAX_NESTING, ConditionRegistry, CtxAtom, FormulaSyntaxError, builtin, parse_lo
 from epigame.games import Game, bundled_games, format_game, parse_game, subsets
 from epigame.modal import (
@@ -22,7 +22,12 @@ from epigame.modal import (
     Nu,
     Opt,
     Rat,
+    ValidityReport,
     X,
+    _BlockCompiler,
+    _Model,
+    _program,
+    _slices,
     check_validity,
     common_belief_formula,
     has_free_x,
@@ -40,6 +45,7 @@ from epigame.modal import (
 )
 from epigame.oracles import (
     enumerate_belief_models,
+    enumerate_model_masks,
     fig1_left,
     fig1_right,
     fig2,
@@ -49,6 +55,7 @@ from epigame.oracles import (
     nu_via_postfixpoints,
     sample_belief_models,
 )
+from test_conditions import tied_games
 
 REGISTRY = ConditionRegistry.standard()
 
@@ -473,18 +480,6 @@ def test_iter_subformulas():
 
 
 @st.composite
-def small_games(draw):
-    """A game with 1-3 players, 1-3 strategies each and payoffs in 0..2."""
-    shape = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
-    strategies = tuple(tuple(f"p{i}s{k}" for k in range(m)) for i, m in enumerate(shape))
-    payoffs = {
-        profile: tuple(Fraction(draw(st.integers(0, 2))) for _ in shape)
-        for profile in product(*strategies)
-    }
-    return Game(strategies, payoffs)
-
-
-@st.composite
 def models_over(draw, game):
     """A belief model over the game with 1-4 states."""
     states = tuple(f"w{k + 1}" for k in range(draw(st.integers(1, 4))))
@@ -499,7 +494,7 @@ def models_over(draw, game):
 def small_models(draw):
     """A game with 1-3 players, 1-3 strategies each and payoffs in 0..2, and
     a belief model over it with 1-4 states."""
-    return draw(models_over(draw(small_games())))
+    return draw(models_over(draw(tied_games())))
 
 
 def modal_formulas(players):
@@ -602,12 +597,110 @@ def test_exhaustive_sweeps_match_the_naive_loop(game, formula):
     assert (report.models_checked, report.countermodel) == (checked, countermodel), pretty_nu(formula)
 
 
+# --- block programs against the per-model program ------------------------------
+
+
+def per_model_sweep(game, formula, max_states):
+    """(models checked, first countermodel) of the per-model program run on
+    each enumerated model in turn."""
+    run = _program(game, ForallX(formula) if has_free_x(formula) else formula, REGISTRY)
+    checked = 0
+    for plays, possible in enumerate_model_masks(game, max_states):
+        checked += 1
+        model = _Model(tuple(tuple(1 << s for s in row) for row in plays), possible)
+        if run(model, model.full) != model.full:
+            return checked, model_of_masks(game, plays, possible)
+    return checked, None
+
+
+def check_lanes(game, formula, states, env, picked):
+    """Every lane of the picked slices of a sweep against the per-model
+    program on the lane's model, with X denoting the state mask env."""
+    block_run = _program(game, formula, REGISTRY, _BlockCompiler)
+    run = _program(game, formula, REGISTRY)
+    checked = 0
+    for index, (plays, block) in enumerate(_slices(game, states)):
+        if index not in picked:
+            continue
+        result = block_run(block, tuple(block.full if env >> v & 1 else 0 for v in range(states)))
+        bits = tuple(tuple(1 << s for s in row) for row in plays)
+        for lane in range(block.full.bit_length()):
+            model = _Model(bits, block.possible(lane))
+            held = sum((vector >> lane & 1) << k for k, vector in enumerate(result))
+            assert held == run(model, env), (index, lane)
+            checked += 1
+    assert checked
+
+
+def slice_count(game, states):
+    return prod(len(names) ** states for names in game.strategies) * (
+        1 << states * states * (game.n - min(game.n, max(1, modal.BLOCK_BITS // (states * states))))
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_block_lanes_match_the_per_model_program(data):
+    """Non-positive nu bodies and free X included: each lane is its own
+    model's computation."""
+    game = data.draw(st.sampled_from(bundled_games() + generated_games()))
+    formula = data.draw(modal_formulas(2))
+    states = data.draw(st.integers(1, 2))
+    picked = data.draw(st.sets(st.integers(0, slice_count(game, states) - 1), min_size=1, max_size=2))
+    check_lanes(game, formula, states, data.draw(st.integers(0, (1 << states) - 1)), picked)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_sliced_blocks_match_the_per_model_program(data):
+    """Three players with vectors of at most 4 lanes: every plays block is
+    cut into slices that fix the leading players' rows."""
+    game = data.draw(tied_games().filter(lambda g: g.n == 3))
+    formula = data.draw(modal_formulas(3))
+    states = data.draw(st.integers(1, 2))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(modal, "BLOCK_BITS", 2)
+        picked = data.draw(st.sets(st.integers(0, slice_count(game, states) - 1), min_size=1, max_size=3))
+        check_lanes(game, formula, states, data.draw(st.integers(0, (1 << states) - 1)), picked)
+
+
+THEOREMS = (
+    "rat(gbr) and CB rat(gbr) -> nu X . O(gbr) X",
+    "rat(gsd) and CB rat(gsd) -> nu X . O(gsd) X",
+    "rat(gbr) and CB rat(gbr) -> nu X . O(lsd) X",
+)
+
+
+@pytest.mark.parametrize("block_bits", [modal.BLOCK_BITS, 1], ids=["whole", "sliced"])
+def test_exhaustive_counts_and_countermodels_are_exact(block_bits, monkeypatch):
+    monkeypatch.setattr(modal, "BLOCK_BITS", block_bits)
+    for game, valid_count in zip(bundled_games(), (4_112, 4_112, 9_240)):
+        for text in REFUTABLE + THEOREMS:
+            formula = parse_nu(text)
+            for states in (1, 2):
+                report = check_validity(game, formula, max_states=states)
+                expected = per_model_sweep(game, formula, states)
+                assert (report.models_checked, report.countermodel) == expected, (text, states)
+                assert report.valid == (expected[1] is None)
+            assert report.valid == (text in THEOREMS)
+            if report.valid:
+                assert report.models_checked == valid_count
+
+
+def test_a_three_state_sweep_is_exact():
+    formula = parse_nu("rat(gbr) and CB rat(gbr) -> nu X . O(gbr) X")
+    assert check_validity(fig1_left(), formula, max_states=3) == ValidityReport(True, None, 16_781_328)
+    with pytest.raises(EnumerationLimitError, match="^exhaustive enumeration is limited to 3 states$"):
+        # refused before the unknown condition is looked up
+        check_validity(fig1_left(), Rat("nope"), max_states=4)
+
+
 @pytest.mark.parametrize("game", [fig1_right(), fig2()], ids=["2x2", "fig2"])
 def test_mask_enumeration_is_the_model_enumeration(game):
     masks = list(enumerate_model_masks(game, 2))
     assert [model_of_masks(game, *pair) for pair in masks] == list(enumerate_belief_models(game, 2))
-    # consecutive models share their plays tuple, which sweeps rely on to
-    # keep the contexts they computed
+    # a plays block, the models one block vector holds, is a run of
+    # consecutive models with one plays tuple
     assert len({id(plays) for plays, _ in masks}) < len(masks)
     with pytest.raises(ValueError, match="limited to 3 states"):
         enumerate_model_masks(game, 4)
@@ -618,7 +711,7 @@ def test_mask_enumeration_is_the_model_enumeration(game):
 def test_cached_programs_carry_nothing_between_models(data):
     """Several models of one game in a row share each formula's compiled
     program; every result must still match the reference."""
-    game = data.draw(small_games())
+    game = data.draw(tied_games())
     formulas = data.draw(st.lists(modal_formulas(game.n), min_size=1, max_size=3))
     for _ in range(data.draw(st.integers(2, 5))):
         m = data.draw(models_over(game))
@@ -632,8 +725,8 @@ def test_cached_programs_carry_nothing_between_models(data):
 def test_programs_interleaved_on_one_model_start_fresh(m):
     """Programs with different rat atoms run in turn on one model, which the
     game keeps in mask form between the calls; they share that model's
-    memo of rationality rows, keyed by (survivor table, player) and
-    possibility row, so each must read only the rows of its own atoms."""
+    memo of rationality atoms, keyed by (survivor table, player), so each
+    must read only the entries of its own atoms."""
     one = parse_nu("rat(gbr) and CB rat(gbr)")  # memoises rat(gbr)
     two = parse_nu("CB rat(lsd) and not rat(gsd)")  # adds rat(lsd), rat(gsd)
     # reads rat(lsd) inside a binder, next to the rat(gbr) that `one` left

@@ -200,6 +200,14 @@ def test_sampled_monotonicity_does_not_depend_on_the_hash_seed():
     assert not report.monotone
 
 
+def test_a_report_shows_its_witness_masks_without_the_game():
+    report = check_monotone(condition_operator(generated_games()[8], "lsd"), samples=200, seed=5)
+    text = repr(report)
+    assert len(text) < 300
+    assert [r.masks for r in report.witness] == [(0, 4), (3, 7)]
+    assert "Restriction((0, 4), '1: - / 2: b3')" in text and "Restriction((3, 7), " in text
+
+
 # --- table operators on the four-element lattice -----------------------------
 
 
