@@ -687,6 +687,16 @@ def test_exhaustive_counts_and_countermodels_are_exact(block_bits, monkeypatch):
                 assert report.models_checked == valid_count
 
 
+def test_block_programs_refuse_as_the_per_model_program_does():
+    for text in ("rat(nope) and rat(gbr, 5)", "rat(gbr, 5) and rat(nope)", "O(nope, 7) X", "[9] rat(nope)"):
+        refusals = []
+        for kwargs in ({"max_states": 2}, {"samples": 3}):
+            with pytest.raises((KeyError, ModalError)) as exc:
+                check_validity(fig1_left(), parse_nu(text), **kwargs)
+            refusals.append((type(exc.value), str(exc.value)))
+        assert refusals[0] == refusals[1], text
+
+
 def test_a_three_state_sweep_is_exact():
     formula = parse_nu("rat(gbr) and CB rat(gbr) -> nu X . O(gbr) X")
     assert check_validity(fig1_left(), formula, max_states=3) == ValidityReport(True, None, 16_781_328)
