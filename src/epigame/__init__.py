@@ -17,11 +17,12 @@ The layers, bottom up:
   on restrictions; iterate to a fixpoint, check monotonicity.
 - :mod:`epigame.beliefs` — finite belief models over a game: states, played
   strategies, possibility sets, belief and common belief of events;
-  enumeration and sampling of models, as bitmasks, for validity sweeps.
+  sampling of models, as bitmasks, for sampled validity sweeps.
 - :mod:`epigame.modal` — a modal language with rationality atoms, belief
   modalities, optimality operators and a greatest-fixpoint binder,
-  interpreted over belief models by programs compiled once per game, and
-  the per-game survivor table that memoises the kernel for them.
+  interpreted by one program per formula and game, which runs on one
+  model or on a block of models at once, and the per-game survivor table
+  that memoises the kernel for them.
 - :mod:`epigame.proofs` — line-by-line checking of derivations in that
   language, with semantically discharged implication lemmas; the bundled
   proof scripts.

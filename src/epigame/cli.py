@@ -49,7 +49,8 @@ from .proofs import LemmaRegistry, check_proof, parse_proof, standard_lemmas
 
 
 class UsageError(ValueError):
-    """A command line that does not pick out one condition to act on."""
+    """A command line that does not pick out one condition to act on, or
+    whose options do not go together."""
 
 
 _USER_ERRORS = (
@@ -160,13 +161,15 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def _cmd_check_valid(args: argparse.Namespace) -> int:
+    if args.seed is not None and args.random is None:
+        raise UsageError("--seed applies only to --random")
     game = parse_game(_read(args.game))
     registry = _load_registry(args.conditions)
     formula = parse_nu(args.formula)
     if args.random is not None:
         count, max_states = args.random
         report = check_validity(
-            game, formula, registry, max_states=max_states, samples=count, seed=args.seed
+            game, formula, registry, max_states=max_states, samples=count, seed=args.seed or 0
         )
     else:
         report = check_validity(game, formula, registry, max_states=args.exhaustive)
@@ -281,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar=("N", "K"),
         help="N sampled models with up to K states",
     )
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, help="seed of the --random draws (default 0)")
     p.add_argument("--conditions", action="append", help="extra condition file")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_check_valid)

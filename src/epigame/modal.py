@@ -20,46 +20,47 @@ checks read it universally instead, as ``forall X``.  A ``forall X``
 enumerates every event, so it is refused on models of more than
 :data:`MAX_SECOND_ORDER_STATES` states.
 
-A formula is compiled once per (formula, registry, game) into a program
-of closures that take the model, whose events are ``int`` bitmasks of
-states, as their argument; the program is cached on the game in
-:attr:`~epigame.games.Game.modal_cache`.  Compiling resolves each
-condition's :class:`SurvivorTable` (in the same cache, shared by every
-model of the game) and player range, and makes every refusal.  A context
-is a tuple of per-player strategy masks, the form of
-:attr:`~epigame.games.Restriction.masks`, which a condition's
-:func:`~epigame.optimality.plan` reads as it is.  The model in mask form
-memoises its contexts, the optimal states of each (condition, player) in
-them and the rationality atoms.  Every other subformula is recomputed on each fixpoint round or ``forall
-X`` candidate, except that a conjunction skips its right side when its
-left is empty.  The game keeps the last model interpreted in mask form,
-so that calls on one model share those memos.  :func:`interpret` and
-sampled validity checks run this per-model program; a sampled check feeds
-it models in mask form straight from the sampler.  A
-:class:`~epigame.beliefs.BeliefModel` and frozensets of state names
-appear only at the boundary: a countermodel, the ``env`` argument and the
-result of :func:`interpret`.
+A formula is compiled once per (formula, registry, game) into one program
+of closures, cached on the game in :attr:`~epigame.games.Game.modal_cache`.
+Compiling resolves each condition's :class:`SurvivorTable` (in the same
+cache, shared by every model of the game) and player range, and makes
+every refusal, so :func:`interpret` and both kinds of validity check
+refuse alike.  A context is a tuple of per-player strategy masks, the form
+of :attr:`~epigame.games.Restriction.masks`, which a condition's
+:func:`~epigame.optimality.plan` reads as it is.  The program runs on a
+model in either of two forms.  Each gives ``rat``, belief, ``O`` and the
+constant events that ``forall X`` ranges over; negation, conjunction, X
+and the fixpoint are one closure for both, written with ``^``, ``&`` and
+truth, and a conjunction skips its right side when its left is empty.
 
-Exhaustive validity checks compile the same formula, with the same
-refusals, into a block program instead, which evaluates every model of a
-plays block at once: the run of consecutive models, in
+A :class:`_Model` is one model, whose events are ``int`` bitmasks of
+states.  It memoises its contexts, the optimal states of each (condition,
+player) in them and the rationality atoms, and the game keeps the last
+model interpreted, so calls on one model share those memos.
+:func:`interpret` runs on it, and so do sampled validity checks, straight
+from the sampler's masks.  A :class:`~epigame.beliefs.BeliefModel` and
+frozensets of state names appear only at the boundary: a countermodel, the
+``env`` argument and the result of :func:`interpret`.
+
+A :class:`_Block` is every model of a plays block at once, for exhaustive
+validity checks: the run of consecutive models, in
 :func:`~epigame.oracles.enumerate_model_masks` order, that share their
-plays.  An event is one ``int`` per state, a bit vector whose bit t, or
-lane t, stands for the block's model t.  The players' possibility rows
-are fixed digits of t, so "player i considers v possible at k" is a
-periodic lane pattern, computed once per (player count, state count).
-Negation, conjunction, belief and X are bit operations.  ``rat(c, i)`` at
-state k is the OR of the "possibility set equals S" patterns over the
-events S whose context keeps the strategy played at k, read from the
-survivor tables; ``O(c, i) E`` is the same OR over "E equals S" vectors.
-A fixpoint iterates whole vectors until none changes, which is exact
-because each lane is its own model's decreasing sequence, and ``forall
-X`` is the AND over the constant events.  The verdict is the AND over the
-states; its lowest clear lane, added to the block's offset, gives the
-first countermodel and the count of models checked, so both match a sweep
-of one model at a time.  A vector holds at most ``2**BLOCK_BITS`` lanes:
-a larger block, such as one of three players at three states, is swept
-in slices that fix the leading players' rows.
+plays.  Its event is a :class:`_Lanes`, one ``int`` per state, a bit vector
+whose bit t, or lane t, stands for the block's model t.  The players'
+possibility rows are fixed digits of t, so "player i considers v possible
+at k" is a periodic lane pattern, computed once per (player count, state
+count).  ``rat(c, i)`` at state k is the OR of the "possibility set equals
+S" patterns over the events S whose context keeps the strategy played at
+k, read from the survivor tables; ``O(c, i) E`` is the same OR over "E
+equals S" vectors.  A fixpoint is exact because each lane is its own
+model's decreasing sequence.  The verdict is the AND over the states; its
+lowest clear lane, added to the block's offset, gives the first
+countermodel and the count of models checked, so both match a sweep of
+one model at a time.  A vector holds at most ``2**BLOCK_BITS`` lanes: a
+larger block, such as one of three players at three states, is swept in
+slices that fix the leading players' rows.  One model is not run as a
+block of one lane, nor a block event held as one flat ``int``: both were
+measured slower.
 """
 
 from __future__ import annotations
@@ -70,7 +71,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from functools import cache, reduce
 from itertools import compress, product
-from operator import and_, or_
+from operator import and_, or_, xor
 from typing import Callable, Iterator
 
 from .beliefs import (
@@ -383,8 +384,8 @@ def survivor_table(game: Game, formula: FormulaO) -> SurvivorTable:
 
 
 class _Model:
-    """One belief model as compiled programs read it: every event is an
-    ``int`` bitmask over its states, state k being bit k.
+    """One belief model in state-mask form: every event is an ``int``
+    bitmask over its states, state k being bit k.
 
     ``plays[i][k]`` is the bit of player i's strategy at state k, and
     ``possible[i]`` is player i's possibility row, a tuple whose k-th mask
@@ -395,10 +396,10 @@ class _Model:
     program run on the model shares them all.
     """
 
-    __slots__ = ("full", "plays", "possible", "rational", "contexts", "optimal")
+    __slots__ = ("universe", "plays", "possible", "rational", "contexts", "optimal")
 
     def __init__(self, plays: tuple[tuple[int, ...], ...], possible: tuple[tuple[int, ...], ...]):
-        self.full = (1 << len(plays[0])) - 1
+        self.universe = (1 << len(plays[0])) - 1
         self.plays = plays
         self.possible = possible
         self.contexts: dict[int, tuple[int, ...]] = {}
@@ -427,8 +428,40 @@ class _Model:
             memo[event] = found
         return found
 
+    def rat(self, asks: list[tuple[SurvivorTable, int]]) -> int:
+        """The states where every (table, player) of ``asks`` is rational."""
+        result = self.universe
+        for ask in asks:
+            held = self.rational.get(ask)
+            if held is None:
+                held = 0
+                for k, seen in enumerate(self.possible[ask[1]]):
+                    held |= self.optimal_states(ask, seen) & 1 << k
+                self.rational[ask] = held
+            result &= held
+        return result
 
-_Node = Callable[[_Model, int], int]
+    def box(self, players: range | tuple[int, ...], event: int) -> int:
+        """The states where every one of the players believes the event."""
+        outside = ~event
+        result = self.universe
+        for i in players:
+            for k, seen in enumerate(self.possible[i]):
+                if seen & outside:
+                    result &= ~(1 << k)
+        return result
+
+    def opt(self, asks: list[tuple[SurvivorTable, int]], event: int) -> int:
+        """The states where every (table, player) of ``asks`` is optimal in
+        the event's context."""
+        result = self.universe
+        for ask in asks:
+            result &= self.optimal_states(ask, event)
+        return result
+
+    def constants(self) -> range:
+        """Every event, for ``forall X``."""
+        return range(self.universe + 1)
 
 
 def _load(model: BeliefModel) -> _Model:
@@ -450,120 +483,22 @@ def _load(model: BeliefModel) -> _Model:
     return loaded
 
 
-class _Compiler:
-    """Turns formulas into programs of closures over one game.
+class _Lanes(tuple):
+    """An event of a :class:`_Block`: one lane vector per state, whose bit
+    t holds where the state is in the event in the block's model t.  ``&``
+    and ``^`` act lane by lane, and the event is true when any lane holds,
+    so a program reads it as it reads a state mask."""
 
-    Compiling resolves each condition's survivor table and each player
-    range, so every refusal is raised here, in the order a walk of the
-    formula would meet it.
-    """
+    __slots__ = ()
 
-    def __init__(self, game: Game, registry: ConditionRegistry):
-        self.game = game
-        self.registry = registry
+    def __and__(self, other: _Lanes) -> _Lanes:
+        return _Lanes(map(and_, self, other))
 
-    def _players(self, tag: int | None) -> range | tuple[int, ...]:
-        if tag is None:
-            return self.game.players
-        if tag not in self.game.players:
-            raise ModalError(f"player index {tag + 1} out of range")
-        return (tag,)
+    def __xor__(self, other: _Lanes) -> _Lanes:
+        return _Lanes(map(xor, self, other))
 
-    def _table(self, name: str) -> SurvivorTable:
-        info = self.registry.get(name)
-        if not info.analysis.context_safe:
-            raise ModalError(f"condition {name!r} is not context-safe")
-        return survivor_table(self.game, info.formula)
-
-    def compile(self, f: FormulaNu) -> _Node:
-        """The formula's program: ``run(model, env)`` is the event where it
-        holds on a :class:`_Model` when X denotes env.  The program keeps
-        its memos on the model, so one model serves any sequence of
-        programs, and it holds no reference to the game, which caches it
-        (see :func:`_program`)."""
-        if isinstance(f, Rat):
-            players = self._players(f.player)
-            table = self._table(f.condition)
-            asks = [(table, i) for i in players]
-
-            def rat(m: _Model, env: int) -> int:
-                result = m.full
-                for ask in asks:
-                    held = m.rational.get(ask)
-                    if held is None:
-                        held = 0
-                        for k, seen in enumerate(m.possible[ask[1]]):
-                            held |= m.optimal_states(ask, seen) & 1 << k
-                        m.rational[ask] = held
-                    result &= held
-                return result
-
-            return rat
-        if isinstance(f, Neg):
-            body = self.compile(f.body)
-            return lambda m, env: m.full ^ body(m, env)
-        if isinstance(f, Conj):
-            left, right = self.compile(f.left), self.compile(f.right)
-            # safe to skip: every refusal is made here, and runs only fill memos
-            return lambda m, env: (held := left(m, env)) and held & right(m, env)
-        if isinstance(f, Box):
-            body = self.compile(f.body)
-            players = self._players(f.player)
-
-            def box(m: _Model, env: int) -> int:
-                outside = ~body(m, env)
-                result = m.full
-                for i in players:
-                    for k, seen in enumerate(m.possible[i]):
-                        if seen & outside:
-                            result &= ~(1 << k)
-                return result
-
-            return box
-        if isinstance(f, Opt):
-            body = self.compile(f.body)
-            table = self._table(f.condition)
-            asks = [(table, i) for i in self._players(f.player)]
-
-            def opt(m: _Model, env: int) -> int:
-                event = body(m, env)
-                result = m.full
-                for ask in asks:
-                    result &= m.optimal_states(ask, event)
-                return result
-
-            return opt
-        if isinstance(f, SetVar):
-            return lambda m, env: env
-        if isinstance(f, Nu):
-            body = self.compile(f.body)
-
-            def nu(m: _Model, env: int) -> int:
-                current = m.full
-                while True:
-                    nxt = body(m, current) & current
-                    if nxt == current:
-                        return current
-                    current = nxt
-
-            return nu
-        if isinstance(f, ForallX):
-            body = self.compile(f.body)
-
-            def forall(m: _Model, env: int) -> int:
-                result = m.full
-                for candidate in range(m.full + 1):
-                    result &= body(m, candidate)
-                    if not result:
-                        break
-                return result
-
-            return forall
-        raise ModalError(f"cannot interpret {f!r}")
-
-
-# ---------------------------------------------------------------------------
-# Block programs: every model of one plays block at once
+    def __bool__(self) -> bool:
+        return any(self)
 
 
 def _minterms(event: tuple[int, ...], full: int) -> list[int]:
@@ -599,17 +534,20 @@ def _lanes(players: int, states: int) -> tuple[int, tuple, tuple]:
     return full, seen, tuple(tuple(_minterms(vs, full) for vs in row) for row in seen)
 
 
-class _Block:
-    """The models of one plays block, or of one slice of it, as block
-    programs read them: an event is a tuple of per-state lane vectors, bit
-    t of a vector standing for the slice's model t.  ``plays`` is in the
-    form of :attr:`_Model.plays`, ``full`` is every lane, ``lanes`` the
-    universe event, and ``seen`` and ``rows`` are the :func:`_lanes`
-    patterns of every player, constant vectors for the ``fixed`` leading
-    rows of the slice.  ``rational`` holds the slice's rationality vectors per
-    ``rat`` node."""
+def _any_of(vectors: list[int], events: tuple[int, ...]) -> int:
+    return reduce(or_, map(vectors.__getitem__, events), 0)
 
-    __slots__ = ("plays", "contexts", "kept", "rational", "full", "lanes", "fixed", "seen", "rows")
+
+class _Block:
+    """The models of one plays block, or of one slice of it, in lane form:
+    every event is a :class:`_Lanes`, bit t of a vector standing for the
+    slice's model t.  ``plays`` is in the form of :attr:`_Model.plays`,
+    ``full`` is every lane, ``universe`` the universe event, and ``seen``
+    and ``rows`` are the :func:`_lanes` patterns of every player, constant
+    vectors for the ``fixed`` leading rows of the slice.  ``rational``
+    memoises the slice's rationality vectors per (survivor table, player)."""
+
+    __slots__ = ("plays", "contexts", "kept", "rational", "full", "universe", "fixed", "seen", "rows")
 
     def __init__(self, plays: tuple[tuple[int, ...], ...]):
         self.plays = plays
@@ -640,80 +578,101 @@ class _Block:
         digits = (lane >> (free - 1 - f) * states * states for f in range(free))
         return self.fixed + tuple(_row(d & (1 << states * states) - 1, states) for d in digits)
 
+    def rat(self, asks: list[tuple[SurvivorTable, int]]) -> _Lanes:
+        """:meth:`_Model.rat` in every lane."""
+        rational = self.rational
+        for ask in asks:
+            if ask not in rational:
+                rational[ask] = _Lanes(map(_any_of, self.rows[ask[1]], self.keeps(ask)))
+        return reduce(and_, map(rational.__getitem__, asks))
 
-def _any_of(vectors: list[int], events: tuple[int, ...]) -> int:
-    return reduce(or_, map(vectors.__getitem__, events), 0)
+    def box(self, players: range | tuple[int, ...], event: _Lanes) -> _Lanes:
+        """:meth:`_Model.box` in every lane."""
+        outside = [self.full ^ v for v in event]
+        result = list(self.universe)
+        for i in players:
+            for k, seen in enumerate(self.seen[i]):
+                result[k] &= ~reduce(or_, map(and_, seen, outside))
+        return _Lanes(result)
+
+    def opt(self, asks: list[tuple[SurvivorTable, int]], event: _Lanes) -> _Lanes:
+        """:meth:`_Model.opt` in every lane."""
+        terms = _minterms(event, self.full)
+        result = list(self.universe)
+        for ask in asks:
+            for k, keep in enumerate(self.keeps(ask)):
+                result[k] &= _any_of(terms, keep)
+        return _Lanes(result)
+
+    def constants(self) -> Iterator[_Lanes]:
+        """Every event that is the same in every lane, for ``forall X``."""
+        states = range(len(self.universe))
+        for candidate in range(1 << len(states)):
+            yield _Lanes(self.full if candidate >> v & 1 else 0 for v in states)
 
 
-class _BlockCompiler(_Compiler):
-    """Turns formulas into block programs: ``run(block, env)`` is the
-    formula's event on a :class:`_Block` when X denotes ``env``.  Each lane
-    computes what the per-model program computes on its model; compiling
-    makes the same refusals in the same order."""
+class _Compiler:
+    """Turns formulas into programs of closures over one game.
+
+    Compiling resolves each condition's survivor table and each player
+    range, so every refusal is raised here, in the order a walk of the
+    formula would meet it.
+    """
+
+    def __init__(self, game: Game, registry: ConditionRegistry):
+        self.game = game
+        self.registry = registry
+
+    def _players(self, tag: int | None) -> range | tuple[int, ...]:
+        if tag is None:
+            return self.game.players
+        if tag not in self.game.players:
+            raise ModalError(f"player index {tag + 1} out of range")
+        return (tag,)
+
+    def _table(self, name: str) -> SurvivorTable:
+        info = self.registry.get(name)
+        if not info.analysis.context_safe:
+            raise ModalError(f"condition {name!r} is not context-safe")
+        return survivor_table(self.game, info.formula)
 
     def compile(self, f: FormulaNu) -> Callable:
+        """The formula's program: ``run(model, env)`` is the event where it
+        holds on a :class:`_Model` or a :class:`_Block`, in that form's
+        events, when X denotes env.  The program keeps its memos on the
+        model, so one model serves any sequence of programs, and it holds
+        no reference to the game, which caches it (see :func:`_program`)."""
         if isinstance(f, Rat):
             players = self._players(f.player)
             table = self._table(f.condition)
             asks = [(table, i) for i in players]
-
-            def rat(b: _Block, env: tuple[int, ...]) -> tuple[int, ...]:
-                result = b.rational.get(rat)
-                if result is None:
-                    result = b.lanes
-                    for ask in asks:
-                        result = tuple(map(and_, result, map(_any_of, b.rows[ask[1]], b.keeps(ask))))
-                    b.rational[rat] = result
-                return result
-
-            return rat
+            return lambda m, env: m.rat(asks)
         if isinstance(f, Neg):
             body = self.compile(f.body)
-            return lambda b, env: tuple(b.full ^ v for v in body(b, env))
+            return lambda m, env: m.universe ^ body(m, env)
         if isinstance(f, Conj):
             left, right = self.compile(f.left), self.compile(f.right)
-
-            def conj(b: _Block, env: tuple[int, ...]) -> tuple[int, ...]:
-                held = left(b, env)
-                return tuple(map(and_, held, right(b, env))) if any(held) else held
-
-            return conj
+            # safe to skip: every refusal is made here, and runs only fill memos
+            return lambda m, env: (held := left(m, env)) and held & right(m, env)
         if isinstance(f, Box):
             body = self.compile(f.body)
             players = self._players(f.player)
-
-            def box(b: _Block, env: tuple[int, ...]) -> tuple[int, ...]:
-                outside = [b.full ^ v for v in body(b, env)]
-                result = list(b.lanes)
-                for i in players:
-                    for k, seen in enumerate(b.seen[i]):
-                        result[k] &= ~reduce(or_, map(and_, seen, outside))
-                return tuple(result)
-
-            return box
+            return lambda m, env: m.box(players, body(m, env))
         if isinstance(f, Opt):
             body = self.compile(f.body)
             table = self._table(f.condition)
             asks = [(table, i) for i in self._players(f.player)]
-
-            def opt(b: _Block, env: tuple[int, ...]) -> tuple[int, ...]:
-                terms = _minterms(body(b, env), b.full)
-                result = b.lanes
-                for ask in asks:
-                    result = tuple(r & _any_of(terms, keep) for r, keep in zip(result, b.keeps(ask)))
-                return result
-
-            return opt
+            return lambda m, env: m.opt(asks, body(m, env))
         if isinstance(f, SetVar):
-            return lambda b, env: env
+            return lambda m, env: env
         if isinstance(f, Nu):
             body = self.compile(f.body)
 
-            def nu(b: _Block, env: tuple[int, ...]) -> tuple[int, ...]:
-                # each lane's sequence is its model's, stationary once stable
-                current = b.lanes
+            def nu(m: _Model | _Block, env: int | _Lanes) -> int | _Lanes:
+                # on a block, each lane's sequence is its model's, stationary once stable
+                current = m.universe
                 while True:
-                    nxt = tuple(map(and_, body(b, current), current))
+                    nxt = body(m, current) & current
                     if nxt == current:
                         return current
                     current = nxt
@@ -722,13 +681,11 @@ class _BlockCompiler(_Compiler):
         if isinstance(f, ForallX):
             body = self.compile(f.body)
 
-            def forall(b: _Block, env: tuple[int, ...]) -> tuple[int, ...]:
-                result = b.lanes
-                states = range(len(result))
-                for candidate in range(1 << len(result)):
-                    constant = tuple(b.full if candidate >> v & 1 else 0 for v in states)
-                    result = tuple(map(and_, result, body(b, constant)))
-                    if not any(result):
+            def forall(m: _Model | _Block, env: int | _Lanes) -> int | _Lanes:
+                result = m.universe
+                for candidate in m.constants():
+                    result &= body(m, candidate)
+                    if not result:
                         break
                 return result
 
@@ -749,7 +706,7 @@ def _slices(game: Game, states: int) -> Iterator[tuple[tuple[tuple[int, ...], ..
     row_bits = states * states
     free = min(game.n, max(1, BLOCK_BITS // row_bits))
     full, seen, rows = _lanes(free, states)
-    lanes = (full,) * states
+    universe = _Lanes((full,) * states)
     # per slice: the fixed leading rows, then every player's patterns
     slices = []
     for leading in product(range(1 << row_bits), repeat=game.n - free):
@@ -763,19 +720,20 @@ def _slices(game: Game, states: int) -> Iterator[tuple[tuple[tuple[int, ...], ..
         ))
     for plays in product(*(product(range(len(names)), repeat=states) for names in game.strategies)):
         block = _Block(tuple(tuple(1 << s for s in row) for row in plays))
-        block.full, block.lanes = full, lanes
+        block.full, block.universe = full, universe
         for block.fixed, block.seen, block.rows in slices:
             block.rational = {}
             yield plays, block
 
 
 def _sweep_blocks(game: Game, run: Callable, max_states: int) -> ValidityReport:
-    """Run a block program over every model with up to ``max_states``
-    states, in the order of :func:`~epigame.oracles.enumerate_model_masks`."""
+    """Run a program over every model with up to ``max_states`` states, a
+    block at a time, in the order of
+    :func:`~epigame.oracles.enumerate_model_masks`."""
     checked = 0
     for states in range(1, max_states + 1):
         for plays, block in _slices(game, states):
-            failed = block.full ^ reduce(and_, run(block, block.lanes))
+            failed = block.full ^ reduce(and_, run(block, block.universe))
             if failed:
                 lane = (failed & -failed).bit_length() - 1
                 return ValidityReport(False, model_of_masks(game, plays, block.possible(lane)), checked + lane + 1)
@@ -783,18 +741,17 @@ def _sweep_blocks(game: Game, run: Callable, max_states: int) -> ValidityReport:
     return ValidityReport(True, None, checked)
 
 
-def _program(game: Game, formula: FormulaNu, registry: ConditionRegistry, compiler: type = _Compiler) -> Callable:
-    """The game's program for the formula, per-model or block by
-    ``compiler``, kept in :attr:`Game.modal_cache` and keyed on the
-    registry object itself.  A full cache is emptied first; its survivor
-    tables and last model are rebuilt on demand."""
+def _program(game: Game, formula: FormulaNu, registry: ConditionRegistry) -> Callable:
+    """The game's program for the formula, kept in :attr:`Game.modal_cache`
+    and keyed on the registry object itself.  A full cache is emptied
+    first; its survivor tables and last model are rebuilt on demand."""
     cache = game.modal_cache
-    key = (formula, registry, compiler)
+    key = (formula, registry)
     program = cache.get(key)
     if program is None:
         if len(cache) >= MAX_CACHED_PROGRAMS:
             cache.clear()
-        program = cache[key] = compiler(game, registry).compile(formula)
+        program = cache[key] = _Compiler(game, registry).compile(formula)
     return program
 
 
@@ -871,8 +828,8 @@ def check_validity(
     search comes with more than :data:`MAX_SECOND_ORDER_STATES` states;
     raises :class:`~epigame.beliefs.EnumerationLimitError` for an exhaustive
     search past :data:`~epigame.beliefs.MAX_ENUM_STATES` states, before any
-    work.  The exhaustive search runs the block program, the sampled one the
-    per-model program.
+    work.  Both searches run the formula's one program: the exhaustive one
+    on a plays block at a time, the sampled one on each drawn model.
     """
     if max_states < 1:
         raise ModalError(f"models need at least 1 state, got {max_states}")
@@ -885,13 +842,13 @@ def check_validity(
         kind = "second-order" if second_order else "sampled"
         raise ModalError(f"{kind} validity checks are limited to {MAX_SECOND_ORDER_STATES} states")
     registry = registry or ConditionRegistry.standard()
-    if samples is None:
-        if max_states > MAX_ENUM_STATES:
-            raise EnumerationLimitError(f"exhaustive enumeration is limited to {MAX_ENUM_STATES} states")
-        return _sweep_blocks(game, _program(game, formula, registry, _BlockCompiler), max_states)
+    if samples is None and max_states > MAX_ENUM_STATES:
+        raise EnumerationLimitError(f"exhaustive enumeration is limited to {MAX_ENUM_STATES} states")
     run = _program(game, formula, registry)
+    if samples is None:
+        return _sweep_blocks(game, run, max_states)
     for checked, (plays, possible) in enumerate(sample_model_masks(game, samples, max_states, seed), 1):
         model = _Model(tuple(tuple(1 << s for s in row) for row in plays), possible)
-        if run(model, model.full) != model.full:
+        if run(model, model.universe) != model.universe:
             return ValidityReport(False, model_of_masks(game, plays, possible), checked)
     return ValidityReport(True, None, samples)

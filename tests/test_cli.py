@@ -226,6 +226,18 @@ def test_check_valid_bounds_second_order_search(files, capsys):
     assert captured.err == "error: sampled validity checks are limited to 20 states\n"
 
 
+def test_check_valid_refuses_a_seed_without_random(files, capsys):
+    argv = ["check-valid", files["game.game"], "rat(gbr)", "--exhaustive", "2", "--seed", "5"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: --seed applies only to --random\n")
+    # with --random, an explicit seed 0 is the default draw
+    for seed in ([], ["--seed", "0"]):
+        assert main(["check-valid", files["game.game"], "rat(gbr)", "--random", "5", "2", "--json"] + seed) == 1
+    first, second = capsys.readouterr().out.splitlines()
+    assert first == second
+
+
 
 def test_non_positive_nu_bodies_are_flagged_on_stderr(files, capsys):
     # the note comes with the verdict; stdout and the exit code are unchanged

@@ -24,7 +24,7 @@ from epigame.modal import (
     Rat,
     ValidityReport,
     X,
-    _BlockCompiler,
+    _Lanes,
     _Model,
     _program,
     _slices,
@@ -597,32 +597,31 @@ def test_exhaustive_sweeps_match_the_naive_loop(game, formula):
     assert (report.models_checked, report.countermodel) == (checked, countermodel), pretty_nu(formula)
 
 
-# --- block programs against the per-model program ------------------------------
+# --- the program on blocks against the program on single models ----------------
 
 
 def per_model_sweep(game, formula, max_states):
-    """(models checked, first countermodel) of the per-model program run on
-    each enumerated model in turn."""
+    """(models checked, first countermodel) of the program run on each
+    enumerated model in turn, as a single model in mask form."""
     run = _program(game, ForallX(formula) if has_free_x(formula) else formula, REGISTRY)
     checked = 0
     for plays, possible in enumerate_model_masks(game, max_states):
         checked += 1
         model = _Model(tuple(tuple(1 << s for s in row) for row in plays), possible)
-        if run(model, model.full) != model.full:
+        if run(model, model.universe) != model.universe:
             return checked, model_of_masks(game, plays, possible)
     return checked, None
 
 
 def check_lanes(game, formula, states, env, picked):
-    """Every lane of the picked slices of a sweep against the per-model
-    program on the lane's model, with X denoting the state mask env."""
-    block_run = _program(game, formula, REGISTRY, _BlockCompiler)
+    """Every lane of the picked slices of a sweep against the same program
+    on the lane's single model, with X denoting the state mask env."""
     run = _program(game, formula, REGISTRY)
     checked = 0
     for index, (plays, block) in enumerate(_slices(game, states)):
         if index not in picked:
             continue
-        result = block_run(block, tuple(block.full if env >> v & 1 else 0 for v in range(states)))
+        result = run(block, _Lanes(block.full if env >> v & 1 else 0 for v in range(states)))
         bits = tuple(tuple(1 << s for s in row) for row in plays)
         for lane in range(block.full.bit_length()):
             model = _Model(bits, block.possible(lane))
@@ -695,6 +694,17 @@ def test_block_programs_refuse_as_the_per_model_program_does():
                 check_validity(fig1_left(), parse_nu(text), **kwargs)
             refusals.append((type(exc.value), str(exc.value)))
         assert refusals[0] == refusals[1], text
+
+
+def test_interpret_and_both_sweeps_share_one_program():
+    game = copy.copy(fig1_right())  # starts without caches
+    m = BeliefModel(game, ("w1",), ({"w1": "U"}, {"w1": "L"}), ({"w1": frozenset({"w1"})},) * 2)
+    formula = parse_nu("rat(gbr) and CB rat(gbr) -> nu X . O(lsd) X")
+    assert interpret(m, formula) == frozenset({"w1"})
+    assert check_validity(game, formula, max_states=1).valid
+    assert check_validity(game, formula, samples=3).valid
+    programs = [key for key in game.modal_cache if isinstance(key, tuple) and key[0] == formula]
+    assert len(programs) == 1
 
 
 def test_a_three_state_sweep_is_exact():
