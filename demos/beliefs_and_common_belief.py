@@ -6,8 +6,8 @@ event coincides with everyone believing it.  In the second, the
 possibility sets chase each other in a two-cycle: everyone believes each
 event somewhere, yet common belief of either one is empty.
 """
-from epigame.beliefs import believes, common_belief, everyone_believes, parse_model
-from epigame.oracles import fig1_right
+from epigame.beliefs import parse_model
+from epigame.oracles import believes, common_belief, everyone_believes, fig1_right
 
 game = fig1_right()
 

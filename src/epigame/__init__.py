@@ -15,9 +15,10 @@ The layers, bottom up:
   satisfy it in a context; it keeps nothing but that compile cache.
 - :mod:`epigame.operators` — each condition induces an elimination operator
   on restrictions; iterate to a fixpoint, check monotonicity.
-- :mod:`epigame.beliefs` — finite belief models over a game: states, played
-  strategies, possibility sets, belief and common belief of events;
-  sampling of models, as bitmasks, for sampled validity sweeps.
+- :mod:`epigame.beliefs` — finite belief models over a game, held as
+  masks: a strategy index and a possibility bitmask per player and state,
+  with state names only in the text format and in events; sampling of
+  models in that form, for sampled validity sweeps.
 - :mod:`epigame.modal` — a modal language with rationality atoms, belief
   modalities, optimality operators and a greatest-fixpoint binder,
   interpreted by one program per formula and game, which runs on one
@@ -27,12 +28,13 @@ The layers, bottom up:
   language, with semantically discharged implication lemmas; the bundled
   proof scripts.
 - :mod:`epigame.oracles` — independent brute-force reference implementations,
-  game, condition and belief-model generators, and the table operators and
+  among them the set-based belief and common-belief operators, game,
+  condition and belief-model generators, and the table operators and
   outcome-inclusion check used to cross-check everything above; no runtime
   module imports it.
 """
 
-from .beliefs import BeliefModel, common_belief, format_model, parse_model
+from .beliefs import BeliefModel, format_model, parse_model
 from .conditions import (
     ConditionRegistry,
     OptimalityModel,
@@ -76,7 +78,6 @@ __all__ = [
     "check_monotone",
     "check_proof",
     "check_validity",
-    "common_belief",
     "common_belief_formula",
     "condition_operator",
     "format_game",

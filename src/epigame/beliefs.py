@@ -2,13 +2,14 @@
 
 A belief model attaches to every state, for every player, the strategy that
 player uses there and the set of states the player considers possible.
-Possibility sets may be empty and need not contain the actual state.  Events
-are plain sets of states here; ``game_of_event`` projects an event down to
-the restriction of strategies actually played somewhere inside it.  The
-modal evaluator works on state bitmasks instead and builds its contexts
-itself; these set-based functions are what its reference is built from.
-Sampled validity sweeps draw models in that mask form, with the random
-draws of the model-building generator in :mod:`epigame.oracles`.
+Possibility sets may be empty and need not contain the actual state.  A
+:class:`BeliefModel` holds both in the mask form that the modal evaluator
+and the validity sweeps read: a strategy index and a state bitmask per
+player and state.  Names appear only at the edges: in
+:meth:`~BeliefModel.strategy_of`, in events (frozensets of state names),
+and in the text format.  ``game_of_event`` projects an event down to the
+restriction of strategies played somewhere inside it; the set-based belief
+operators are in :mod:`epigame.oracles`, next to the model generators.
 :func:`parse_model` refuses at the offending line everything
 :class:`BeliefModel` would refuse, so a model file's errors name their line.
 """
@@ -18,11 +19,17 @@ from __future__ import annotations
 import random
 import re
 from dataclasses import dataclass
-from typing import Iterator, Mapping
+from functools import cache
+from typing import Iterator
 
 from .games import FormatError, Game, Restriction, check_names, player_line, records, require_players
 
 Event = frozenset[str]
+
+# A model in mask form: ``plays[i][k]`` is the index of player i's strategy
+# at state k, and ``possible[i][k]`` the mask of the states player i
+# considers possible there (state k is bit k).
+Masks = tuple[tuple[int, ...], ...]
 
 MAX_ENUM_STATES = 3
 
@@ -40,51 +47,45 @@ class EnumerationLimitError(ValueError):
 
 @dataclass(frozen=True)
 class BeliefModel:
+    """A belief model over ``game`` with the named ``states``, in the mask
+    form of :data:`Masks`: ``plays`` holds a row of strategy indices per
+    player, and ``possible`` a row of state masks per player."""
+
     game: Game
     states: tuple[str, ...]
-    plays: tuple[Mapping[str, str], ...]  # per player: state -> strategy
-    possible: tuple[Mapping[str, Event], ...]  # per player: state -> event
+    plays: Masks
+    possible: Masks
 
     def __post_init__(self):
-        if not self.states:
+        states = self.states
+        if not states:
             raise ModelFormatError("state set must be non-empty")
-        check_names(self.states, _STATE_RESERVED, "state name", ModelFormatError)
-        if len(set(self.states)) != len(self.states):
+        check_names(states, _STATE_RESERVED, "state name", ModelFormatError)
+        if len(set(states)) != len(states):
             raise ModelFormatError("duplicate state name")
         if len(self.plays) != self.game.n or len(self.possible) != self.game.n:
-            raise ModelFormatError("need plays and possible maps for every player")
-        universe = set(self.states)
-        for i in self.game.players:
-            for state in self.states:
-                if state not in self.plays[i]:
-                    raise ModelFormatError(f"player {i + 1} has no strategy at {state}")
-                strategy = self.plays[i][state]
-                if strategy not in self.game.strategies[i]:
-                    raise ModelFormatError(
-                        f"unknown strategy {strategy!r} for player {i + 1} at {state}"
-                    )
-                if state not in self.possible[i]:
-                    raise ModelFormatError(f"player {i + 1} has no possibility set at {state}")
-                rogue = set(self.possible[i][state]) - universe
-                if rogue:
-                    raise ModelFormatError(f"unknown state {sorted(rogue)[0]!r}")
-
-    def __hash__(self) -> int:
-        # the generated hash chokes on the mapping fields
-        return hash(
-            (
-                self.game,
-                self.states,
-                tuple(tuple(sorted(m.items())) for m in self.plays),
-                tuple(tuple(sorted((s, tuple(sorted(e))) for s, e in m.items())) for m in self.possible),
-            )
-        )
+            raise ModelFormatError("need plays and possible rows for every player")
+        full = (1 << len(states)) - 1
+        for i, names in enumerate(self.game.strategies):
+            for row, entry, value, top in (
+                (self.plays[i], "strategy", "strategy index", len(names) - 1),
+                (self.possible[i], "possibility set", "possibility mask", full),
+            ):
+                if len(row) < len(states):
+                    raise ModelFormatError(f"player {i + 1} has no {entry} at {states[len(row)]}")
+                if len(row) > len(states):
+                    raise ModelFormatError(f"player {i + 1} has a {entry} past the last state {states[-1]}")
+                # one min and max per row: models are built by the thousand
+                if min(row) < 0 or max(row) > top:
+                    k = next(k for k, v in enumerate(row) if not 0 <= v <= top)
+                    raise ModelFormatError(f"player {i + 1}'s {value} at {states[k]} is {row[k]}, outside 0..{top}")
 
     def strategy_of(self, player: int, state: str) -> str:
-        return self.plays[player][state]
+        return self.game.strategies[player][self.plays[player][self.states.index(state)]]
 
     def possible_at(self, player: int, state: str) -> Event:
-        return frozenset(self.possible[player][state])
+        mask = self.possible[player][self.states.index(state)]
+        return frozenset(s for k, s in enumerate(self.states) if mask >> k & 1)
 
     @property
     def universe(self) -> Event:
@@ -104,56 +105,8 @@ def game_of_event(model: BeliefModel, event: Event) -> Restriction:
     )
 
 
-def believes(model: BeliefModel, player: int, event: Event) -> Event:
-    """States where everything the player considers possible lies in the event."""
-    return frozenset(
-        state for state in model.states if model.possible_at(player, state) <= event
-    )
-
-
-def everyone_believes(model: BeliefModel, event: Event) -> Event:
-    result = model.universe
-    for player in model.game.players:
-        result &= believes(model, player, event)
-    return result
-
-
-@dataclass(frozen=True)
-class CommonBeliefResult:
-    event: Event
-    chain: tuple[Event, ...]
-
-
-def common_belief(model: BeliefModel, event: Event) -> CommonBeliefResult:
-    """Intersection of all levels of iterated everyone-believes.
-
-    The chain records each level up to (excluding) the first repeated value;
-    since levels of a finite model must eventually repeat, intersecting the
-    recorded levels already equals the full infinite intersection.  The
-    value-repeat stop matters: without transitivity the levels need not
-    shrink monotonically and may cycle.
-    """
-    chain: list[Event] = []
-    seen: set[Event] = set()
-    level = everyone_believes(model, event)
-    while level not in seen:
-        seen.add(level)
-        chain.append(level)
-        level = everyone_believes(model, level)
-    result = model.universe
-    for entry in chain:
-        result &= entry
-    return CommonBeliefResult(result, tuple(chain))
-
-
 # ---------------------------------------------------------------------------
 # Sampling, for validity sweeps
-
-
-# A model in mask form, as the modal evaluator reads it: ``plays[i][k]`` is
-# the index of player i's strategy at state k, and ``possible[i][k]`` the
-# mask of the states player i considers possible there (state k is bit k).
-Masks = tuple[tuple[int, ...], ...]
 
 
 def sample_model_masks(
@@ -174,19 +127,15 @@ def sample_model_masks(
         yield plays, possible
 
 
+@cache
+def _state_names(count: int) -> tuple[str, ...]:
+    return tuple(f"w{k + 1}" for k in range(count))
+
+
 def model_of_masks(game: Game, plays: Masks, possible: Masks) -> BeliefModel:
-    """The belief model over states ``w1``, ``w2``, ... that the masks describe."""
-    states = tuple(f"w{k + 1}" for k in range(len(plays[0])))
-
-    def event(mask: int) -> Event:
-        return frozenset(s for k, s in enumerate(states) if mask >> k & 1)
-
-    return BeliefModel(
-        game,
-        states,
-        tuple(dict(zip(states, map(names.__getitem__, row))) for names, row in zip(game.strategies, plays)),
-        tuple(dict(zip(states, map(event, row))) for row in possible),
-    )
+    """The belief model over states ``w1``, ``w2``, ... that the masks
+    describe; models of one state count share one tuple of names."""
+    return BeliefModel(game, _state_names(len(plays[0])), plays, possible)
 
 
 # ---------------------------------------------------------------------------
@@ -203,14 +152,14 @@ def parse_model(text: str, game: Game) -> BeliefModel:
         possible 1: w1={w1,w2} w2={}
 
     Player indices are ASCII digits, and possibility sets are written
-    without internal spaces.  Every line names each state once.  Raises
-    :class:`ModelFormatError` with the 1-based line on malformed input,
-    including what :class:`BeliefModel` would refuse; a missing line is
-    reported one past the end.
+    without internal spaces or empty members.  Every line names each state
+    once.  Raises :class:`ModelFormatError` with the 1-based line on
+    malformed input, including what :class:`BeliefModel` would refuse; a
+    missing line is reported one past the end.
     """
     states: tuple[str, ...] | None = None
-    plays: dict[int, dict[str, str]] = {}
-    possible: dict[int, dict[str, Event]] = {}
+    plays: dict[int, tuple[int, ...]] = {}
+    possible: dict[int, tuple[int, ...]] = {}
 
     for lineno, line, _ in records(text):
         if line.startswith("states:"):
@@ -228,7 +177,8 @@ def parse_model(text: str, game: Game) -> BeliefModel:
             kind = "plays" if line.startswith("plays") else "possible"
             target = plays if kind == "plays" else possible
             player, body = player_line(line, kind, game.n, target, ModelFormatError, lineno)
-            entries: dict = {}
+            names = game.strategies[player - 1]
+            entries: dict[str, int] = {}
             for chunk in body.split():
                 state, sep, value = chunk.partition("=")
                 if not sep or not state:
@@ -238,24 +188,26 @@ def parse_model(text: str, game: Game) -> BeliefModel:
                 if state in entries:
                     raise ModelFormatError(f"duplicate entry for state {state!r}", lineno)
                 if kind == "plays":
-                    if value not in game.strategies[player - 1]:
+                    if value not in names:
                         raise ModelFormatError(
                             f"unknown strategy {value!r} for player {player} at {state}", lineno
                         )
-                    entries[state] = value
+                    entries[state] = names.index(value)
                 elif not (value.startswith("{") and value.endswith("}")):
                     raise ModelFormatError(f"expected a state set, got {value!r}", lineno)
                 else:
-                    members = frozenset(s for s in value[1:-1].split(",") if s)
-                    rogue = members.difference(states)
+                    members = value[1:-1].split(",") if value != "{}" else []
+                    if "" in members:
+                        raise ModelFormatError(f"empty member in the state set {value!r}", lineno)
+                    rogue = set(members).difference(states)
                     if rogue:
                         raise ModelFormatError(f"unknown state {sorted(rogue)[0]!r}", lineno)
-                    entries[state] = members
+                    entries[state] = sum(1 << k for k, s in enumerate(states) if s in members)
             omitted = next((s for s in states if s not in entries), None)
             if omitted is not None:
                 what = "strategy" if kind == "plays" else "possibility set"
                 raise ModelFormatError(f"player {player} has no {what} at {omitted}", lineno)
-            target[player] = entries
+            target[player] = tuple(map(entries.__getitem__, states))
         else:
             raise ModelFormatError(f"unrecognized line {line!r}", lineno)
 
@@ -273,14 +225,14 @@ def parse_model(text: str, game: Game) -> BeliefModel:
 
 def format_model(model: BeliefModel) -> str:
     """Serialize a belief model back into the text format."""
-    lines = ["states: " + " ".join(model.states)]
-    for i in model.game.players:
-        pairs = " ".join(f"{s}={model.strategy_of(i, s)}" for s in model.states)
-        lines.append(f"plays {i + 1}: {pairs}")
-    for i in model.game.players:
+    states = model.states
+    lines = ["states: " + " ".join(states)]
+    for i, (names, row) in enumerate(zip(model.game.strategies, model.plays)):
+        lines.append(f"plays {i + 1}: " + " ".join(f"{s}={names[p]}" for s, p in zip(states, row)))
+    for i, row in enumerate(model.possible):
         pairs = " ".join(
-            "{}={{{}}}".format(s, ",".join(model.ordered_event(model.possible_at(i, s))))
-            for s in model.states
+            "{}={{{}}}".format(s, ",".join(t for v, t in enumerate(states) if mask >> v & 1))
+            for s, mask in zip(states, row)
         )
         lines.append(f"possible {i + 1}: {pairs}")
     return "\n".join(lines) + "\n"

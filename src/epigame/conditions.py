@@ -370,10 +370,6 @@ def _scan(formula: FormulaO, negated: bool) -> tuple[frozenset[str], bool, bool]
     return free - {formula.var}, positive, safe
 
 
-def free_variables(formula: FormulaO) -> frozenset[str]:
-    return _scan(formula, False)[0]
-
-
 @lru_cache(maxsize=256)
 def analyze(formula: FormulaO) -> ConditionAnalysis:
     """Closedness, positivity (context atoms under an even number of

@@ -38,9 +38,10 @@ states.  It memoises its contexts, the optimal states of each (condition,
 player) in them and the rationality atoms, and the game keeps the last
 model interpreted, so calls on one model share those memos.
 :func:`interpret` runs on it, and so do sampled validity checks, straight
-from the sampler's masks.  A :class:`~epigame.beliefs.BeliefModel` and
-frozensets of state names appear only at the boundary: a countermodel, the
-``env`` argument and the result of :func:`interpret`.
+from the sampler's masks.  A :class:`~epigame.beliefs.BeliefModel` holds
+the same masks, so loading one turns only its strategy indices into bits,
+as a sweep does; state names appear only at the boundary, in the ``env``
+argument and the result of :func:`interpret`.
 
 A :class:`_Block` is every model of a plays block at once, for exhaustive
 validity checks: the run of consecutive models, in
@@ -75,7 +76,7 @@ from operator import and_, or_, xor
 from typing import Callable, Iterator
 
 from .beliefs import (
-    MAX_ENUM_STATES, BeliefModel, EnumerationLimitError, Event, model_of_masks, sample_model_masks
+    MAX_ENUM_STATES, BeliefModel, EnumerationLimitError, Event, Masks, model_of_masks, sample_model_masks
 )
 from .conditions import NAME, ConditionRegistry, Conj, FormulaO, Neg, _DescentParser, is_name
 from .games import Game, read_index
@@ -464,6 +465,12 @@ class _Model:
         return range(self.universe + 1)
 
 
+def _bits(plays: Masks) -> tuple[tuple[int, ...], ...]:
+    """Strategy indices as the strategy bits that :class:`_Model` and
+    :class:`_Block` read."""
+    return tuple(tuple(1 << s for s in row) for row in plays)
+
+
 def _load(model: BeliefModel) -> _Model:
     """The model in mask form.  Its game keeps the last model loaded, so a
     run of calls on one model shares its memos."""
@@ -471,12 +478,7 @@ def _load(model: BeliefModel) -> _Model:
     last = cache.get(None)
     if last is not None and last[0]() is model:
         return last[1]
-    states = model.states
-    bit_of = {s: 1 << k for k, s in enumerate(states)}.__getitem__
-    plays = tuple(
-        [1 << names.index(row[s]) for s in states] for names, row in zip(model.game.strategies, model.plays)
-    )
-    loaded = _Model(plays, tuple(tuple(sum(map(bit_of, row[s])) for s in states) for row in model.possible))
+    loaded = _Model(_bits(model.plays), model.possible)
     # weakly held: the model holds the game, which would otherwise keep both
     # alive in a cycle
     cache[None] = (weakref.ref(model), loaded)
@@ -719,7 +721,7 @@ def _slices(game: Game, states: int) -> Iterator[tuple[tuple[tuple[int, ...], ..
             + rows,
         ))
     for plays in product(*(product(range(len(names)), repeat=states) for names in game.strategies)):
-        block = _Block(tuple(tuple(1 << s for s in row) for row in plays))
+        block = _Block(_bits(plays))
         block.full, block.universe = full, universe
         for block.fixed, block.seen, block.rows in slices:
             block.rational = {}
@@ -848,7 +850,7 @@ def check_validity(
     if samples is None:
         return _sweep_blocks(game, run, max_states)
     for checked, (plays, possible) in enumerate(sample_model_masks(game, samples, max_states, seed), 1):
-        model = _Model(tuple(tuple(1 << s for s in row) for row in plays), possible)
+        model = _Model(_bits(plays), possible)
         if run(model, model.universe) != model.universe:
             return ValidityReport(False, model_of_masks(game, plays, possible), checked)
     return ValidityReport(True, None, samples)

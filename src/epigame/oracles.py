@@ -6,9 +6,11 @@ disagreement in a cross-check localizes the bug; the optimality kernel is
 checked against the naive condition evaluator, applied one focus strategy
 at a time by :func:`naive_optimal_strategies`, the bitmask modal evaluator
 against the set-based tree walk of :func:`naive_interpret`, and the
-fixpoint iteration against the union of post-fixpoints.  The module also
-names the reference games and generates deterministic corpora of small
-games, conditions, operator pairs and belief models.  Its table operators
+fixpoint iteration against the union of post-fixpoints.  The set-based
+belief operators and :func:`free_variables` live here too, as only tests
+and demos use them: the runtime reads beliefs in mask form.  The module also names
+the reference games and generates deterministic corpora of small games,
+conditions, operator pairs and belief models.  Its table operators
 store an arbitrary restriction-to-restriction map, so that the lattice
 facts (monotone outcomes, post-fixpoints, outcome inclusion) are exercised
 on operators that conditions cannot produce.  No runtime module imports
@@ -29,13 +31,12 @@ from .beliefs import (
     EnumerationLimitError,
     Event,
     Masks,
-    believes,
     game_of_event,
     model_of_masks,
     sample_model_masks,
 )
 from .conditions import (
-    ConditionRegistry, Conj, CtxAtom, Exists, FormulaO, GeqAtom, Neg, OptimalityModel, analyze, models
+    ConditionRegistry, Conj, CtxAtom, Exists, FormulaO, GeqAtom, Neg, OptimalityModel, _scan, analyze, models
 )
 from .games import (
     Game, Profile, Restriction, bundled_game, bundled_games, lattice_size, restrictions, subsets
@@ -355,25 +356,16 @@ def naive_optimal_strategies(
 
 def enumerate_belief_models(game: Game, max_states: int) -> Iterator[BeliefModel]:
     """Every belief model over the game with 1..max_states states, in a
-    fixed order, without duplicates: the order of
-    :func:`enumerate_model_masks`, which the tests pin."""
-    if max_states > MAX_ENUM_STATES:
-        raise EnumerationLimitError(f"exhaustive enumeration is limited to {MAX_ENUM_STATES} states")
-    for count in range(1, max_states + 1):
-        states = tuple(f"w{k + 1}" for k in range(count))
-        play_choices = [list(product(game.strategies[i], repeat=count)) for i in game.players]
-        # models share their plays and possibility maps, which nothing mutates
-        poss_choices = [dict(zip(states, chosen)) for chosen in product(subsets(states), repeat=count)]
-        for plays_combo in product(*play_choices):
-            plays = tuple(dict(zip(states, chosen)) for chosen in plays_combo)
-            for possible in product(poss_choices, repeat=game.n):
-                yield BeliefModel(game, states, plays, possible)
+    fixed order, without duplicates: the models of
+    :func:`enumerate_model_masks`, whose order the tests pin."""
+    for plays, possible in enumerate_model_masks(game, max_states):
+        yield model_of_masks(game, plays, possible)
 
 
 def enumerate_model_masks(game: Game, max_states: int) -> Iterator[tuple[Masks, Masks]]:
-    """The models of :func:`enumerate_belief_models` as (plays, possible)
-    masks, in the same order: the lane order of the exhaustive sweeps of
-    :func:`~epigame.modal.check_validity`.  Consecutive models with the
+    """Every belief model over the game with 1..max_states states as
+    (plays, possible) masks, in a fixed order: the lane order of the
+    exhaustive sweeps of :func:`~epigame.modal.check_validity`.  Consecutive models with the
     same plays share one plays tuple.  Refuses more than
     :data:`~epigame.beliefs.MAX_ENUM_STATES` states at once, not at the
     first model."""
@@ -399,6 +391,52 @@ def sample_belief_models(
     strategies, and each possibility set drawn uniformly."""
     for plays, possible in sample_model_masks(game, count, max_states, seed):
         yield model_of_masks(game, plays, possible)
+
+
+def free_variables(formula: FormulaO) -> frozenset[str]:
+    return _scan(formula, False)[0]
+
+
+def believes(model: BeliefModel, player: int, event: Event) -> Event:
+    """States where everything the player considers possible lies in the event."""
+    return frozenset(
+        state for state in model.states if model.possible_at(player, state) <= event
+    )
+
+
+def everyone_believes(model: BeliefModel, event: Event) -> Event:
+    result = model.universe
+    for player in model.game.players:
+        result &= believes(model, player, event)
+    return result
+
+
+@dataclass(frozen=True)
+class CommonBeliefResult:
+    event: Event
+    chain: tuple[Event, ...]
+
+
+def common_belief(model: BeliefModel, event: Event) -> CommonBeliefResult:
+    """Intersection of all levels of iterated everyone-believes.
+
+    The chain records each level up to (excluding) the first repeated value;
+    since levels of a finite model must eventually repeat, intersecting the
+    recorded levels already equals the full infinite intersection.  The
+    value-repeat stop matters: without transitivity the levels need not
+    shrink monotonically and may cycle.
+    """
+    chain: list[Event] = []
+    seen: set[Event] = set()
+    level = everyone_believes(model, event)
+    while level not in seen:
+        seen.add(level)
+        chain.append(level)
+        level = everyone_believes(model, level)
+    result = model.universe
+    for entry in chain:
+        result &= entry
+    return CommonBeliefResult(result, tuple(chain))
 
 
 def naive_common_belief(model: BeliefModel, event: Event) -> Event:

@@ -3,19 +3,16 @@ from itertools import islice
 import pytest
 from hypothesis import given, strategies as st
 
-from epigame.beliefs import (
-    BeliefModel,
-    ModelFormatError,
+from epigame.beliefs import BeliefModel, ModelFormatError, format_model, game_of_event, parse_model
+from epigame.games import bundled_games
+from epigame.modal import _bits, _load, _Model
+from epigame.oracles import (
     believes,
     common_belief,
-    everyone_believes,
-    format_model,
-    game_of_event,
-    parse_model,
-)
-from epigame.oracles import (
     enumerate_belief_models,
+    everyone_believes,
     fig1_right,
+    generated_games,
     is_truthful,
     naive_common_belief,
     sample_belief_models,
@@ -42,19 +39,26 @@ def test_parse_model_fixture():
     assert m.strategy_of(1, "w2") == "R"
     assert m.possible_at(0, "w2") == {"w1", "w2"}
     assert m.possible_at(1, "w2") == frozenset()
+    assert m.plays == ((0, 1), (0, 1))
+    assert m.possible == ((0b01, 0b11), (0b11, 0b00))
 
 
 @given(st.data())
 def test_format_parse_round_trip(data):
     m = fixture_model()
     assert parse_model(format_model(m), fig1_right()) == m
-    g = fig1_right()
+    g = data.draw(st.sampled_from(bundled_games() + generated_games()))
     names = st.text(alphabet="w#.-_()':", min_size=1, max_size=4)
-    states = tuple(data.draw(st.lists(names, min_size=1, max_size=3, unique=True)))
-    plays = tuple({s: data.draw(st.sampled_from(strategies)) for s in states} for strategies in g.strategies)
-    possible = tuple({s: frozenset(data.draw(st.sets(st.sampled_from(states)))) for s in states} for _ in g.players)
+    states = tuple(data.draw(st.lists(names, min_size=1, max_size=4, unique=True)))
+    plays = tuple(tuple(data.draw(st.integers(0, len(strategies) - 1)) for _ in states) for strategies in g.strategies)
+    # empty possibility sets included
+    possible = tuple(tuple(data.draw(st.integers(0, (1 << len(states)) - 1)) for _ in states) for _ in g.players)
     m = BeliefModel(g, states, plays, possible)
-    assert parse_model(format_model(m), g) == m
+    back = parse_model(format_model(m), g)
+    assert back == m and hash(back) == hash(m)
+    # a loaded model is the one a sampled sweep builds from the same masks
+    loaded, sampled = _load(m), _Model(_bits(plays), possible)
+    assert (loaded.plays, loaded.possible) == (sampled.plays, sampled.possible)
 
 
 def test_game_of_event():
@@ -203,6 +207,12 @@ def test_parse_model_errors():
          "missing possible for player 2", 5),
         ("states: w1\nplays 1: w1=U\nplays 2: w1=L\npossible 1: w1=w1\npossible 2: w1={w1}\n",
          "expected a state set", 4),
+        ("states: w1 w2\nplays 1: w1=U w2=D\nplays 2: w1=L w2=R\npossible 1: w1={w1,,w2} w2={}\n",
+         "empty member in the state set '{w1,,w2}'", 4),
+        ("states: w1 w2\nplays 1: w1=U w2=D\nplays 2: w1=L w2=R\npossible 1: w1={} w2={,}\n",
+         "empty member in the state set '{,}'", 4),
+        ("states: w1\nplays 1: w1=U\nplays 2: w1=L\npossible 1: w1={w1}\npossible 2: w1={w1,}\n",
+         "empty member in the state set '{w1,}'", 5),
         ("states: w1\nwat\n", "unrecognized line", 2),
         ("states: w1\nplays 1: w2=U\n", "unknown state 'w2'", 2),
         ("states: w1 w2\nplays 1: w1=U w2=D w1=U\n", "line 2: duplicate entry for state 'w1'", 2),
@@ -227,20 +237,33 @@ def test_parse_model_errors():
 def test_model_validation_direct():
     g = fig1_right()
     with pytest.raises(ModelFormatError, match="non-empty"):
-        BeliefModel(g, (), ({}, {}), ({}, {}))
+        BeliefModel(g, (), ((), ()), ((), ()))
     with pytest.raises(ModelFormatError, match="duplicate state"):
-        BeliefModel(
-            g,
-            ("w", "w"),
-            ({"w": "U"}, {"w": "L"}),
-            ({"w": frozenset({"w"})}, {"w": frozenset({"w"})}),
-        )
+        BeliefModel(g, ("w", "w"), ((0, 0), (0, 0)), ((0b11, 0b11), (0b11, 0b11)))
     with pytest.raises(ModelFormatError, match="every player"):
-        BeliefModel(g, ("w",), ({"w": "U"},), ({"w": frozenset()},))
+        BeliefModel(g, ("w",), ((0,),), ((0,),))
     for name, fault in (("a=b", "contains '='"), ("c,d", "contains ','"), ("w x", "contains ' '"), ("", "is empty")):
         with pytest.raises(ModelFormatError) as exc:
-            BeliefModel(g, (name,), ({name: "U"}, {name: "L"}), ({name: frozenset()},) * 2)
+            BeliefModel(g, (name,), ((0,), (0,)), ((0,),) * 2)
         assert str(exc.value) == f"state name {name!r} {fault}"
+    # masks from API callers: rows one per state, indices and masks in range
+    states = ("w1", "w2")
+    plays, possible = ((0, 1), (1, 0)), ((0b01, 0b11), (0b00, 0b10))
+    BeliefModel(g, states, plays, possible)
+    cases = [
+        (((0,), (1, 0)), possible, "player 1 has no strategy at w2"),
+        (((0, 1), (1, 0, 1)), possible, "player 2 has a strategy past the last state w2"),
+        (plays, ((0b01, 0b11), (0b10,)), "player 2 has no possibility set at w2"),
+        (plays, ((0b01, 0b11, 0), (0, 0)), "player 1 has a possibility set past the last state w2"),
+        (((0, 2), (1, 0)), possible, "player 1's strategy index at w2 is 2, outside 0..1"),
+        (((0, 1), (-1, 0)), possible, "player 2's strategy index at w1 is -1, outside 0..1"),
+        (plays, ((0b01, 0b100), (0, 0)), "player 1's possibility mask at w2 is 4, outside 0..3"),
+        (plays, ((0b01, 0b11), (0, -1)), "player 2's possibility mask at w2 is -1, outside 0..3"),
+    ]
+    for bad_plays, bad_possible, message in cases:
+        with pytest.raises(ModelFormatError) as exc:
+            BeliefModel(g, states, bad_plays, bad_possible)
+        assert str(exc.value) == message
 
 
 def test_models_hash_consistently():

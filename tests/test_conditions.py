@@ -19,7 +19,6 @@ from epigame.conditions import (
     UnboundVariableError,
     analyze,
     builtin,
-    free_variables,
     models,
     parse_condition_file,
     parse_lo,
@@ -35,6 +34,7 @@ from epigame.oracles import (
     fig1_left,
     fig1_right,
     fig2,
+    free_variables,
     generated_conditions,
     generated_games,
     naive_eliminate,
@@ -605,7 +605,7 @@ def test_kernel_refuses_open_and_context_unsafe_conditions():
         ConditionOperator(g, parse_lo("forall y . o >= y @ o"))
     registry = ConditionRegistry.standard().copy()
     registry.register("selfctx", parse_lo("C(o)"))
-    model = BeliefModel(g, ("w",), ({"w": "U"}, {"w": "L"}), ({"w": frozenset({"w"})},) * 2)
+    model = BeliefModel(g, ("w",), ((0,), (0,)), ((1,),) * 2)
     with pytest.raises(ModalError, match="'selfctx' is not context-safe"):
         interpret(model, Rat("selfctx", 0), registry=registry)
 

@@ -8,7 +8,7 @@ from math import prod
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from epigame.beliefs import BeliefModel, EnumerationLimitError, model_of_masks, parse_model
+from epigame.beliefs import BeliefModel, EnumerationLimitError, format_model, model_of_masks, parse_model
 from epigame import conditions, modal
 from epigame.conditions import MAX_NESTING, ConditionRegistry, CtxAtom, FormulaSyntaxError, builtin, parse_lo
 from epigame.games import Game, bundled_games, format_game, parse_game, subsets
@@ -26,6 +26,7 @@ from epigame.modal import (
     X,
     _Lanes,
     _Model,
+    _bits,
     _program,
     _slices,
     check_validity,
@@ -329,8 +330,8 @@ def test_nu_via_postfixpoints_guards():
 def big_model(states_count):
     g = fig1_right()
     states = tuple(f"s{k}" for k in range(states_count))
-    plays = ({s: "U" for s in states}, {s: "L" for s in states})
-    possible = tuple({s: frozenset({s}) for s in states} for _ in range(2))
+    plays = ((0,) * states_count,) * 2  # U and L
+    possible = (tuple(1 << k for k in range(states_count)),) * 2
     return BeliefModel(g, states, plays, possible)
 
 
@@ -482,12 +483,10 @@ def test_iter_subformulas():
 @st.composite
 def models_over(draw, game):
     """A belief model over the game with 1-4 states."""
-    states = tuple(f"w{k + 1}" for k in range(draw(st.integers(1, 4))))
-    plays = tuple({s: draw(st.sampled_from(names)) for s in states} for names in game.strategies)
-    possible = tuple(
-        {s: frozenset(draw(st.sets(st.sampled_from(states)))) for s in states} for _ in game.strategies
-    )
-    return BeliefModel(game, states, plays, possible)
+    size = draw(st.integers(1, 4))
+    plays = tuple(tuple(draw(st.integers(0, len(names) - 1)) for _ in range(size)) for names in game.strategies)
+    possible = tuple(tuple(draw(st.integers(0, (1 << size) - 1)) for _ in range(size)) for _ in game.strategies)
+    return model_of_masks(game, plays, possible)
 
 
 @st.composite
@@ -607,7 +606,7 @@ def per_model_sweep(game, formula, max_states):
     checked = 0
     for plays, possible in enumerate_model_masks(game, max_states):
         checked += 1
-        model = _Model(tuple(tuple(1 << s for s in row) for row in plays), possible)
+        model = _Model(_bits(plays), possible)
         if run(model, model.universe) != model.universe:
             return checked, model_of_masks(game, plays, possible)
     return checked, None
@@ -622,7 +621,7 @@ def check_lanes(game, formula, states, env, picked):
         if index not in picked:
             continue
         result = run(block, _Lanes(block.full if env >> v & 1 else 0 for v in range(states)))
-        bits = tuple(tuple(1 << s for s in row) for row in plays)
+        bits = _bits(plays)
         for lane in range(block.full.bit_length()):
             model = _Model(bits, block.possible(lane))
             held = sum((vector >> lane & 1) << k for k, vector in enumerate(result))
@@ -698,7 +697,7 @@ def test_block_programs_refuse_as_the_per_model_program_does():
 
 def test_interpret_and_both_sweeps_share_one_program():
     game = copy.copy(fig1_right())  # starts without caches
-    m = BeliefModel(game, ("w1",), ({"w1": "U"}, {"w1": "L"}), ({"w1": frozenset({"w1"})},) * 2)
+    m = BeliefModel(game, ("w1",), ((0,), (0,)), ((1,),) * 2)
     formula = parse_nu("rat(gbr) and CB rat(gbr) -> nu X . O(lsd) X")
     assert interpret(m, formula) == frozenset({"w1"})
     assert check_validity(game, formula, max_states=1).valid
@@ -715,9 +714,41 @@ def test_a_three_state_sweep_is_exact():
         check_validity(fig1_left(), Rat("nope"), max_states=4)
 
 
-@pytest.mark.parametrize("game", [fig1_right(), fig2()], ids=["2x2", "fig2"])
-def test_mask_enumeration_is_the_model_enumeration(game):
+def pinned(states, plays, possible):
+    """A two-player model in the text format."""
+    lines = [f"states: {states}", f"plays 1: {plays[0]}", f"plays 2: {plays[1]}"]
+    return "\n".join(lines + [f"possible 1: {possible[0]}", f"possible 2: {possible[1]}", ""])
+
+
+# the exhaustive order decides every exhaustive count and first countermodel;
+# these models were enumerated before belief models moved to mask form
+PINS_2X2 = {
+    0: pinned("w1", ("w1=U", "w1=L"), ("w1={}", "w1={}")),
+    15: pinned("w1", ("w1=D", "w1=R"), ("w1={w1}", "w1={w1}")),
+    16: pinned("w1 w2", ("w1=U w2=U", "w1=L w2=L"), ("w1={} w2={}", "w1={} w2={}")),
+    # the countermodel check-valid prints for 'rat(gbr) -> box rat(gbr)'
+    33: pinned("w1 w2", ("w1=U w2=U", "w1=L w2=L"), ("w1={} w2={w1}", "w1={} w2={w1}")),
+    4_111: pinned("w1 w2", ("w1=D w2=D", "w1=R w2=R"), ("w1={w1,w2} w2={w1,w2}",) * 2),
+}
+PINS_FIG2 = {
+    0: pinned("w1", ("w1=U", "w1=L"), ("w1={}", "w1={}")),
+    1: pinned("w1", ("w1=U", "w1=L"), ("w1={}", "w1={w1}")),
+    2: pinned("w1", ("w1=U", "w1=L"), ("w1={w1}", "w1={}")),
+    23: pinned("w1", ("w1=D", "w1=R"), ("w1={w1}", "w1={w1}")),
+    24: pinned("w1 w2", ("w1=U w2=U", "w1=L w2=L"), ("w1={} w2={}", "w1={} w2={}")),
+    25: pinned("w1 w2", ("w1=U w2=U", "w1=L w2=L"), ("w1={} w2={}", "w1={} w2={w1}")),
+    1_637: pinned("w1 w2", ("w1=U w2=M", "w1=R w2=L"), ("w1={w1} w2={}", "w1={w1,w2} w2={w1}")),
+    9_239: pinned("w1 w2", ("w1=D w2=D", "w1=R w2=R"), ("w1={w1,w2} w2={w1,w2}",) * 2),
+}
+
+
+@pytest.mark.parametrize(
+    "game, count, pins", [(fig1_right(), 4_112, PINS_2X2), (fig2(), 9_240, PINS_FIG2)], ids=["2x2", "fig2"]
+)
+def test_mask_enumeration_is_the_model_enumeration(game, count, pins):
     masks = list(enumerate_model_masks(game, 2))
+    assert len(masks) == count
+    assert {k: format_model(model_of_masks(game, *masks[k])) for k in pins} == pins
     assert [model_of_masks(game, *pair) for pair in masks] == list(enumerate_belief_models(game, 2))
     # a plays block, the models one block vector holds, is a run of
     # consecutive models with one plays tuple
@@ -761,14 +792,14 @@ def test_conjunction_skips_its_right_side_when_the_left_is_empty():
     never run: here the lsd survivor table is never consulted."""
     game = parse_game(format_game(fig1_right()))  # its survivor tables start empty
     # nothing is possible, so no context profile exists and rat(gbr) fails
-    m = BeliefModel(game, ("w1",), ({"w1": "U"}, {"w1": "L"}), ({"w1": frozenset()},) * 2)
+    m = BeliefModel(game, ("w1",), ((0,), (0,)), ((0,),) * 2)
     formula = parse_nu("rat(gbr) and O(lsd) X")
     assert interpret(m, formula) == frozenset() == naive_interpret(m, formula)
     assert survivor_table(game, builtin("lsd")).memo == ({}, {})
 
 def test_the_game_does_not_keep_interpreted_models_alive():
     game = Game(fig1_right().strategies, dict(fig1_right().payoffs))
-    m = BeliefModel(game, ("w1",), ({"w1": "U"}, {"w1": "L"}), ({"w1": frozenset({"w1"})},) * 2)
+    m = BeliefModel(game, ("w1",), ((0,), (0,)), ((1,),) * 2)
     gc.disable()  # only reference counts may free the model
     try:
         assert interpret(m, Rat("gbr", None)) == frozenset({"w1"})
@@ -781,7 +812,7 @@ def test_the_game_does_not_keep_interpreted_models_alive():
 
 def test_games_pickle_without_their_caches():
     game = Game(fig1_right().strategies, dict(fig1_right().payoffs))
-    m = BeliefModel(game, ("w1",), ({"w1": "U"}, {"w1": "L"}), ({"w1": frozenset({"w1"})},) * 2)
+    m = BeliefModel(game, ("w1",), ((0,), (0,)), ((1,),) * 2)
     assert interpret(m, Rat("gbr", None)) == frozenset({"w1"})
     copy = pickle.loads(pickle.dumps(m))
     assert copy == m and "modal_cache" not in vars(copy.game)
@@ -790,7 +821,7 @@ def test_games_pickle_without_their_caches():
 
 def test_programs_are_cached_per_registry():
     # the dominated D is locally undominated where nothing else is possible
-    m = BeliefModel(fig1_right(), ("w1",), ({"w1": "D"}, {"w1": "R"}), ({"w1": frozenset({"w1"})},) * 2)
+    m = BeliefModel(fig1_right(), ("w1",), ((1,), (1,)), ((1,),) * 2)
     assert interpret(m, Rat("gbr", 0)) == frozenset()
     # the same name, formula and game under another registry is another program
     renamed = ConditionRegistry()
@@ -801,10 +832,7 @@ def test_programs_are_cached_per_registry():
 
 def test_the_program_cache_is_bounded():
     game = copy.copy(fig1_right())  # starts without caches
-    m = BeliefModel(
-        game, ("w1", "w2"), ({"w1": "U", "w2": "D"}, {"w1": "L", "w2": "R"}),
-        ({"w1": frozenset({"w1", "w2"}), "w2": frozenset({"w2"})}, {"w1": frozenset(), "w2": frozenset({"w1"})}),
-    )
+    m = BeliefModel(game, ("w1", "w2"), ((0, 1), (0, 1)), ((0b11, 0b10), (0b00, 0b01)))
     atoms = [kind(c, p) for kind in (Rat, lambda c, p: Opt(c, p, X)) for c in ("lsd", "gsd", "gbr") for p in (None, 0, 1)]
     sizes = []
     for k, formula in enumerate(islice((Conj(a, Box(None, b)) for a, b in product(atoms, atoms)), 300)):
