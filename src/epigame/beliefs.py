@@ -109,22 +109,55 @@ def game_of_event(model: BeliefModel, event: Event) -> Restriction:
 # Sampling, for validity sweeps
 
 
+#: per byte of a 64-bit word pair's high byte: "1" where ``random()`` would be
+#: below 0.5, else "0"
+_HEADS = bytes(b"1"[0] if b < 128 else b"0"[0] for b in range(256))
+
+
 def sample_model_masks(
     game: Game, count: int, max_states: int, seed: int = 0
 ) -> Iterator[tuple[Masks, Masks]]:
     """Seeded random models in mask form: uniform state count in
-    1..max_states, uniform strategies, and each possibility set drawn
-    uniformly, one coin per state."""
+    1..max_states (``randint``), then every player's strategy at every
+    state, uniform (``choice``), then each possibility set drawn uniformly,
+    one fair coin (``random() < 0.5``) per player, state and member, in
+    that order.
+
+    It reads the Mersenne Twister stream exactly as those calls would, with
+    fewer Python calls.  ``choice(seq)`` is ``seq[_randbelow(len(seq))]``,
+    which redraws ``getrandbits(len(seq).bit_length())`` while the result is
+    out of range; that loop is written out.  ``random()`` builds its double
+    from two 32-bit words, the first giving its top 27 bits, so it is below
+    0.5 exactly when bit 31 of the first word is 0.  ``getrandbits(64 * m)``
+    returns the same 2m words, the first as the least significant, so coin
+    j is heads exactly when byte ``8j + 3`` of the little-endian bytes is
+    below 128.  The reference loop is
+    :func:`epigame.oracles.naive_sample_model_masks`.
+    """
     rng = random.Random(seed)
-    indices = [tuple(range(len(names))) for names in game.strategies]
+    getrandbits = rng.getrandbits
+    widths = [(n, n.bit_length()) for n in map(len, game.strategies)]
+    players = game.n
     for _ in range(count):
         size = rng.randint(1, max_states)
-        plays = tuple(tuple(rng.choice(choices) for _ in range(size)) for choices in indices)
+        plays = []
+        for n, width in widths:
+            row = []
+            for _ in range(size):
+                s = getrandbits(width)
+                while s >= n:
+                    s = getrandbits(width)
+                row.append(s)
+            plays.append(tuple(row))
+        coins = players * size * size
+        words = getrandbits(64 * coins).to_bytes(8 * coins, "little")
+        # bit j is coin j, heads being 1
+        heads = int(words[3::8].translate(_HEADS)[::-1], 2)
+        full = (1 << size) - 1
         possible = tuple(
-            tuple(sum(1 << k for k in range(size) if rng.random() < 0.5) for _ in range(size))
-            for _ in game.players
+            tuple(heads >> (i * size + k) * size & full for k in range(size)) for i in range(players)
         )
-        yield plays, possible
+        yield tuple(plays), possible
 
 
 @cache
@@ -152,8 +185,8 @@ def parse_model(text: str, game: Game) -> BeliefModel:
         possible 1: w1={w1,w2} w2={}
 
     Player indices are ASCII digits, and possibility sets are written
-    without internal spaces or empty members.  Every line names each state
-    once.  Raises :class:`ModelFormatError` with the 1-based line on
+    without internal spaces, empty members or repeated members.  Every line
+    names each state once.  Raises :class:`ModelFormatError` with the 1-based line on
     malformed input, including what :class:`BeliefModel` would refuse; a
     missing line is reported one past the end.
     """
@@ -202,6 +235,9 @@ def parse_model(text: str, game: Game) -> BeliefModel:
                     rogue = set(members).difference(states)
                     if rogue:
                         raise ModelFormatError(f"unknown state {sorted(rogue)[0]!r}", lineno)
+                    if len(set(members)) != len(members):
+                        again = next(s for k, s in enumerate(members) if s in members[:k])
+                        raise ModelFormatError(f"repeated member {again!r} in the state set {value!r}", lineno)
                     entries[state] = sum(1 << k for k, s in enumerate(states) if s in members)
             omitted = next((s for s in states if s not in entries), None)
             if omitted is not None:

@@ -25,10 +25,14 @@ of closures, cached on the game in :attr:`~epigame.games.Game.modal_cache`.
 Compiling resolves each condition's :class:`SurvivorTable` (in the same
 cache, shared by every model of the game) and player range, and makes
 every refusal, so :func:`interpret` and both kinds of validity check
-refuse alike.  A context is a tuple of per-player strategy masks, the form
-of :attr:`~epigame.games.Restriction.masks`, which a condition's
-:func:`~epigame.optimality.plan` reads as it is.  The program runs on a
-model in either of two forms.  Each gives ``rat``, belief, ``O`` and the
+refuse alike.  A context is one ``int``: player i's strategy s is bit
+``offset_i + s``, ``offset_i`` being the strategy count of the players
+before i (:func:`_layout`, built once per game).  A state's profile is then
+one int, and the context of an event is the OR of its states' profiles.
+A survivor table keys its memo on that int and unpacks it into the
+per-player masks of :attr:`~epigame.games.Restriction.masks`, the form a
+condition's :func:`~epigame.optimality.plan` reads, only on a miss.  The
+program runs on a model in either of two forms.  Each gives ``rat``, belief, ``O`` and the
 constant events that ``forall X`` ranges over; negation, conjunction, X
 and the fixpoint are one closure for both, written with ``^``, ``&`` and
 truth, and a conjunction skips its right side when its left is empty.
@@ -36,9 +40,13 @@ truth, and a conjunction skips its right side when its left is empty.
 A :class:`_Model` is one model, whose events are ``int`` bitmasks of
 states.  It memoises its contexts, the optimal states of each (condition,
 player) in them and the rationality atoms, and the game keeps the last
-model interpreted, so calls on one model share those memos.
-:func:`interpret` runs on it, and so do sampled validity checks, straight
-from the sampler's masks.  A :class:`~epigame.beliefs.BeliefModel` holds
+model interpreted, so calls on one model share those memos.  ``rat(c, i)``
+is tested state by state: the strategy played at k must survive in the
+context of the states i considers possible at k.  :func:`interpret` runs
+on it, and so do sampled validity checks.  A sampled draw costs the
+sampler's masks (:func:`~epigame.beliefs.sample_model_masks`), one profile
+int per state, and the program's run on the fresh model, whose survivor
+lookups hit the game's tables once their contexts have been seen.  A :class:`~epigame.beliefs.BeliefModel` holds
 the same masks, so loading one turns only its strategy indices into bits,
 as a sweep does; state names appear only at the boundary, in the ``env``
 argument and the result of :func:`interpret`.
@@ -71,7 +79,7 @@ import weakref
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cache, reduce
-from itertools import compress, product
+from itertools import accumulate, product
 from operator import and_, or_, xor
 from typing import Callable, Iterator
 
@@ -348,28 +356,51 @@ def positive_in_x(formula: FormulaNu, registry: ConditionRegistry) -> bool:
 # Interpretation
 
 
+@cache
+def _layout(sizes: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """Per player, the bit of each strategy in a packed context: player i's
+    strategy s is bit ``offset_i + s``, ``offset_i`` being the strategy
+    count of the players before i.  Built once per strategy counts."""
+    offsets = accumulate(sizes[:-1], initial=0)
+    return tuple(tuple(1 << offset + s for s in range(size)) for offset, size in zip(offsets, sizes))
+
+
+def _game_layout(game: Game) -> tuple[tuple[int, ...], ...]:
+    return _layout(tuple(map(len, game.strategies)))
+
+
+def _profiles(layout: tuple[tuple[int, ...], ...], plays: Masks) -> tuple[int, ...]:
+    """Each state's profile as a packed context: its players' strategy bits."""
+    return tuple(map(sum, zip(*(map(bits.__getitem__, row) for bits, row in zip(layout, plays)))))
+
+
 class SurvivorTable:
     """One condition's survivors in one game: :meth:`survivors` is the
-    mask of player i's strategies that satisfy it in a context (strategy k
-    of player i is bit k of ``context[i]``), computed once per (player,
-    context) by the condition's :func:`~epigame.optimality.plan`.  Belief
-    models of one game keep asking about the same few contexts, which is
-    what makes the memo pay; the operators and lemma admission visit each
-    context once and call the plan directly."""
+    mask of player i's strategies that satisfy it in a packed context (see
+    :func:`_layout`), computed once per (player, context) by the
+    condition's :func:`~epigame.optimality.plan`, which reads the context
+    unpacked into per-player masks.  Belief models of one game keep asking
+    about the same few contexts, which is what makes the memo pay; the
+    operators and lemma admission visit each context once and call the plan
+    directly."""
 
-    __slots__ = ("plan", "prefs", "memo")
+    __slots__ = ("plan", "prefs", "fields", "memo")
 
     def __init__(self, game: Game, formula: FormulaO):
         # holds no reference to the game, which holds the table
         self.plan = plan(formula)
         self.prefs = tuple(map(game.preferences, game.players))
-        self.memo: tuple[dict[tuple[int, ...], int], ...] = tuple({} for _ in game.players)
+        # (offset, mask) of each player's strategies in a packed context
+        sizes = self.prefs[0].sizes
+        self.fields = tuple(zip(accumulate(sizes[:-1], initial=0), [(1 << n) - 1 for n in sizes]))
+        self.memo: tuple[dict[int, int], ...] = tuple({} for _ in game.players)
 
-    def survivors(self, player: int, context: tuple[int, ...]) -> int:
+    def survivors(self, player: int, context: int) -> int:
         memo = self.memo[player]
         found = memo.get(context)
         if found is None:
-            found = memo[context] = self.plan(self.prefs[player], player, context)
+            masks = tuple(context >> offset & mask for offset, mask in self.fields)
+            found = memo[context] = self.plan(self.prefs[player], player, masks)
         return found
 
 
@@ -388,32 +419,38 @@ class _Model:
     """One belief model in state-mask form: every event is an ``int``
     bitmask over its states, state k being bit k.
 
-    ``plays[i][k]`` is the bit of player i's strategy at state k, and
-    ``possible[i]`` is player i's possibility row, a tuple whose k-th mask
-    holds the states i considers possible at state k.  The model memoises
-    its contexts, the ``optimal`` states of each (survivor table, player)
-    in them, and the ``rational`` states of each, where the player's
-    strategy survives in the context the player considers possible; every
-    program run on the model shares them all.
+    ``plays[i][k]`` is the index of player i's strategy at state k,
+    ``profiles[k]`` state k's profile as a packed context, built with the
+    game's ``layout`` (see :func:`_layout`), and ``possible[i]`` is player
+    i's possibility row, a tuple whose k-th mask holds the states i
+    considers possible at state k.  The model memoises its contexts, the
+    ``optimal`` states of each (survivor table, player) in them, and the
+    ``rational`` states of each, where the player's strategy survives in the
+    context the player considers possible; every program run on the model
+    shares them all.
     """
 
-    __slots__ = ("universe", "plays", "possible", "rational", "contexts", "optimal")
+    __slots__ = ("universe", "plays", "profiles", "possible", "rational", "contexts", "optimal")
 
-    def __init__(self, plays: tuple[tuple[int, ...], ...], possible: tuple[tuple[int, ...], ...]):
+    def __init__(self, layout: tuple[tuple[int, ...], ...], plays: Masks, possible: Masks):
         self.universe = (1 << len(plays[0])) - 1
         self.plays = plays
+        self.profiles = _profiles(layout, plays)
         self.possible = possible
-        self.contexts: dict[int, tuple[int, ...]] = {}
+        self.contexts: dict[int, int] = {}
         # (survivor table, player) -> event -> optimal states
         self.optimal: defaultdict[tuple[SurvivorTable, int], dict[int, int]] = defaultdict(dict)
         self.rational: dict[tuple[SurvivorTable, int], int] = {}
 
-    def context(self, event: int) -> tuple[int, ...]:
-        """The per-player masks of the strategies played in the event."""
+    def context(self, event: int) -> int:
+        """The packed context of the strategies played in the event: the
+        OR of its states' profiles."""
         found = self.contexts.get(event)
         if found is None:
-            inside = [event >> k & 1 for k in range(len(self.plays[0]))]
-            found = tuple(reduce(or_, compress(row, inside), 0) for row in self.plays)
+            found = 0
+            for k, profile in enumerate(self.profiles):
+                if event >> k & 1:
+                    found |= profile
             self.contexts[event] = found
         return found
 
@@ -425,21 +462,29 @@ class _Model:
         if found is None:
             table, player = ask
             survivors = table.survivors(player, self.context(event))
-            found = sum(1 << k for k, bit in enumerate(self.plays[player]) if bit & survivors)
+            found = sum(1 << k for k, s in enumerate(self.plays[player]) if survivors >> s & 1)
             memo[event] = found
         return found
 
     def rat(self, asks: list[tuple[SurvivorTable, int]]) -> int:
-        """The states where every (table, player) of ``asks`` is rational."""
+        """The states where every (table, player) of ``asks`` is rational:
+        at state k, the strategy played there survives in the context of
+        the states the player considers possible there.  Stops at the first
+        ask that leaves no state."""
         result = self.universe
         for ask in asks:
             held = self.rational.get(ask)
             if held is None:
+                table, player = ask
+                context = self.context
                 held = 0
-                for k, seen in enumerate(self.possible[ask[1]]):
-                    held |= self.optimal_states(ask, seen) & 1 << k
+                for k, (seen, s) in enumerate(zip(self.possible[player], self.plays[player])):
+                    if table.survivors(player, context(seen)) >> s & 1:
+                        held |= 1 << k
                 self.rational[ask] = held
             result &= held
+            if not result:
+                break
         return result
 
     def box(self, players: range | tuple[int, ...], event: int) -> int:
@@ -465,12 +510,6 @@ class _Model:
         return range(self.universe + 1)
 
 
-def _bits(plays: Masks) -> tuple[tuple[int, ...], ...]:
-    """Strategy indices as the strategy bits that :class:`_Model` and
-    :class:`_Block` read."""
-    return tuple(tuple(1 << s for s in row) for row in plays)
-
-
 def _load(model: BeliefModel) -> _Model:
     """The model in mask form.  Its game keeps the last model loaded, so a
     run of calls on one model shares its memos."""
@@ -478,7 +517,7 @@ def _load(model: BeliefModel) -> _Model:
     last = cache.get(None)
     if last is not None and last[0]() is model:
         return last[1]
-    loaded = _Model(_bits(model.plays), model.possible)
+    loaded = _Model(_game_layout(model.game), model.plays, model.possible)
     # weakly held: the model holds the game, which would otherwise keep both
     # alive in a cycle
     cache[None] = (weakref.ref(model), loaded)
@@ -544,6 +583,7 @@ class _Block:
     """The models of one plays block, or of one slice of it, in lane form:
     every event is a :class:`_Lanes`, bit t of a vector standing for the
     slice's model t.  ``plays`` is in the form of :attr:`_Model.plays`,
+    ``contexts`` holds the packed context of every event,
     ``full`` is every lane, ``universe`` the universe event, and ``seen``
     and ``rows`` are the :func:`_lanes` patterns of every player, constant
     vectors for the ``fixed`` leading rows of the slice.  ``rational``
@@ -551,14 +591,14 @@ class _Block:
 
     __slots__ = ("plays", "contexts", "kept", "rational", "full", "universe", "fixed", "seen", "rows")
 
-    def __init__(self, plays: tuple[tuple[int, ...], ...]):
+    def __init__(self, layout: tuple[tuple[int, ...], ...], plays: Masks):
         self.plays = plays
-        # contexts[e]: the per-player masks of the strategies played in event
-        # e, which adds its lowest state to e's other states
-        self.contexts = [(0,) * len(plays)]
-        for e in range(1, 1 << len(plays[0])):
-            low = (e & -e).bit_length() - 1
-            self.contexts.append(tuple(c | row[low] for c, row in zip(self.contexts[e & e - 1], plays)))
+        # contexts[e]: the packed context of event e, which adds its lowest
+        # state's profile to e's other states
+        profiles = _profiles(layout, plays)
+        contexts = self.contexts = [0]
+        for e in range(1, 1 << len(profiles)):
+            contexts.append(contexts[e & e - 1] | profiles[(e & -e).bit_length() - 1])
         self.kept: dict[tuple[SurvivorTable, int], tuple[tuple[int, ...], ...]] = {}
 
     def keeps(self, ask: tuple[SurvivorTable, int]) -> tuple[tuple[int, ...], ...]:
@@ -569,7 +609,7 @@ class _Block:
             table, player = ask
             held = [table.survivors(player, context) for context in self.contexts]
             found = self.kept[ask] = tuple(
-                tuple(e for e, survivors in enumerate(held) if survivors & bit) for bit in self.plays[player]
+                tuple(e for e, survivors in enumerate(held) if survivors >> s & 1) for s in self.plays[player]
             )
         return found
 
@@ -708,6 +748,7 @@ def _slices(game: Game, states: int) -> Iterator[tuple[tuple[tuple[int, ...], ..
     row_bits = states * states
     free = min(game.n, max(1, BLOCK_BITS // row_bits))
     full, seen, rows = _lanes(free, states)
+    layout = _game_layout(game)
     universe = _Lanes((full,) * states)
     # per slice: the fixed leading rows, then every player's patterns
     slices = []
@@ -721,7 +762,7 @@ def _slices(game: Game, states: int) -> Iterator[tuple[tuple[tuple[int, ...], ..
             + rows,
         ))
     for plays in product(*(product(range(len(names)), repeat=states) for names in game.strategies)):
-        block = _Block(_bits(plays))
+        block = _Block(layout, plays)
         block.full, block.universe = full, universe
         for block.fixed, block.seen, block.rows in slices:
             block.rational = {}
@@ -849,8 +890,9 @@ def check_validity(
     run = _program(game, formula, registry)
     if samples is None:
         return _sweep_blocks(game, run, max_states)
+    layout = _game_layout(game)
     for checked, (plays, possible) in enumerate(sample_model_masks(game, samples, max_states, seed), 1):
-        model = _Model(_bits(plays), possible)
+        model = _Model(layout, plays, possible)
         if run(model, model.universe) != model.universe:
             return ValidityReport(False, model_of_masks(game, plays, possible), checked)
     return ValidityReport(True, None, samples)

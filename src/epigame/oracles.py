@@ -33,7 +33,6 @@ from .beliefs import (
     Masks,
     game_of_event,
     model_of_masks,
-    sample_model_masks,
 )
 from .conditions import (
     ConditionRegistry, Conj, CtxAtom, Exists, FormulaO, GeqAtom, Neg, OptimalityModel, _scan, analyze, models
@@ -384,12 +383,30 @@ def _model_masks(game: Game, max_states: int) -> Iterator[tuple[Masks, Masks]]:
                 yield plays, possible
 
 
+def naive_sample_model_masks(
+    game: Game, count: int, max_states: int, seed: int = 0
+) -> Iterator[tuple[Masks, Masks]]:
+    """The reference for :func:`~epigame.beliefs.sample_model_masks`, which
+    must draw the same models: uniform state count in 1..max_states,
+    uniform strategies, and each possibility set drawn uniformly, one coin
+    per state."""
+    rng = random.Random(seed)
+    indices = [tuple(range(len(names))) for names in game.strategies]
+    for _ in range(count):
+        size = rng.randint(1, max_states)
+        plays = tuple(tuple(rng.choice(choices) for _ in range(size)) for choices in indices)
+        possible = tuple(
+            tuple(sum(1 << k for k in range(size) if rng.random() < 0.5) for _ in range(size))
+            for _ in game.players
+        )
+        yield plays, possible
+
+
 def sample_belief_models(
     game: Game, count: int, max_states: int, seed: int = 0
 ) -> Iterator[BeliefModel]:
-    """Seeded random models: uniform state count in 1..max_states, uniform
-    strategies, and each possibility set drawn uniformly."""
-    for plays, possible in sample_model_masks(game, count, max_states, seed):
+    """Seeded random models, drawn by :func:`naive_sample_model_masks`."""
+    for plays, possible in naive_sample_model_masks(game, count, max_states, seed):
         yield model_of_masks(game, plays, possible)
 
 

@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 
 from epigame.beliefs import BeliefModel, ModelFormatError, format_model, game_of_event, parse_model
 from epigame.games import bundled_games
-from epigame.modal import _bits, _load, _Model
+from epigame.modal import _game_layout, _load, _Model
 from epigame.oracles import (
     believes,
     common_belief,
@@ -57,8 +57,8 @@ def test_format_parse_round_trip(data):
     back = parse_model(format_model(m), g)
     assert back == m and hash(back) == hash(m)
     # a loaded model is the one a sampled sweep builds from the same masks
-    loaded, sampled = _load(m), _Model(_bits(plays), possible)
-    assert (loaded.plays, loaded.possible) == (sampled.plays, sampled.possible)
+    loaded, sampled = _load(m), _Model(_game_layout(g), plays, possible)
+    assert (loaded.plays, loaded.profiles, loaded.possible) == (sampled.plays, sampled.profiles, sampled.possible)
 
 
 def test_game_of_event():
@@ -213,6 +213,9 @@ def test_parse_model_errors():
          "empty member in the state set '{,}'", 4),
         ("states: w1\nplays 1: w1=U\nplays 2: w1=L\npossible 1: w1={w1}\npossible 2: w1={w1,}\n",
          "empty member in the state set '{w1,}'", 5),
+        # a set read as {w2} would be written back as {w2}: another text
+        ("states: w1 w2\nplays 1: w1=U w2=D\nplays 2: w1=L w2=R\npossible 1: w1={w2,w2} w2={w1}\n",
+         "repeated member 'w2' in the state set '{w2,w2}'", 4),
         ("states: w1\nwat\n", "unrecognized line", 2),
         ("states: w1\nplays 1: w2=U\n", "unknown state 'w2'", 2),
         ("states: w1 w2\nplays 1: w1=U w2=D w1=U\n", "line 2: duplicate entry for state 'w1'", 2),

@@ -1,5 +1,5 @@
 from fractions import Fraction
-from itertools import islice, product
+from itertools import accumulate, islice, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -571,17 +571,21 @@ def sampled_restrictions(game, step):
     ids=["fig1_left", "fig1_right", "fig2", "guess-3x4", "guess-2x8"],
 )
 def test_survivor_table_matches_restriction_path(game, contexts, naive_every):
-    """The per-game table, asked with context masks, agrees with the kernel
-    asked with a restriction and with the naive reference."""
+    """The per-game table, asked with a context packed into one int (player
+    i's strategy k is bit k past the strategies of the players before i),
+    agrees with the kernel asked with a restriction and with the naive
+    reference."""
+    offsets = list(accumulate((len(names) for names in game.strategies[:-1]), initial=0))
     checked = empty = 0
     for index, context in enumerate(contexts(game)):
         masks = context.masks
+        packed = sum(mask << offset for mask, offset in zip(masks, offsets))
         empty += 0 in masks
         for name in BUILTIN_CONDITION_TEXT:
             formula = builtin(name)
             table = survivor_table(game, formula)
             for player in game.players:
-                mask = table.survivors(player, masks)
+                mask = table.survivors(player, packed)
                 names = game.strategies[player]
                 found = frozenset(s for k, s in enumerate(names) if mask >> k & 1)
                 where = (context, name, player)

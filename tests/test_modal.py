@@ -26,7 +26,7 @@ from epigame.modal import (
     X,
     _Lanes,
     _Model,
-    _bits,
+    _game_layout,
     _program,
     _slices,
     check_validity,
@@ -606,7 +606,7 @@ def per_model_sweep(game, formula, max_states):
     checked = 0
     for plays, possible in enumerate_model_masks(game, max_states):
         checked += 1
-        model = _Model(_bits(plays), possible)
+        model = _Model(_game_layout(game), plays, possible)
         if run(model, model.universe) != model.universe:
             return checked, model_of_masks(game, plays, possible)
     return checked, None
@@ -621,9 +621,8 @@ def check_lanes(game, formula, states, env, picked):
         if index not in picked:
             continue
         result = run(block, _Lanes(block.full if env >> v & 1 else 0 for v in range(states)))
-        bits = _bits(plays)
         for lane in range(block.full.bit_length()):
-            model = _Model(bits, block.possible(lane))
+            model = _Model(_game_layout(game), plays, block.possible(lane))
             held = sum((vector >> lane & 1) << k for k, vector in enumerate(result))
             assert held == run(model, env), (index, lane)
             checked += 1
@@ -796,6 +795,17 @@ def test_conjunction_skips_its_right_side_when_the_left_is_empty():
     formula = parse_nu("rat(gbr) and O(lsd) X")
     assert interpret(m, formula) == frozenset() == naive_interpret(m, formula)
     assert survivor_table(game, builtin("lsd")).memo == ({}, {})
+
+
+def test_rationality_stops_at_the_first_irrational_player():
+    """``rat(gbr)`` over both players is settled once player 1 is
+    irrational everywhere, so player 2's survivors are never asked for."""
+    game = parse_game(format_game(fig1_right()))  # its survivor tables start empty
+    # the dominated D, played where only (D, R) is possible
+    m = BeliefModel(game, ("w1",), ((1,), (1,)), ((1,),) * 2)
+    assert interpret(m, Rat("gbr", None)) == frozenset() == naive_interpret(m, Rat("gbr", None))
+    first, second = survivor_table(game, builtin("gbr")).memo
+    assert first and not second
 
 def test_the_game_does_not_keep_interpreted_models_alive():
     game = Game(fig1_right().strategies, dict(fig1_right().payoffs))

@@ -3,6 +3,8 @@ from fractions import Fraction
 import pytest
 
 from epigame.conditions import analyze
+from hypothesis import given, settings, strategies as st
+
 from epigame.beliefs import format_model, model_of_masks, sample_model_masks
 from epigame.games import Game, bundled_games, lattice_size
 from epigame.operators import condition_operator, iterate
@@ -15,12 +17,14 @@ from epigame.oracles import (
     generated_conditions,
     generated_games,
     naive_eliminate,
+    naive_sample_model_masks,
     premise_pairs,
     sample_belief_models,
     square_lattice_game,
     standard_corpus,
 )
 from epigame.proofs import bundled_proof
+from test_conditions import tied_games
 
 
 def test_bundled_game_payoffs():
@@ -153,6 +157,37 @@ def test_sampling_draw_order_is_pinned():
     assert [format_model(m) for m in sample_belief_models(fig2(), 3, 4, seed=2)] == expected
     masks = list(sample_model_masks(fig2(), 3, 4, seed=2))
     assert [format_model(model_of_masks(fig2(), *pair)) for pair in masks] == expected
+
+
+def test_sampled_masks_are_pinned():
+    # (plays, possible) of the first draws of one seed, taken from the
+    # reference loop before the sampler read the stream word by word
+    expected = [
+        (((1, 2), (1, 1)), ((3, 0), (0, 3))),
+        (((2, 1, 0), (0, 0, 0)), ((2, 6, 0), (4, 2, 3))),
+        (((1, 0, 0, 2), (0, 1, 0, 0)), ((2, 0, 11, 12), (11, 3, 3, 1))),
+        (((2, 0), (1, 1)), ((1, 3), (1, 2))),
+        (((2,), (0,)), ((1,), (0,))),
+        (((0, 1, 1, 2, 1), (0, 0, 0, 0, 1)), ((20, 31, 17, 17, 1), (9, 5, 1, 19, 31))),
+    ]
+    assert list(sample_model_masks(fig2(), 6, 5, seed=21)) == expected
+    assert list(naive_sample_model_masks(fig2(), 6, 5, seed=21)) == expected
+
+
+def test_sampler_draws_the_reference_loops_models():
+    for game in bundled_games() + generated_games():
+        for states in range(1, 7):
+            for seed in (0, 1, 2, 77):
+                fast = list(sample_model_masks(game, 40, states, seed))
+                assert fast == list(naive_sample_model_masks(game, 40, states, seed)), (game.strategies, states, seed)
+
+
+@settings(max_examples=40, deadline=None)
+@given(tied_games().filter(lambda g: g.n == 3), st.integers(1, 6), st.integers(0, 2**32))
+def test_sampler_draws_the_reference_loops_models_with_three_players(game, states, seed):
+    """Players with a single strategy included: each of their draws still
+    takes one word from the stream."""
+    assert list(sample_model_masks(game, 30, states, seed)) == list(naive_sample_model_masks(game, 30, states, seed))
 
 
 def test_optimality_model_enumeration_counts():
