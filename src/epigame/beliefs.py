@@ -109,9 +109,9 @@ def game_of_event(model: BeliefModel, event: Event) -> Restriction:
 # Sampling, for validity sweeps
 
 
-#: per byte of a 64-bit word pair's high byte: "1" where ``random()`` would be
-#: below 0.5, else "0"
-_HEADS = bytes(b"1"[0] if b < 128 else b"0"[0] for b in range(256))
+#: The top byte of a coin's first 32-bit word, translated to the digit "1"
+#: when its top bit is clear (``random()`` would be below 0.5), else "0".
+_HEADS = bytes(ord("1") if b < 128 else ord("0") for b in range(256))
 
 
 def sample_model_masks(
@@ -186,9 +186,9 @@ def parse_model(text: str, game: Game) -> BeliefModel:
 
     Player indices are ASCII digits, and possibility sets are written
     without internal spaces, empty members or repeated members.  Every line
-    names each state once.  Raises :class:`ModelFormatError` with the 1-based line on
-    malformed input, including what :class:`BeliefModel` would refuse; a
-    missing line is reported one past the end.
+    names each state once.  Raises :class:`ModelFormatError` with the
+    1-based line on malformed input, including what :class:`BeliefModel`
+    would refuse; a missing line is reported one past the end.
     """
     states: tuple[str, ...] | None = None
     plays: dict[int, tuple[int, ...]] = {}

@@ -27,15 +27,16 @@ cache, shared by every model of the game) and player range, and makes
 every refusal, so :func:`interpret` and both kinds of validity check
 refuse alike.  A context is one ``int``: player i's strategy s is bit
 ``offset_i + s``, ``offset_i`` being the strategy count of the players
-before i (:func:`_layout`, built once per game).  A state's profile is then
-one int, and the context of an event is the OR of its states' profiles.
-A survivor table keys its memo on that int and unpacks it into the
-per-player masks of :attr:`~epigame.games.Restriction.masks`, the form a
-condition's :func:`~epigame.optimality.plan` reads, only on a miss.  The
-program runs on a model in either of two forms.  Each gives ``rat``, belief, ``O`` and the
-constant events that ``forall X`` ranges over; negation, conjunction, X
-and the fixpoint are one closure for both, written with ``^``, ``&`` and
-truth, and a conjunction skips its right side when its left is empty.
+before i (:func:`_layout`, built once per game shape).  A state's profile
+is then one int, and the context of an event is the OR of its states'
+profiles.  A survivor table keys its memo on that int and unpacks it into
+the per-player masks of :attr:`~epigame.games.Restriction.masks`, the form
+a condition's :func:`~epigame.optimality.plan` reads, only on a miss.  The
+program runs on a model in either of two forms.  Each gives ``rat``,
+belief, ``O`` and the constant events that ``forall X`` ranges over;
+negation, conjunction, X and the fixpoint are one closure for both,
+written with ``^``, ``&`` and truth, and a conjunction skips its right
+side when its left is empty.
 
 A :class:`_Model` is one model, whose events are ``int`` bitmasks of
 states.  It memoises its contexts, the optimal states of each (condition,
@@ -46,10 +47,10 @@ context of the states i considers possible at k.  :func:`interpret` runs
 on it, and so do sampled validity checks.  A sampled draw costs the
 sampler's masks (:func:`~epigame.beliefs.sample_model_masks`), one profile
 int per state, and the program's run on the fresh model, whose survivor
-lookups hit the game's tables once their contexts have been seen.  A :class:`~epigame.beliefs.BeliefModel` holds
-the same masks, so loading one turns only its strategy indices into bits,
-as a sweep does; state names appear only at the boundary, in the ``env``
-argument and the result of :func:`interpret`.
+lookups hit the game's tables once their contexts have been seen.  A
+:class:`~epigame.beliefs.BeliefModel` holds the same masks, so loading one
+builds only its profile ints, as a sweep does; state names appear only at
+the boundary, in the ``env`` argument and the result of :func:`interpret`.
 
 A :class:`_Block` is every model of a plays block at once, for exhaustive
 validity checks: the run of consecutive models, in
@@ -360,7 +361,7 @@ def positive_in_x(formula: FormulaNu, registry: ConditionRegistry) -> bool:
 def _layout(sizes: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     """Per player, the bit of each strategy in a packed context: player i's
     strategy s is bit ``offset_i + s``, ``offset_i`` being the strategy
-    count of the players before i.  Built once per strategy counts."""
+    count of the players before i."""
     offsets = accumulate(sizes[:-1], initial=0)
     return tuple(tuple(1 << offset + s for s in range(size)) for offset, size in zip(offsets, sizes))
 
@@ -391,8 +392,9 @@ class SurvivorTable:
         self.plan = plan(formula)
         self.prefs = tuple(map(game.preferences, game.players))
         # (offset, mask) of each player's strategies in a packed context
-        sizes = self.prefs[0].sizes
-        self.fields = tuple(zip(accumulate(sizes[:-1], initial=0), [(1 << n) - 1 for n in sizes]))
+        self.fields = tuple(
+            (bits[0].bit_length() - 1, (1 << len(bits)) - 1) for bits in _layout(self.prefs[0].sizes)
+        )
         self.memo: tuple[dict[int, int], ...] = tuple({} for _ in game.players)
 
     def survivors(self, player: int, context: int) -> int:

@@ -5,8 +5,10 @@ with plain loops, without the operator or formula machinery, so that a
 disagreement in a cross-check localizes the bug; the optimality kernel is
 checked against the naive condition evaluator, applied one focus strategy
 at a time by :func:`naive_optimal_strategies`, the bitmask modal evaluator
-against the set-based tree walk of :func:`naive_interpret`, and the
-fixpoint iteration against the union of post-fixpoints.  The set-based
+against the set-based tree walk of :func:`naive_interpret`, the
+word-by-word sampler against the plain ``randint``/``choice``/``random()``
+loop of :func:`naive_sample_model_masks`, and the fixpoint iteration
+against the union of post-fixpoints.  The set-based
 belief operators and :func:`free_variables` live here too, as only tests
 and demos use them: the runtime reads beliefs in mask form.  The module also names
 the reference games and generates deterministic corpora of small games,

@@ -807,6 +807,7 @@ def test_rationality_stops_at_the_first_irrational_player():
     first, second = survivor_table(game, builtin("gbr")).memo
     assert first and not second
 
+
 def test_the_game_does_not_keep_interpreted_models_alive():
     game = Game(fig1_right().strategies, dict(fig1_right().payoffs))
     m = BeliefModel(game, ("w1",), ((0,), (0,)), ((1,),) * 2)

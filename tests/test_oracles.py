@@ -1,10 +1,9 @@
 from fractions import Fraction
 
 import pytest
-
-from epigame.conditions import analyze
 from hypothesis import given, settings, strategies as st
 
+from epigame.conditions import analyze
 from epigame.beliefs import format_model, model_of_masks, sample_model_masks
 from epigame.games import Game, bundled_games, lattice_size
 from epigame.operators import condition_operator, iterate
@@ -179,7 +178,8 @@ def test_sampler_draws_the_reference_loops_models():
         for states in range(1, 7):
             for seed in (0, 1, 2, 77):
                 fast = list(sample_model_masks(game, 40, states, seed))
-                assert fast == list(naive_sample_model_masks(game, 40, states, seed)), (game.strategies, states, seed)
+                naive = list(naive_sample_model_masks(game, 40, states, seed))
+                assert fast == naive, (game.strategies, states, seed)
 
 
 @settings(max_examples=40, deadline=None)
@@ -187,7 +187,8 @@ def test_sampler_draws_the_reference_loops_models():
 def test_sampler_draws_the_reference_loops_models_with_three_players(game, states, seed):
     """Players with a single strategy included: each of their draws still
     takes one word from the stream."""
-    assert list(sample_model_masks(game, 30, states, seed)) == list(naive_sample_model_masks(game, 30, states, seed))
+    fast = list(sample_model_masks(game, 30, states, seed))
+    assert fast == list(naive_sample_model_masks(game, 30, states, seed))
 
 
 def test_optimality_model_enumeration_counts():
