@@ -17,13 +17,13 @@ The layers, bottom up:
   on restrictions; iterate to a fixpoint, check monotonicity.
 - :mod:`epigame.beliefs` — finite belief models over a game, held as
   masks: a strategy index and a possibility bitmask per player and state,
-  with state names only in the text format and in events; sampling of
-  models in that form, for sampled validity sweeps.
+  with state names only in the text format and in events.
 - :mod:`epigame.modal` — a modal language with rationality atoms, belief
   modalities, optimality operators and a greatest-fixpoint binder,
   interpreted by one program per formula and game, which runs on one
   model or on a block of models at once, and the per-game survivor table
-  that memoises the kernel for them.
+  that memoises the kernel for them; sampled validity sweeps draw their
+  models straight into the form the program reads.
 - :mod:`epigame.proofs` — line-by-line checking of derivations in that
   language, with semantically discharged implication lemmas; the bundled
   proof scripts.

@@ -10,17 +10,17 @@ player and state.  Names appear only at the edges: in
 and in the text format.  ``game_of_event`` projects an event down to the
 restriction of strategies played somewhere inside it; the set-based belief
 operators are in :mod:`epigame.oracles`, next to the model generators.
+Sampled validity sweeps draw their models in :mod:`epigame.modal`, in the
+evaluator's own form.
 :func:`parse_model` refuses at the offending line everything
 :class:`BeliefModel` would refuse, so a model file's errors name their line.
 """
 
 from __future__ import annotations
 
-import random
 import re
 from dataclasses import dataclass
 from functools import cache
-from typing import Iterator
 
 from .games import FormatError, Game, Restriction, check_names, player_line, records, require_players
 
@@ -103,61 +103,6 @@ def game_of_event(model: BeliefModel, event: Event) -> Restriction:
     return model.game.restriction(
         *({model.strategy_of(i, state) for state in event} for i in model.game.players)
     )
-
-
-# ---------------------------------------------------------------------------
-# Sampling, for validity sweeps
-
-
-#: The top byte of a coin's first 32-bit word, translated to the digit "1"
-#: when its top bit is clear (``random()`` would be below 0.5), else "0".
-_HEADS = bytes(ord("1") if b < 128 else ord("0") for b in range(256))
-
-
-def sample_model_masks(
-    game: Game, count: int, max_states: int, seed: int = 0
-) -> Iterator[tuple[Masks, Masks]]:
-    """Seeded random models in mask form: uniform state count in
-    1..max_states (``randint``), then every player's strategy at every
-    state, uniform (``choice``), then each possibility set drawn uniformly,
-    one fair coin (``random() < 0.5``) per player, state and member, in
-    that order.
-
-    It reads the Mersenne Twister stream exactly as those calls would, with
-    fewer Python calls.  ``choice(seq)`` is ``seq[_randbelow(len(seq))]``,
-    which redraws ``getrandbits(len(seq).bit_length())`` while the result is
-    out of range; that loop is written out.  ``random()`` builds its double
-    from two 32-bit words, the first giving its top 27 bits, so it is below
-    0.5 exactly when bit 31 of the first word is 0.  ``getrandbits(64 * m)``
-    returns the same 2m words, the first as the least significant, so coin
-    j is heads exactly when byte ``8j + 3`` of the little-endian bytes is
-    below 128.  The reference loop is
-    :func:`epigame.oracles.naive_sample_model_masks`.
-    """
-    rng = random.Random(seed)
-    getrandbits = rng.getrandbits
-    widths = [(n, n.bit_length()) for n in map(len, game.strategies)]
-    players = game.n
-    for _ in range(count):
-        size = rng.randint(1, max_states)
-        plays = []
-        for n, width in widths:
-            row = []
-            for _ in range(size):
-                s = getrandbits(width)
-                while s >= n:
-                    s = getrandbits(width)
-                row.append(s)
-            plays.append(tuple(row))
-        coins = players * size * size
-        words = getrandbits(64 * coins).to_bytes(8 * coins, "little")
-        # bit j is coin j, heads being 1
-        heads = int(words[3::8].translate(_HEADS)[::-1], 2)
-        full = (1 << size) - 1
-        possible = tuple(
-            tuple(heads >> (i * size + k) * size & full for k in range(size)) for i in range(players)
-        )
-        yield tuple(plays), possible
 
 
 @cache

@@ -49,7 +49,7 @@ reads ``not``, ``and``, ``or``, ``->`` and parentheses for both parsers.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, is_dataclass
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Mapping
 
@@ -177,20 +177,18 @@ class _DescentParser:
     def too_deep(self) -> FormulaSyntaxError:
         return self.error(f"formula nested deeper than {MAX_NESTING} levels")
 
-    def built(self, node):
-        """Record the tree height of a node made from recorded parts."""
-        height = self._height(node)
+    def built(self, node, height: int):
+        """Record a node's tree height, which its builder computes from the
+        heights of the parsed parts it holds."""
         if height > MAX_NESTING:
             raise self.too_deep()
         self.heights[id(node)] = (node, height)
         return node
 
-    def _height(self, node) -> int:
+    def height(self, node) -> int:
+        """The tree height of a parsed node: as recorded, or 1 for an atom."""
         known = self.heights.get(id(node))
-        if known is not None:
-            return known[1]
-        parts = [value for value in vars(node).values() if is_dataclass(value)]
-        return 1 + max(map(self._height, parts), default=0)
+        return 1 if known is None else known[1]
 
     def parse(self):
         formula = self.implication()
@@ -204,21 +202,21 @@ class _DescentParser:
             return left
         self.advance()
         right = self.deeper(self.implication)
-        return self.built(Neg(Conj(left, Neg(right))))
+        return self.built(Neg(Conj(left, Neg(right))), max(self.height(left) + 2, self.height(right) + 3))
 
     def disjunction(self):
         left = self.conjunction()
         while self.peek() == "or":
             self.advance()
             right = self.conjunction()
-            left = self.built(Neg(Conj(Neg(left), Neg(right))))
+            left = self.built(Neg(Conj(Neg(left), Neg(right))), max(self.height(left), self.height(right)) + 3)
         return left
 
     def conjunction(self):
         left = self.unary()
         while self.peek() == "and":
             self.advance()
-            left = self.built(Conj(left, self.unary()))
+            left = self.built(Conj(left, right := self.unary()), max(self.height(left), self.height(right)) + 1)
         return left
 
     def unary(self):
@@ -237,7 +235,7 @@ class _DescentParser:
         tok = self.peek()
         if tok == "not":
             self.advance()
-            return self.built(Neg(self.unary()))
+            return self.built(Neg(body := self.unary()), self.height(body) + 1)
         if tok == "(":
             self.advance()
             inner = self.implication()
@@ -272,12 +270,12 @@ class _LoParser(_DescentParser):
         self.expect(".")
         body = self.implication()
         if kind == "exists":
-            formula = Exists(var, Conj(CtxAtom(var), body)) if bounded else Exists(var, body)
+            formula, levels = (Exists(var, Conj(CtxAtom(var), body)), 2) if bounded else (Exists(var, body), 1)
         elif bounded:
-            formula = Neg(Exists(var, Conj(CtxAtom(var), Neg(body))))
+            formula, levels = Neg(Exists(var, Conj(CtxAtom(var), Neg(body)))), 4
         else:
-            formula = Neg(Exists(var, Neg(body)))
-        return self.built(formula)
+            formula, levels = Neg(Exists(var, Neg(body))), 3
+        return self.built(formula, self.height(body) + levels)
 
     def atom(self) -> FormulaO:
         if self.peek() == "C":
@@ -297,7 +295,7 @@ class _LoParser(_DescentParser):
         if op == ">=":
             return GeqAtom(left, right, ctx)
         # "b > a @ c" abbreviates "not (a >= b @ c)"
-        return Neg(GeqAtom(right, left, ctx))
+        return self.built(Neg(GeqAtom(right, left, ctx)), 2)
 
     def term(self) -> str:
         tok = self.peek()

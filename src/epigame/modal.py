@@ -43,14 +43,18 @@ states.  It memoises its contexts, the optimal states of each (condition,
 player) in them and the rationality atoms, and the game keeps the last
 model interpreted, so calls on one model share those memos.  ``rat(c, i)``
 is tested state by state: the strategy played at k must survive in the
-context of the states i considers possible at k.  :func:`interpret` runs
-on it, and so do sampled validity checks.  A sampled draw costs the
-sampler's masks (:func:`~epigame.beliefs.sample_model_masks`), one profile
-int per state, and the program's run on the fresh model, whose survivor
-lookups hit the game's tables once their contexts have been seen.  A
-:class:`~epigame.beliefs.BeliefModel` holds the same masks, so loading one
-builds only its profile ints, as a sweep does; state names appear only at
-the boundary, in the ``env`` argument and the result of :func:`interpret`.
+context of the states i considers possible at k, and a ``rat(c)`` over
+every player leaves a state at the first player who fails there.
+:func:`interpret` runs on it, and so do sampled validity checks, whose
+sampler, :func:`_sample_models`, draws each model straight into this form:
+it reads the Mersenne Twister stream word by word, ORs each state's
+profile int while it draws the plays, and cuts the possibility rows out of
+one ``int`` of coins.  A draw then costs about 5 µs on a 2-player game
+with up to 4 states, plus the program's run on the fresh model, whose
+survivor lookups hit the game's tables once their contexts have been seen.
+A :class:`~epigame.beliefs.BeliefModel` holds the same masks, so loading
+one builds only its profile ints; state names appear only at the
+boundary, in the ``env`` argument and the result of :func:`interpret`.
 
 A :class:`_Block` is every model of a plays block at once, for exhaustive
 validity checks: the run of consecutive models, in
@@ -75,6 +79,7 @@ measured slower.
 
 from __future__ import annotations
 
+import random
 import re
 import weakref
 from collections import defaultdict
@@ -84,9 +89,7 @@ from itertools import accumulate, product
 from operator import and_, or_, xor
 from typing import Callable, Iterator
 
-from .beliefs import (
-    MAX_ENUM_STATES, BeliefModel, EnumerationLimitError, Event, Masks, model_of_masks, sample_model_masks
-)
+from .beliefs import MAX_ENUM_STATES, BeliefModel, EnumerationLimitError, Event, Masks, model_of_masks
 from .conditions import NAME, ConditionRegistry, Conj, FormulaO, Neg, _DescentParser, is_name
 from .games import Game, read_index
 from .optimality import plan
@@ -186,19 +189,19 @@ class _NuParser(_DescentParser):
     def operand(self, tok: str) -> FormulaNu:
         if tok == "box":
             self.advance()
-            return self.built(Box(None, self.unary()))
+            return self.built(Box(None, body := self.unary()), self.height(body) + 1)
         if tok == "[":
             self.advance()
             player = self.player_index()
             self.expect("]")
-            return self.built(Box(player, self.unary()))
+            return self.built(Box(player, body := self.unary()), self.height(body) + 1)
         if tok == "CB":
             self.advance()
-            return self.built(common_belief_formula(self.unary()))
+            return self.built(common_belief_formula(body := self.unary()), self.height(body) + 3)
         if tok == "O":
             self.advance()
             name, player = self.condition_ref()
-            return self.built(Opt(name, player, self.unary()))
+            return self.built(Opt(name, player, body := self.unary()), self.height(body) + 1)
         if tok == "rat":
             self.advance()
             name, player = self.condition_ref()
@@ -207,12 +210,12 @@ class _NuParser(_DescentParser):
             self.advance()
             self.expect("X")
             self.expect(".")
-            return self.built(Nu(self.implication()))
+            return self.built(Nu(body := self.implication()), self.height(body) + 1)
         if tok == "forall":
             self.advance()
             self.expect("X")
             self.expect(".")
-            return self.built(ForallX(self.implication()))
+            return self.built(ForallX(body := self.implication()), self.height(body) + 1)
         if tok == "X":
             self.advance()
             return X
@@ -422,27 +425,27 @@ class _Model:
     bitmask over its states, state k being bit k.
 
     ``plays[i][k]`` is the index of player i's strategy at state k,
-    ``profiles[k]`` state k's profile as a packed context, built with the
-    game's ``layout`` (see :func:`_layout`), and ``possible[i]`` is player
-    i's possibility row, a tuple whose k-th mask holds the states i
-    considers possible at state k.  The model memoises its contexts, the
-    ``optimal`` states of each (survivor table, player) in them, and the
-    ``rational`` states of each, where the player's strategy survives in the
-    context the player considers possible; every program run on the model
-    shares them all.
+    ``profiles[k]`` state k's profile as a packed context (see
+    :func:`_profiles`), and ``possible[i]`` is player i's possibility row,
+    a tuple whose k-th mask holds the states i considers possible at state
+    k.  The model memoises its contexts, the ``optimal`` states of each
+    (survivor table, player) in them, and the ``rational`` states of each
+    tuple of (survivor table, player) asks, where every asked player's
+    strategy survives in the context that player considers possible; every
+    program run on the model shares them all.
     """
 
     __slots__ = ("universe", "plays", "profiles", "possible", "rational", "contexts", "optimal")
 
-    def __init__(self, layout: tuple[tuple[int, ...], ...], plays: Masks, possible: Masks):
-        self.universe = (1 << len(plays[0])) - 1
+    def __init__(self, plays: Masks, profiles: tuple[int, ...], possible: Masks):
+        self.universe = (1 << len(profiles)) - 1
         self.plays = plays
-        self.profiles = _profiles(layout, plays)
+        self.profiles = profiles
         self.possible = possible
         self.contexts: dict[int, int] = {}
         # (survivor table, player) -> event -> optimal states
         self.optimal: defaultdict[tuple[SurvivorTable, int], dict[int, int]] = defaultdict(dict)
-        self.rational: dict[tuple[SurvivorTable, int], int] = {}
+        self.rational: dict[tuple[tuple[SurvivorTable, int], ...], int] = {}
 
     def context(self, event: int) -> int:
         """The packed context of the strategies played in the event: the
@@ -468,26 +471,23 @@ class _Model:
             memo[event] = found
         return found
 
-    def rat(self, asks: list[tuple[SurvivorTable, int]]) -> int:
+    def rat(self, asks: tuple[tuple[SurvivorTable, int], ...]) -> int:
         """The states where every (table, player) of ``asks`` is rational:
         at state k, the strategy played there survives in the context of
-        the states the player considers possible there.  Stops at the first
-        ask that leaves no state."""
-        result = self.universe
-        for ask in asks:
-            held = self.rational.get(ask)
-            if held is None:
-                table, player = ask
-                context = self.context
-                held = 0
-                for k, (seen, s) in enumerate(zip(self.possible[player], self.plays[player])):
-                    if table.survivors(player, context(seen)) >> s & 1:
-                        held |= 1 << k
-                self.rational[ask] = held
-            result &= held
-            if not result:
-                break
-        return result
+        the states the player considers possible there.  Each state stops
+        at the first ask whose player is not rational there."""
+        held = self.rational.get(asks)
+        if held is None:
+            context, plays, possible = self.context, self.plays, self.possible
+            held = 0
+            for k in range(len(self.profiles)):
+                for table, player in asks:
+                    if not table.survivors(player, context(possible[player][k])) >> plays[player][k] & 1:
+                        break
+                else:
+                    held |= 1 << k
+            self.rational[asks] = held
+        return held
 
     def box(self, players: range | tuple[int, ...], event: int) -> int:
         """The states where every one of the players believes the event."""
@@ -499,7 +499,7 @@ class _Model:
                     result &= ~(1 << k)
         return result
 
-    def opt(self, asks: list[tuple[SurvivorTable, int]], event: int) -> int:
+    def opt(self, asks: tuple[tuple[SurvivorTable, int], ...], event: int) -> int:
         """The states where every (table, player) of ``asks`` is optimal in
         the event's context."""
         result = self.universe
@@ -519,7 +519,7 @@ def _load(model: BeliefModel) -> _Model:
     last = cache.get(None)
     if last is not None and last[0]() is model:
         return last[1]
-    loaded = _Model(_game_layout(model.game), model.plays, model.possible)
+    loaded = _Model(model.plays, _profiles(_game_layout(model.game), model.plays), model.possible)
     # weakly held: the model holds the game, which would otherwise keep both
     # alive in a cycle
     cache[None] = (weakref.ref(model), loaded)
@@ -622,7 +622,7 @@ class _Block:
         digits = (lane >> (free - 1 - f) * states * states for f in range(free))
         return self.fixed + tuple(_row(d & (1 << states * states) - 1, states) for d in digits)
 
-    def rat(self, asks: list[tuple[SurvivorTable, int]]) -> _Lanes:
+    def rat(self, asks: tuple[tuple[SurvivorTable, int], ...]) -> _Lanes:
         """:meth:`_Model.rat` in every lane."""
         rational = self.rational
         for ask in asks:
@@ -639,7 +639,7 @@ class _Block:
                 result[k] &= ~reduce(or_, map(and_, seen, outside))
         return _Lanes(result)
 
-    def opt(self, asks: list[tuple[SurvivorTable, int]], event: _Lanes) -> _Lanes:
+    def opt(self, asks: tuple[tuple[SurvivorTable, int], ...], event: _Lanes) -> _Lanes:
         """:meth:`_Model.opt` in every lane."""
         terms = _minterms(event, self.full)
         result = list(self.universe)
@@ -689,7 +689,7 @@ class _Compiler:
         if isinstance(f, Rat):
             players = self._players(f.player)
             table = self._table(f.condition)
-            asks = [(table, i) for i in players]
+            asks = tuple((table, i) for i in players)
             return lambda m, env: m.rat(asks)
         if isinstance(f, Neg):
             body = self.compile(f.body)
@@ -705,7 +705,7 @@ class _Compiler:
         if isinstance(f, Opt):
             body = self.compile(f.body)
             table = self._table(f.condition)
-            asks = [(table, i) for i in self._players(f.player)]
+            asks = tuple((table, i) for i in self._players(f.player))
             return lambda m, env: m.opt(asks, body(m, env))
         if isinstance(f, SetVar):
             return lambda m, env: env
@@ -847,6 +847,64 @@ def interpret_so(
 # Validity over enumerated / sampled models
 
 
+#: The top byte of a coin's first 32-bit word, translated to the digit "1"
+#: when its top bit is clear (``random()`` would be below 0.5), else "0".
+_HEADS = bytes(ord("1") if b < 128 else ord("0") for b in range(256))
+
+
+def _sample_models(game: Game, count: int, max_states: int, seed: int) -> Iterator[_Model]:
+    """Seeded random models, ready to run: uniform state count in
+    1..max_states (``randint``), then every player's strategy at every
+    state, uniform (``choice``), then each possibility set drawn uniformly,
+    one fair coin (``random() < 0.5``) per player, state and member, in
+    that order.  Each state's profile is ORed up while its plays are drawn.
+
+    It reads the Mersenne Twister stream exactly as those calls would, with
+    fewer Python calls, so it draws the models of the reference loop,
+    :func:`epigame.oracles.naive_sample_model_masks`.  ``randint(1, K)`` is
+    ``1 + _randbelow(K)`` and ``choice(seq)`` is
+    ``seq[_randbelow(len(seq))]``; ``_randbelow(n)`` redraws
+    ``getrandbits(n.bit_length())`` while the result is out of range, and
+    that loop is written out.  ``random()`` builds its double from two
+    32-bit words, the first giving its top 27 bits, so it is below 0.5
+    exactly when bit 31 of the first word is 0.  ``getrandbits(64 * m)``
+    returns the same 2m words, the first as the least significant, so coin
+    j is heads exactly when byte ``8j + 3`` of the little-endian bytes is
+    below 128.
+    """
+    rng = random.Random(seed)
+    getrandbits = rng.getrandbits
+    top = max_states.bit_length()
+    draws = [(bits, len(bits), len(bits).bit_length()) for bits in _game_layout(game)]
+    players = game.n
+    for _ in range(count):
+        size = getrandbits(top)
+        while size >= max_states:
+            size = getrandbits(top)
+        size += 1
+        states = range(size)
+        profiles = [0] * size
+        plays = []
+        for bits, n, width in draws:
+            row = []
+            for k in states:
+                s = getrandbits(width)
+                while s >= n:
+                    s = getrandbits(width)
+                row.append(s)
+                profiles[k] |= bits[s]
+            plays.append(tuple(row))
+        coins = players * size * size
+        words = getrandbits(64 * coins).to_bytes(8 * coins, "little")
+        # bit j is coin j, heads being 1, and state k's set of player i is
+        # the size coins from (i * size + k) * size
+        heads = int(words[3::8].translate(_HEADS)[::-1], 2)
+        full = (1 << size) - 1
+        masks = [heads >> j & full for j in range(0, coins, size)]
+        possible = tuple([tuple(masks[j : j + size]) for j in range(0, players * size, size)])
+        yield _Model(tuple(plays), tuple(profiles), possible)
+
+
 @dataclass(frozen=True)
 class ValidityReport:
     valid: bool
@@ -892,9 +950,7 @@ def check_validity(
     run = _program(game, formula, registry)
     if samples is None:
         return _sweep_blocks(game, run, max_states)
-    layout = _game_layout(game)
-    for checked, (plays, possible) in enumerate(sample_model_masks(game, samples, max_states, seed), 1):
-        model = _Model(layout, plays, possible)
+    for checked, model in enumerate(_sample_models(game, samples, max_states, seed), 1):
         if run(model, model.universe) != model.universe:
-            return ValidityReport(False, model_of_masks(game, plays, possible), checked)
+            return ValidityReport(False, model_of_masks(game, model.plays, model.possible), checked)
     return ValidityReport(True, None, samples)

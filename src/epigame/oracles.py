@@ -388,8 +388,8 @@ def _model_masks(game: Game, max_states: int) -> Iterator[tuple[Masks, Masks]]:
 def naive_sample_model_masks(
     game: Game, count: int, max_states: int, seed: int = 0
 ) -> Iterator[tuple[Masks, Masks]]:
-    """The reference for :func:`~epigame.beliefs.sample_model_masks`, which
-    must draw the same models: uniform state count in 1..max_states,
+    """The reference for :func:`epigame.modal._sample_models`, which must
+    draw the same models: uniform state count in 1..max_states,
     uniform strategies, and each possibility set drawn uniformly, one coin
     per state."""
     rng = random.Random(seed)

@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 
 from epigame.beliefs import BeliefModel, ModelFormatError, format_model, game_of_event, parse_model
 from epigame.games import bundled_games
-from epigame.modal import _game_layout, _load, _Model
+from epigame.modal import _load
 from epigame.oracles import (
     believes,
     common_belief,
@@ -56,10 +56,12 @@ def test_format_parse_round_trip(data):
     m = BeliefModel(g, states, plays, possible)
     back = parse_model(format_model(m), g)
     assert back == m and hash(back) == hash(m)
-    # a loaded model is the one a sampled sweep builds from the same masks
-    loaded, sampled = _load(m), _Model(_game_layout(g), plays, possible)
-    assert (loaded.plays, loaded.possible) == (sampled.plays, sampled.possible)
-    assert loaded.profiles == sampled.profiles
+    # a loaded model holds the masks, and each state's profile sets bit
+    # offset_i + s for the strategy s of each player i
+    loaded = _load(m)
+    offsets = [sum(map(len, g.strategies[:i])) for i in g.players]
+    profiles = tuple(sum(1 << offsets[i] + plays[i][k] for i in g.players) for k in range(len(states)))
+    assert (loaded.plays, loaded.possible, loaded.profiles) == (plays, possible, profiles)
 
 
 def test_game_of_event():

@@ -2,6 +2,7 @@ import copy
 import gc
 import pickle
 import weakref
+from dataclasses import is_dataclass
 from itertools import islice, product
 from math import prod
 
@@ -27,6 +28,7 @@ from epigame.modal import (
     _Lanes,
     _Model,
     _game_layout,
+    _profiles,
     _program,
     _slices,
     check_validity,
@@ -123,6 +125,43 @@ def test_deep_nesting_is_a_syntax_error():
     # right at the bound still parses and evaluates
     deep = parse_nu("box " * (MAX_NESTING - 1) + "rat(lsd, 1)")
     assert interpret(single_state_model(), deep) == {"w"}
+
+
+def tree_height(node) -> int:
+    return 1 + max((tree_height(v) for v in vars(node).values() if is_dataclass(v)), default=0)
+
+
+BUILDER_TEMPLATES = (
+    # (parser, atoms, templates): each template wraps the text so far once
+    (parse_lo, ("C(x)", "x > o @ y"), (
+        "not {}", "exists x . {}", "exists x in C . {}", "forall x . {}", "forall x in C . {}",
+        "{} and C(y)", "{} or C(y)", "C(y) -> {}",
+    )),
+    (parse_nu, ("rat(gbr)", "X"), (
+        "not {}", "box {}", "[1] {}", "CB {}", "O(gbr) {}", "nu X . {}", "forall X . {}",
+        "{} and X", "{} or X", "X -> {}",
+    )),
+)
+
+
+@pytest.mark.parametrize("parse, atoms, templates", BUILDER_TEMPLATES, ids=("conditions", "modal"))
+def test_every_builder_counts_the_height_it_builds(parse, atoms, templates, monkeypatch):
+    """Each construct, wrapped k times around an atom, is refused exactly
+    when the tree it expands to is deeper than the bound, as a walk of the
+    unbounded parse measures it, and otherwise parses to that tree."""
+    for atom, template in product(atoms, templates):
+        texts = [atom]
+        for _ in range(70):
+            texts.append(template.format(texts[-1]))
+        with monkeypatch.context() as unbounded:
+            unbounded.setattr(conditions, "MAX_NESTING", 10**4)
+            trees = list(map(parse, texts))
+        for k, (text, tree) in enumerate(zip(texts, trees)):
+            if tree_height(tree) > MAX_NESTING:
+                with pytest.raises(FormulaSyntaxError, match="nested deeper than"):
+                    parse(text)
+            elif k <= MAX_NESTING - 4:  # the parentheses and prefixes open stay inside the bound
+                assert parse(text) == tree, (template, atom, k)
 
 
 def test_match_imp():
@@ -606,7 +645,7 @@ def per_model_sweep(game, formula, max_states):
     checked = 0
     for plays, possible in enumerate_model_masks(game, max_states):
         checked += 1
-        model = _Model(_game_layout(game), plays, possible)
+        model = _Model(plays, _profiles(_game_layout(game), plays), possible)
         if run(model, model.universe) != model.universe:
             return checked, model_of_masks(game, plays, possible)
     return checked, None
@@ -622,7 +661,7 @@ def check_lanes(game, formula, states, env, picked):
             continue
         result = run(block, _Lanes(block.full if env >> v & 1 else 0 for v in range(states)))
         for lane in range(block.full.bit_length()):
-            model = _Model(_game_layout(game), plays, block.possible(lane))
+            model = _Model(plays, _profiles(_game_layout(game), plays), block.possible(lane))
             held = sum((vector >> lane & 1) << k for k, vector in enumerate(result))
             assert held == run(model, env), (index, lane)
             checked += 1

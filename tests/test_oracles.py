@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from epigame.conditions import analyze
-from epigame.beliefs import format_model, model_of_masks, sample_model_masks
+from epigame.beliefs import format_model, model_of_masks
 from epigame.games import Game, bundled_games, lattice_size
+from epigame.modal import _game_layout, _profiles, _sample_models
 from epigame.operators import condition_operator, iterate
 from epigame.oracles import (
     enumerate_belief_models,
@@ -142,6 +143,18 @@ def test_sampling_is_seeded():
     assert all(1 <= len(m.states) <= 3 for m in a)
 
 
+def sample_masks(game, count, max_states, seed):
+    """(plays, possible) of each model the fast sampler draws, after checking
+    that the model's profiles and universe are those of its plays."""
+    layout = _game_layout(game)
+    drawn = []
+    for m in _sample_models(game, count, max_states, seed):
+        assert m.profiles == _profiles(layout, m.plays)
+        assert m.universe == (1 << len(m.plays[0])) - 1
+        drawn.append((m.plays, m.possible))
+    return drawn
+
+
 def test_sampling_draw_order_is_pinned():
     # the draws of randint, choice and random() in this order decide every
     # seeded sampled verdict and count; these models were drawn before the
@@ -154,7 +167,7 @@ def test_sampling_draw_order_is_pinned():
         "possible 1: w1={w2} w2={w1}\npossible 2: w1={w2} w2={w2}\n",
     ]
     assert [format_model(m) for m in sample_belief_models(fig2(), 3, 4, seed=2)] == expected
-    masks = list(sample_model_masks(fig2(), 3, 4, seed=2))
+    masks = sample_masks(fig2(), 3, 4, seed=2)
     assert [format_model(model_of_masks(fig2(), *pair)) for pair in masks] == expected
 
 
@@ -169,7 +182,7 @@ def test_sampled_masks_are_pinned():
         (((2,), (0,)), ((1,), (0,))),
         (((0, 1, 1, 2, 1), (0, 0, 0, 0, 1)), ((20, 31, 17, 17, 1), (9, 5, 1, 19, 31))),
     ]
-    assert list(sample_model_masks(fig2(), 6, 5, seed=21)) == expected
+    assert sample_masks(fig2(), 6, 5, seed=21) == expected
     assert list(naive_sample_model_masks(fig2(), 6, 5, seed=21)) == expected
 
 
@@ -177,7 +190,7 @@ def test_sampler_draws_the_reference_loops_models():
     for game in bundled_games() + generated_games():
         for states in range(1, 7):
             for seed in (0, 1, 2, 77):
-                fast = list(sample_model_masks(game, 40, states, seed))
+                fast = sample_masks(game, 40, states, seed)
                 naive = list(naive_sample_model_masks(game, 40, states, seed))
                 assert fast == naive, (game.strategies, states, seed)
 
@@ -187,7 +200,7 @@ def test_sampler_draws_the_reference_loops_models():
 def test_sampler_draws_the_reference_loops_models_with_three_players(game, states, seed):
     """Players with a single strategy included: each of their draws still
     takes one word from the stream."""
-    fast = list(sample_model_masks(game, 30, states, seed))
+    fast = sample_masks(game, 30, states, seed)
     assert fast == list(naive_sample_model_masks(game, 30, states, seed))
 
 
