@@ -23,23 +23,21 @@ context-safe conditions it decides every strategy of the owner at once and
 agrees with the reference.  It compiles each condition once into closures
 that are handed the game's payoff table and the context on every call.
 It rests on *quantifier projection*: a bound profile is seen only through
-its owner component and its opponents' partial profile, a component
-compared by ``>=`` ranges over its whole domain, and one read only through
-``C(.)`` ranges over one representative inside the context and one
-outside, since the formula sees nothing of it but that membership bit.
-A guard narrows this further: in ``exists v . body`` whose top-level
-conjunction chain has a ``C(v)`` conjunct of that binder, in any position,
-``v`` ranges over the profiles inside the context and the conjunct is
-dropped.  This is sound because ``C(v)`` is false at every value outside
-the context, so those values add nothing to the ``exists``, and true at
-every value inside, where dropping it changes nothing.  A profile is
-inside exactly when its owner component and its opponents' partial profile
-both are, so projection applies to each within the context: the in-context
-values of a compared component, one in-context representative of any
-other (every ``C(v)`` left in the body now holds), and none at all when
-the context leaves either part empty, which makes the ``exists`` false, as
-``C(v)`` did.  A ``C(w)`` of another variable is not a guard of this
-binder and stays a test.
+its owner component and its opponents' partial profile, a component the
+formula reads, by ``>=`` or by ``C(.)``, ranges over its whole domain, and
+one it never reads takes any single value, since the formula sees nothing
+of it.  A guard narrows this further: in ``exists v . body`` whose
+top-level conjunction chain has a ``C(v)`` conjunct of that binder, in any
+position, ``v`` ranges over the profiles inside the context and the
+conjunct is dropped.  This is sound because ``C(v)`` is false at every
+value outside the context, so those values add nothing to the ``exists``,
+and true at every value inside, where dropping it changes nothing.  A
+profile is inside exactly when its owner component and its opponents'
+partial profile both are, so projection applies to each within the
+context: the in-context values of a read component, one in-context value
+of an unread one, and none at all when the context leaves either part
+empty, which makes the ``exists`` false, as ``C(v)`` did.  A ``C(w)`` of
+another variable is not a guard of this binder and stays a test.
 
 The module also holds the propositional core of both formula languages,
 :class:`Neg` and :class:`Conj`, and the recursive-descent skeleton that

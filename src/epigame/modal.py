@@ -39,12 +39,13 @@ written with ``^``, ``&`` and truth, and a conjunction skips its right
 side when its left is empty.
 
 A :class:`_Model` is one model, whose events are ``int`` bitmasks of
-states.  It memoises its contexts, the optimal states of each (condition,
-player) in them and the rationality atoms, and the game keeps the last
-model interpreted, so calls on one model share those memos.  ``rat(c, i)``
-is tested state by state: the strategy played at k must survive in the
-context of the states i considers possible at k, and a ``rat(c)`` over
-every player leaves a state at the first player who fails there.
+states.  It memoises its contexts and the rationality atoms, and the game
+keeps the last model interpreted, so calls on one model share those memos;
+``O(c, i)`` asks the survivor table in the event's context directly.
+``rat(c, i)`` is tested state by state: the strategy played at k must
+survive in the context of the states i considers possible at k, and a
+``rat(c)`` over every player leaves a state at the first player who fails
+there.
 :func:`interpret` runs on it, and so do sampled validity checks, whose
 sampler, :func:`_sample_models`, draws each model straight into this form:
 it reads the Mersenne Twister stream word by word, ORs each state's
@@ -82,7 +83,6 @@ from __future__ import annotations
 import random
 import re
 import weakref
-from collections import defaultdict
 from dataclasses import dataclass
 from functools import cache, reduce
 from itertools import accumulate, product
@@ -428,14 +428,13 @@ class _Model:
     ``profiles[k]`` state k's profile as a packed context (see
     :func:`_profiles`), and ``possible[i]`` is player i's possibility row,
     a tuple whose k-th mask holds the states i considers possible at state
-    k.  The model memoises its contexts, the ``optimal`` states of each
-    (survivor table, player) in them, and the ``rational`` states of each
-    tuple of (survivor table, player) asks, where every asked player's
+    k.  The model memoises its contexts and the ``rational`` states of
+    each tuple of (survivor table, player) asks, where every asked player's
     strategy survives in the context that player considers possible; every
-    program run on the model shares them all.
+    program run on the model shares both.
     """
 
-    __slots__ = ("universe", "plays", "profiles", "possible", "rational", "contexts", "optimal")
+    __slots__ = ("universe", "plays", "profiles", "possible", "rational", "contexts")
 
     def __init__(self, plays: Masks, profiles: tuple[int, ...], possible: Masks):
         self.universe = (1 << len(profiles)) - 1
@@ -443,8 +442,6 @@ class _Model:
         self.profiles = profiles
         self.possible = possible
         self.contexts: dict[int, int] = {}
-        # (survivor table, player) -> event -> optimal states
-        self.optimal: defaultdict[tuple[SurvivorTable, int], dict[int, int]] = defaultdict(dict)
         self.rational: dict[tuple[tuple[SurvivorTable, int], ...], int] = {}
 
     def context(self, event: int) -> int:
@@ -457,18 +454,6 @@ class _Model:
                 if event >> k & 1:
                     found |= profile
             self.contexts[event] = found
-        return found
-
-    def optimal_states(self, ask: tuple[SurvivorTable, int], event: int) -> int:
-        """The states where the player's strategy satisfies the table's
-        condition in the event's context, for ``ask`` = (table, player)."""
-        memo = self.optimal[ask]
-        found = memo.get(event)
-        if found is None:
-            table, player = ask
-            survivors = table.survivors(player, self.context(event))
-            found = sum(1 << k for k, s in enumerate(self.plays[player]) if survivors >> s & 1)
-            memo[event] = found
         return found
 
     def rat(self, asks: tuple[tuple[SurvivorTable, int], ...]) -> int:
@@ -502,9 +487,10 @@ class _Model:
     def opt(self, asks: tuple[tuple[SurvivorTable, int], ...], event: int) -> int:
         """The states where every (table, player) of ``asks`` is optimal in
         the event's context."""
-        result = self.universe
-        for ask in asks:
-            result &= self.optimal_states(ask, event)
+        context, result = self.context(event), self.universe
+        for table, player in asks:
+            survivors = table.survivors(player, context)
+            result &= sum(1 << k for k, s in enumerate(self.plays[player]) if survivors >> s & 1)
         return result
 
     def constants(self) -> range:

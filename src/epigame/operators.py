@@ -41,20 +41,16 @@ class Operator:
 class ConditionOperator(Operator):
     """The elimination operator induced by one closed, context-safe
     condition for every player, through the condition's compiled
-    :func:`~epigame.optimality.plan`.  Contracting by construction."""
+    :func:`~epigame.optimality.plan`, whose refusal of any other condition
+    it raises as :class:`OperatorError`.  Contracting by construction."""
 
     def __init__(self, game: Game, formula: FormulaO):
         self.game = game
-        result = analyze(formula)
-        if not result.closed:
-            raise OperatorError("operator conditions must be closed")
-        if not result.context_safe:
-            raise OperatorError(
-                "operator conditions must be context-safe "
-                "(the focus may appear only as a compared term)"
-            )
         self.formula = formula
-        self.plan = plan(formula)
+        try:
+            self.plan = plan(formula)
+        except ValueError as refusal:
+            raise OperatorError(str(refusal)) from None
 
     @property
     def certified_monotone(self) -> bool:

@@ -9,7 +9,9 @@ strategies, and payoffs compared through
 :meth:`epigame.games.Game.preferences`.  A quantifier guarded by its own
 ``C(.)`` ranges over the context only, as every builtin's does: the guard
 becomes the binder's domain instead of a test run on every value of the
-whole game.  It agrees with the naive
+whole game.  Any other component the condition reads, by ``>=`` or by a
+``C(.)`` that stays a test, ranges over its whole domain, and one it never
+reads takes a single value.  It agrees with the naive
 reference :func:`epigame.conditions.models`, which the tests check.  Each
 condition is compiled once, in one walk, into a survivors function whose
 subformulas are closures that take the state of one call (strategy mask,
@@ -40,9 +42,6 @@ from .conditions import (
 )
 from .games import Game, Preferences, Restriction
 
-# How a compiled formula reads one component of a bound profile.
-_UNREAD, _MEMBERSHIP, _VALUE = 0, 1, 2
-
 _Node = Callable[["_Run"], int]
 
 
@@ -58,9 +57,9 @@ def plan(formula: FormulaO) -> Callable[[Preferences, int, Sequence[int]], int]:
     Each subformula is a closure that reads one call's state from its
     :class:`_Run` argument and captures nothing of one game or one call.
     Bound variables are numbered by binder (slots), so shadowing needs no
-    environment copies.  ``reads[slot]`` says how the owner's component and
-    the opponents' partial profile of that variable are read, and whether
-    the variable is guarded, which fixes the domains each call sets up.
+    environment copies.  ``reads[slot]`` says whether the owner's component
+    and the opponents' partial profile of that variable are read, and
+    whether the variable is guarded, which fixes the domains of each call.
     ``exists v . body`` is guarded when the top-level conjunction chain of
     ``body`` has a ``C(v)`` conjunct of that binder, in any position: that
     conjunct is dropped from the compiled body and ``v`` ranges over the
@@ -74,11 +73,7 @@ def plan(formula: FormulaO) -> Callable[[Preferences, int, Sequence[int]], int]:
         raise ValueError(
             "condition must be context-safe (the focus may appear only as a compared term)"
         )
-    reads: list[list[int]] = []
-
-    def read(slot: int, own: int, others: int) -> None:
-        reads[slot][0] = max(reads[slot][0], own)
-        reads[slot][1] = max(reads[slot][1], others)
+    reads: list[list[bool]] = []
 
     def compile_(f: FormulaO, scope: dict[str, int], guard: int | None = None) -> _Node:
         # ``guard`` is the slot of the binder whose top-level conjunction
@@ -88,15 +83,15 @@ def plan(formula: FormulaO) -> Callable[[Preferences, int, Sequence[int]], int]:
             if slot == guard:
                 reads[slot][2] = True
                 return _true
-            read(slot, _MEMBERSHIP, _MEMBERSHIP)
+            reads[slot][:2] = True, True
             return lambda r: r.everyone if r.own_in[r.own[slot]] and r.others_in[r.others[slot]] else 0
         if isinstance(f, GeqAtom):
             left, right = (None if t == CONSTANT else scope[t] for t in (f.left, f.right))
             for compared in (left, right):
                 if compared is not None:
-                    read(compared, _VALUE, _UNREAD)
+                    reads[compared][0] = True
             slot = scope[f.ctx]
-            read(slot, _UNREAD, _VALUE)
+            reads[slot][1] = True
             if left is None and right is None:
                 return _true
             if right is None:
@@ -122,7 +117,7 @@ def plan(formula: FormulaO) -> Callable[[Preferences, int, Sequence[int]], int]:
 
             return conj
         slot = len(reads)
-        reads.append([_UNREAD, _UNREAD, False])
+        reads.append([False, False, False])
         body = compile_(f.body, {**scope, f.var: slot}, slot)
 
         def exists(r: _Run) -> int:
@@ -164,23 +159,16 @@ def plan(formula: FormulaO) -> Callable[[Preferences, int, Sequence[int]], int]:
     return survivors
 
 
-def _domain(read: int, inside: list[int], guarded: bool) -> Iterable[int]:
+def _domain(read: bool, inside: list[int], guarded: bool) -> Iterable[int]:
     """The values one component of a bound variable must take.  Under a
-    ``C(.)`` guard: the values inside the context when compared by ``>=``,
-    else one inside the context, or none when no value is inside.  Without
-    one: all of them when compared by ``>=``, one per membership bit that
-    occurs when read only by ``C(.)``, and any single one when unread."""
+    ``C(.)`` guard: the values inside the context when the component is
+    read, by ``>=`` or by a ``C(.)`` that stays a test, else one of them,
+    or none when no value is inside.  Without one: every value when read,
+    else any single one."""
     if guarded:
         values = [k for k, flag in enumerate(inside) if flag]
-        return values if read == _VALUE else values[:1]
-    if read == _VALUE:
-        return range(len(inside))
-    if read == _MEMBERSHIP:
-        first: dict[int, int] = {}
-        for k, flag in enumerate(inside):
-            first.setdefault(flag, k)
-        return tuple(first.values())
-    return (0,)
+        return values if read else values[:1]
+    return range(len(inside)) if read else (0,)
 
 
 def _true(r: _Run) -> int:

@@ -481,30 +481,26 @@ def check_proof(
     lemmas = lemmas or LemmaRegistry()
     earlier: dict[int, FormulaNu] = {}
     for line in script.lines:
-        # names referenced by the formula must be known before any matching
-        missing = next(
-            (
-                f.condition
-                for f in _condition_refs(line.formula)
-                if f.condition not in conditions
-            ),
-            None,
+        reason = _refused_condition(line.formula, conditions) or _check_line(
+            line, earlier, conditions, lemmas
         )
-        if missing is not None:
-            return ProofReport(
-                False, ProofFailure(line.number, f"unknown condition {missing!r}"), None
-            )
-        reason = _check_line(line, earlier, conditions, lemmas)
         if reason is not None:
             return ProofReport(False, ProofFailure(line.number, reason), None)
         earlier[line.number] = line.formula
     return ProofReport(True, None, script.theorem)
 
 
-def _condition_refs(formula: FormulaNu) -> Iterator[Rat | Opt]:
+def _refused_condition(formula: FormulaNu, conditions: ConditionRegistry) -> str | None:
+    """Why the evaluator would refuse a condition the formula names, before
+    any matching: it is unknown, or not context-safe, so that no line is
+    certified about a condition no model can interpret."""
     for sub in iter_subformulas(formula):
         if isinstance(sub, (Rat, Opt)):
-            yield sub
+            if sub.condition not in conditions:
+                return f"unknown condition {sub.condition!r}"
+            if not conditions.get(sub.condition).analysis.context_safe:
+                return f"condition {sub.condition!r} is not context-safe"
+    return None
 
 
 def standard_lemmas() -> LemmaRegistry:

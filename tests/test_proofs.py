@@ -188,6 +188,20 @@ def test_unknown_condition_is_reported_before_matching():
     assert report.failure.reason == "unknown condition 'mystery'"
 
 
+def test_a_condition_the_evaluator_refuses_fails_its_line():
+    # positive, so ratDis and nuDis would match it, but interpret refuses it
+    conditions = REGISTRY.copy()
+    conditions.register("focal", parse_lo("exists z in C . C(o) and o >= o @ z"))
+    for text in (
+        "1. rat(focal) -> (box X -> O(focal) X) ; ratDis",
+        "1. (nu X . O(focal) X) -> O(focal) (nu X . O(focal) X) ; nuDis",
+    ):
+        report = check_proof(parse_proof(text), conditions)
+        assert not report.ok
+        assert report.failure.line == 1
+        assert report.failure.reason == "condition 'focal' is not context-safe"
+
+
 def test_unknown_rule_is_rejected():
     line = ProofLine(1, Rat("gbr", None), Justification("zap"), 1)
     report = check_proof(ProofScript((line,)))
