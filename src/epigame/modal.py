@@ -90,7 +90,9 @@ from operator import and_, or_, xor
 from typing import Callable, Iterator
 
 from .beliefs import MAX_ENUM_STATES, BeliefModel, EnumerationLimitError, Event, Masks, model_of_masks
-from .conditions import NAME, ConditionRegistry, Conj, FormulaO, Neg, _DescentParser, is_name
+from .conditions import (
+    NAME, ConditionInfo, ConditionRegistry, Conj, FormulaO, Neg, _DescentParser, is_name,
+)
 from .games import Game, read_index
 from .optimality import plan
 
@@ -641,6 +643,16 @@ class _Block:
             yield _Lanes(self.full if candidate >> v & 1 else 0 for v in states)
 
 
+def evaluable_condition(registry: ConditionRegistry, name: str) -> ConditionInfo:
+    """The registered condition a formula names, or the evaluator's refusal
+    of it: :class:`~epigame.conditions.UnknownNameError` when nothing
+    defines it, :class:`ModalError` when it is not context-safe."""
+    info = registry.get(name)
+    if not info.analysis.context_safe:
+        raise ModalError(f"condition {name!r} is not context-safe")
+    return info
+
+
 class _Compiler:
     """Turns formulas into programs of closures over one game.
 
@@ -661,10 +673,7 @@ class _Compiler:
         return (tag,)
 
     def _table(self, name: str) -> SurvivorTable:
-        info = self.registry.get(name)
-        if not info.analysis.context_safe:
-            raise ModalError(f"condition {name!r} is not context-safe")
-        return survivor_table(self.game, info.formula)
+        return survivor_table(self.game, evaluable_condition(self.registry, name).formula)
 
     def compile(self, f: FormulaNu) -> Callable:
         """The formula's program: ``run(model, env)`` is the event where it

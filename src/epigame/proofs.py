@@ -38,11 +38,13 @@ from .modal import (
     Box,
     Conj,
     FormulaNu,
+    ModalError,
     Neg,
     Nu,
     Opt,
     Rat,
     X,
+    evaluable_condition,
     has_free_x,
     imp,
     iter_subformulas,
@@ -491,15 +493,15 @@ def check_proof(
 
 
 def _refused_condition(formula: FormulaNu, conditions: ConditionRegistry) -> str | None:
-    """Why the evaluator would refuse a condition the formula names, before
-    any matching: it is unknown, or not context-safe, so that no line is
+    """The evaluator's refusal of the first condition the formula names
+    that it refuses, checked before any matching, so that no line is
     certified about a condition no model can interpret."""
     for sub in iter_subformulas(formula):
         if isinstance(sub, (Rat, Opt)):
-            if sub.condition not in conditions:
-                return f"unknown condition {sub.condition!r}"
-            if not conditions.get(sub.condition).analysis.context_safe:
-                return f"condition {sub.condition!r} is not context-safe"
+            try:
+                evaluable_condition(conditions, sub.condition)
+            except (UnknownNameError, ModalError) as refusal:
+                return str(refusal)
     return None
 
 
