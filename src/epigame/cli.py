@@ -4,7 +4,8 @@ Subcommands: ``eliminate``, ``evaluate``, ``check-valid``, ``check-proof``,
 ``analyze-condition``.  Exit codes: 0 on success (and for positive semantic
 verdicts), 1 for negative semantic verdicts (invalid formula, failed proof),
 2 for usage, file, or parse errors, 3 for an internal error.  Every
-subcommand accepts ``--json``.
+subcommand accepts ``--json``.  Subcommands return their verdict as
+``(positive, payload, text)``; ``main`` alone prints it and picks the exit code.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from functools import lru_cache
 from pathlib import Path
 
@@ -67,7 +69,10 @@ _USER_ERRORS = (
 
 
 def _read(path: str) -> str:
-    return Path(path).read_text()
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path} is not UTF-8 text (bad byte at offset {exc.start})") from None
 
 
 def _read_conditions(spec: str) -> dict[str, FormulaO]:
@@ -126,26 +131,21 @@ def _survivors_payload(restriction) -> dict:
     }
 
 
-def _cmd_eliminate(args: argparse.Namespace) -> int:
+def _cmd_eliminate(args: argparse.Namespace) -> tuple[bool, dict, str]:
     game = parse_game(_read(args.game))
     formula = _resolve_condition(args.condition, args.name)
     trace = iterate(ConditionOperator(game, formula))
-    if args.json:
-        payload = {
-            "survivors": _survivors_payload(trace.outcome),
-            "closure_ordinal": trace.closure_ordinal,
-        }
-        if args.trace:
-            payload["stages"] = [_survivors_payload(stage) for stage in trace.stages]
-        print(json.dumps(payload))
-        return 0
-    if args.trace:
-        print(format_trace(trace))
-    print(trace.outcome)
-    return 0
+    payload = {
+        "survivors": _survivors_payload(trace.outcome),
+        "closure_ordinal": trace.closure_ordinal,
+    }
+    if not args.trace:
+        return True, payload, str(trace.outcome)
+    payload["stages"] = [_survivors_payload(stage) for stage in trace.stages]
+    return True, payload, f"{format_trace(trace)}\n{trace.outcome}"
 
 
-def _cmd_evaluate(args: argparse.Namespace) -> int:
+def _cmd_evaluate(args: argparse.Namespace) -> tuple[bool, dict, str]:
     game = parse_game(_read(args.game))
     model = parse_model(_read(args.model), game)
     registry = _load_registry(args.conditions)
@@ -153,38 +153,25 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     event = interpret(model, formula, registry=registry)
     _note_contracted(formula, registry)
     ordered = model.ordered_event(event)
-    if args.json:
-        print(json.dumps({"states": list(ordered)}))
-    else:
-        print(" ".join(ordered))
-    return 0
+    return True, {"states": list(ordered)}, " ".join(ordered)
 
 
-def _cmd_check_valid(args: argparse.Namespace) -> int:
+def _cmd_check_valid(args: argparse.Namespace) -> tuple[bool, dict, str]:
     if args.seed is not None and args.random is None:
         raise UsageError("--seed applies only to --random")
     game = parse_game(_read(args.game))
     registry = _load_registry(args.conditions)
     formula = parse_nu(args.formula)
-    if args.random is not None:
-        count, max_states = args.random
-        report = check_validity(
-            game, formula, registry, max_states=max_states, samples=count, seed=args.seed or 0
-        )
-    else:
-        report = check_validity(game, formula, registry, max_states=args.exhaustive)
+    samples, max_states = args.random or (None, args.exhaustive)
+    report = check_validity(
+        game, formula, registry, max_states=max_states, samples=samples, seed=args.seed or 0
+    )
     _note_contracted(formula, registry)
-    if args.json:
-        payload: dict = {"valid": report.valid, "models_checked": report.models_checked}
-        if report.countermodel is not None:
-            payload["countermodel"] = format_model(report.countermodel)
-        print(json.dumps(payload))
-    elif report.valid:
-        print("VALID-ON-CORPUS")
-    else:
-        print("countermodel:")
-        print(format_model(report.countermodel), end="")
-    return 0 if report.valid else 1
+    payload: dict = {"valid": report.valid, "models_checked": report.models_checked}
+    if report.valid:
+        return True, payload, "VALID-ON-CORPUS"
+    payload["countermodel"] = model = format_model(report.countermodel)
+    return False, payload, "countermodel:\n" + model.removesuffix("\n")
 
 
 @lru_cache(maxsize=None)
@@ -192,7 +179,7 @@ def _standard_lemmas() -> LemmaRegistry:
     return standard_lemmas()
 
 
-def _cmd_check_proof(args: argparse.Namespace) -> int:
+def _cmd_check_proof(args: argparse.Namespace) -> tuple[bool, dict, str]:
     script = parse_proof(_read(args.proof))
     registry = _load_registry(args.conditions)
     # Only link reads lemmas, so only a script that uses it pays their sweep,
@@ -202,49 +189,25 @@ def _cmd_check_proof(args: argparse.Namespace) -> int:
     # would fail the line, never pass it.
     linked = any(line.justification.rule == "link" for line in script.lines)
     report = check_proof(script, registry, _standard_lemmas() if linked else None)
-    if args.json:
-        payload = {"ok": report.ok}
-        if report.failure:
-            payload["line"] = report.failure.line
-            payload["reason"] = report.failure.reason
-        print(json.dumps(payload))
-    elif report.ok:
-        print("OK")
-    else:
-        print(f"FAIL line {report.failure.line}: {report.failure.reason}")
-    return 0 if report.ok else 1
+    if report.ok:
+        return True, {"ok": True}, "OK"
+    line, reason = report.failure.line, report.failure.reason
+    return False, {"ok": False, "line": line, "reason": reason}, f"FAIL line {line}: {reason}"
 
 
-def _cmd_analyze_condition(args: argparse.Namespace) -> int:
+def _cmd_analyze_condition(args: argparse.Namespace) -> tuple[bool, dict, str]:
     found: dict[str, FormulaO] = {}
     for spec in args.condition:
         for name, formula in _read_conditions(spec).items():
             if name in found:
                 raise DuplicateNameError(f"condition {name!r} is defined twice")
             found[name] = formula
-    results = {name: analyze(formula) for name, formula in found.items()}
-    if args.json:
-        print(
-            json.dumps(
-                {
-                    name: {
-                        "closed": r.closed,
-                        "positive": r.positive,
-                        "context_safe": r.context_safe,
-                    }
-                    for name, r in results.items()
-                }
-            )
-        )
-    else:
-        for name, r in results.items():
-            flags = (
-                f"closed={'yes' if r.closed else 'no'} "
-                f"positive={'yes' if r.positive else 'no'} "
-                f"context_safe={'yes' if r.context_safe else 'no'}"
-            )
-            print(f"{name}: {flags}")
-    return 0
+    payload = {name: asdict(analyze(formula)) for name, formula in found.items()}
+    text = "\n".join(
+        f"{name}: " + " ".join(f"{key}={'yes' if flag else 'no'}" for key, flag in flags.items())
+        for name, flags in payload.items()
+    )
+    return True, payload, text
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -312,7 +275,9 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        positive, payload, text = args.func(args)
+        print(json.dumps(payload) if args.json else text)
+        return 0 if positive else 1
     except _USER_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

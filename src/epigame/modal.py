@@ -449,6 +449,10 @@ class _Model:
     def context(self, event: int) -> int:
         """The packed context of the strategies played in the event: the
         OR of its states' profiles."""
+        # The memo stays although a fresh sampled model mostly misses it:
+        # computing the OR on every call made belief req_per_s 2.7-10.5%
+        # slower in 7 of 7 alternating 8 s pairs (2-core machine), and moved
+        # cli between -4.5% and +0.8%.
         found = self.contexts.get(event)
         if found is None:
             found = 0
@@ -503,6 +507,8 @@ class _Model:
 def _load(model: BeliefModel) -> _Model:
     """The model in mask form.  Its game keeps the last model loaded, so a
     run of calls on one model shares its memos."""
+    # Without this cache (and the context memo), belief fell from about 5,700
+    # to 3,960-4,260 req/s, 25-30% slower (8 s runs, 2-core machine).
     cache = model.game.modal_cache
     last = cache.get(None)
     if last is not None and last[0]() is model:

@@ -415,6 +415,28 @@ def test_error_exit_codes(files, tmp_path, capsys):
     assert "line 2: duplicate entry for state 'w'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eliminate", "{bad}", "lsd"],
+        ["eliminate", "{game}", "{bad}"],
+        ["evaluate", "{bad}", "{game}", "X"],
+        ["check-proof", "{bad}"],
+        ["check-valid", "{game}", "rat(lsd)", "--exhaustive", "1", "--conditions", "{bad}"],
+        ["analyze-condition", "{bad}"],
+    ],
+)
+def test_a_file_that_is_not_utf8_is_a_usage_error(files, tmp_path, capsys, argv):
+    bad = tmp_path / "latin1.txt"
+    bad.write_bytes("players: 2\n# caf\xe9\n".encode("latin-1"))
+    assert main([arg.format(bad=bad, game=files["game.game"]) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (
+        "",
+        f"error: {bad} is not UTF-8 text (bad byte at offset 16)\n",
+    )
+
+
 def test_condition_specs_are_builtins_or_readable_files(files, tmp_path, capsys):
     assert main(["eliminate", files["game.game"], "foo"]) == 2
     assert capsys.readouterr().err == (
@@ -456,6 +478,60 @@ def test_unknown_conditions_are_one_line_usage_errors(files, capsys, command, fo
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", "error: unknown condition 'nope'\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eliminate", "{game}", "lsd", "--trace"],
+        ["eliminate", "{game}", "{conditions}", "--name", "strict"],
+        ["evaluate", "{model}", "{game}", "rat(lsd, 1)"],
+        ["evaluate", "{model}", "{game}", "rat(gsd, 1)"],
+        ["check-valid", "{game}", "rat(gbr) -> rat(lsd)", "--exhaustive", "2"],
+        ["check-valid", "{game}", "rat(gbr)", "--exhaustive", "1"],
+        ["check-valid", "{game}", "rat(gbr)", "--random", "5", "2", "--seed", "3"],
+        ["check-proof", "{main}"],
+        ["check-proof", "{broken}"],
+        ["analyze-condition", "lsd", "gbr", "{conditions}"],
+    ],
+)
+def test_text_and_json_give_one_verdict(files, tmp_path, capsys, argv):
+    broken = tmp_path / "broken.prf"
+    broken.write_text(bundled_proof("THM-MAIN").replace("; mp 2 4", "; mp 1 4"))
+    fields = {
+        "game": files["game.game"],
+        "model": files["model.model"],
+        "conditions": files["conditions.txt"],
+        "main": files["THM-MAIN.prf"],
+        "broken": str(broken),
+    }
+    argv = [arg.format(**fields) for arg in argv]
+    code = main(argv)
+    text = capsys.readouterr().out
+    assert main(argv + ["--json"]) == code
+    payload = json.loads(capsys.readouterr().out)
+    assert code == (1 if False in (payload.get("valid"), payload.get("ok")) else 0)
+    lines = text.splitlines()
+    if argv[0] == "eliminate":
+        survivors = [f"{i}: {' '.join(names) or '-'}" for i, names in payload["survivors"].items()]
+        assert lines[-1] == " / ".join(survivors)
+        if "--trace" in argv:
+            assert len(lines) == len(payload["stages"]) + 2
+            assert lines[-2] == f"closure_ordinal: {payload['closure_ordinal']}"
+    elif argv[0] == "evaluate":
+        assert text == " ".join(payload["states"]) + "\n"
+    elif argv[0] == "check-valid":
+        assert text == (
+            "VALID-ON-CORPUS\n" if payload["valid"] else "countermodel:\n" + payload["countermodel"]
+        )
+    elif argv[0] == "check-proof":
+        failure = "" if payload["ok"] else f"FAIL line {payload['line']}: {payload['reason']}"
+        assert text == (failure or "OK") + "\n"
+    else:
+        assert [line.split(": ")[0] for line in lines] == list(payload)
+        for line, flags in zip(lines, payload.values()):
+            shown = dict(flag.split("=") for flag in line.split(": ")[1].split())
+            assert shown == {key: "yes" if value else "no" for key, value in flags.items()}
 
 
 def test_module_entry_point(files):
