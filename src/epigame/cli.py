@@ -69,8 +69,9 @@ _USER_ERRORS = (
 
 
 def _read(path: str) -> str:
+    """A UTF-8 file's text without a leading byte-order mark, which bad-byte offsets count."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path} is not UTF-8 text (bad byte at offset {exc.start})") from None
 

@@ -48,7 +48,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Mapping
 
 from .games import FormatError, Game, Profile, Restriction, profile_with, records
@@ -136,7 +136,8 @@ class _DescentParser:
     (``->`` associates to the right, the others to the left, all expanded
     into :class:`Neg` and :class:`Conj`), ``not`` and parentheses, and the
     nesting bound.  Subclasses give the token pattern and :meth:`operand`,
-    which reads every other primary.
+    which reads every other primary.  Parse methods return a node and its
+    tree height, which only the one-level builder :meth:`over` grows.
     """
 
     token_re: re.Pattern
@@ -151,9 +152,6 @@ class _DescentParser:
         self.tokens.append(("", len(lines) or 1, len(lines[-1]) + 1 if lines else 1))
         self.pos = 0
         self.open = 0
-        # id -> (node, tree height) of every node built so far; holding the
-        # node keeps its id from being reused while the parse lasts
-        self.heights: dict[int, tuple[object, int]] = {}
 
     def peek(self) -> str:
         return self.tokens[self.pos][0]
@@ -175,21 +173,22 @@ class _DescentParser:
     def too_deep(self) -> FormulaSyntaxError:
         return self.error(f"formula nested deeper than {MAX_NESTING} levels")
 
-    def built(self, node, height: int):
-        """Record a node's tree height, which its builder computes from the
-        heights of the parsed parts it holds."""
-        if height > MAX_NESTING:
+    def over(self, make, part):
+        """``make`` applied to a parsed part's node, one level above it."""
+        node, height = part
+        if height >= MAX_NESTING:
             raise self.too_deep()
-        self.heights[id(node)] = (node, height)
-        return node
+        return make(node), height + 1
 
-    def height(self, node) -> int:
-        """The tree height of a parsed node: as recorded, or 1 for an atom."""
-        known = self.heights.get(id(node))
-        return 1 if known is None else known[1]
+    def neg(self, part):
+        return self.over(Neg, part)
+
+    def conj(self, left, right):
+        """The conjunction of two parsed parts, one level above the higher."""
+        return self.over(partial(Conj, left[0]), (right[0], max(left[1], right[1])))
 
     def parse(self):
-        formula = self.implication()
+        formula, _ = self.implication()
         if self.peek() != "":
             raise self.error(f"unexpected {self.peek()!r}")
         return formula
@@ -200,21 +199,21 @@ class _DescentParser:
             return left
         self.advance()
         right = self.deeper(self.implication)
-        return self.built(Neg(Conj(left, Neg(right))), max(self.height(left) + 2, self.height(right) + 3))
+        return self.neg(self.conj(left, self.neg(right)))
 
     def disjunction(self):
         left = self.conjunction()
         while self.peek() == "or":
             self.advance()
             right = self.conjunction()
-            left = self.built(Neg(Conj(Neg(left), Neg(right))), max(self.height(left), self.height(right)) + 3)
+            left = self.neg(self.conj(self.neg(left), self.neg(right)))
         return left
 
     def conjunction(self):
         left = self.unary()
         while self.peek() == "and":
             self.advance()
-            left = self.built(Conj(left, right := self.unary()), max(self.height(left), self.height(right)) + 1)
+            left = self.conj(left, self.unary())
         return left
 
     def unary(self):
@@ -233,7 +232,7 @@ class _DescentParser:
         tok = self.peek()
         if tok == "not":
             self.advance()
-            return self.built(Neg(body := self.unary()), self.height(body) + 1)
+            return self.neg(self.unary())
         if tok == "(":
             self.advance()
             inner = self.implication()
@@ -249,39 +248,37 @@ class _DescentParser:
 class _LoParser(_DescentParser):
     token_re = re.compile(rf">=|->|[()@.>]|{NAME}|\S")
 
-    def operand(self, tok: str) -> FormulaO:
+    def operand(self, tok: str) -> tuple[FormulaO, int]:
         if tok in ("exists", "forall"):
             return self.quantifier()
         return self.atom()
 
-    def quantifier(self) -> FormulaO:
+    def quantifier(self) -> tuple[FormulaO, int]:
         kind = self.advance()
         var = self.peek()
         if not self._is_variable(var):
             raise self.error("expected a variable name")
         self.advance()
-        bounded = False
-        if self.peek() == "in":
+        bounded = self.peek() == "in"
+        if bounded:
             self.advance()
             self.expect("C")
-            bounded = True
         self.expect(".")
         body = self.implication()
-        if kind == "exists":
-            formula, levels = (Exists(var, Conj(CtxAtom(var), body)), 2) if bounded else (Exists(var, body), 1)
-        elif bounded:
-            formula, levels = Neg(Exists(var, Conj(CtxAtom(var), Neg(body)))), 4
-        else:
-            formula, levels = Neg(Exists(var, Neg(body))), 3
-        return self.built(formula, self.height(body) + levels)
+        if kind == "forall":
+            body = self.neg(body)
+        if bounded:
+            body = self.conj((CtxAtom(var), 1), body)
+        found = self.over(partial(Exists, var), body)
+        return self.neg(found) if kind == "forall" else found
 
-    def atom(self) -> FormulaO:
+    def atom(self) -> tuple[FormulaO, int]:
         if self.peek() == "C":
             self.advance()
             self.expect("(")
             term = self.term()
             self.expect(")")
-            return CtxAtom(term)
+            return CtxAtom(term), 1
         left = self.term()
         op = self.peek()
         if op not in (">=", ">"):
@@ -291,9 +288,9 @@ class _LoParser(_DescentParser):
         self.expect("@")
         ctx = self.term()
         if op == ">=":
-            return GeqAtom(left, right, ctx)
+            return GeqAtom(left, right, ctx), 1
         # "b > a @ c" abbreviates "not (a >= b @ c)"
-        return self.built(Neg(GeqAtom(right, left, ctx)), 2)
+        return self.neg((GeqAtom(right, left, ctx), 1))
 
     def term(self) -> str:
         tok = self.peek()
@@ -366,11 +363,9 @@ def _scan(formula: FormulaO, negated: bool) -> tuple[frozenset[str], bool, bool]
     return free - {formula.var}, positive, safe
 
 
-@lru_cache(maxsize=256)
 def analyze(formula: FormulaO) -> ConditionAnalysis:
     """Closedness, positivity (context atoms under an even number of
-    negations), and context-safety of a condition.  Memoised, since every
-    elimination operator analyses its conditions again."""
+    negations), and context-safety of a condition."""
     free, positive, safe = _scan(formula, False)
     return ConditionAnalysis(closed=not free, positive=positive, context_safe=safe)
 

@@ -84,7 +84,7 @@ import random
 import re
 import weakref
 from dataclasses import dataclass
-from functools import cache, reduce
+from functools import cache, partial, reduce
 from itertools import accumulate, product
 from operator import and_, or_, xor
 from typing import Callable, Iterator
@@ -108,8 +108,7 @@ class ModalError(ValueError):
 MAX_SECOND_ORDER_STATES = 20
 
 #: The entries a :attr:`~epigame.games.Game.modal_cache` may hold before it
-#: is emptied to compile one more program: as many as the ``plan`` and
-#: ``analyze`` caches keep.
+#: is emptied to compile one more program: as many as the ``plan`` cache keeps.
 MAX_CACHED_PROGRAMS = 256
 
 #: log2 of the most models one lane vector of an exhaustive sweep holds.  A
@@ -188,39 +187,39 @@ def common_belief_formula(body: FormulaNu) -> FormulaNu:
 class _NuParser(_DescentParser):
     token_re = re.compile(rf"->|[()\[\].,]|{NAME}|[0-9]+|\S")
 
-    def operand(self, tok: str) -> FormulaNu:
+    def operand(self, tok: str) -> tuple[FormulaNu, int]:
         if tok == "box":
             self.advance()
-            return self.built(Box(None, body := self.unary()), self.height(body) + 1)
+            return self.over(partial(Box, None), self.unary())
         if tok == "[":
             self.advance()
             player = self.player_index()
             self.expect("]")
-            return self.built(Box(player, body := self.unary()), self.height(body) + 1)
+            return self.over(partial(Box, player), self.unary())
         if tok == "CB":
             self.advance()
-            return self.built(common_belief_formula(body := self.unary()), self.height(body) + 3)
+            return self.over(Nu, self.over(partial(Box, None), self.conj((X, 1), self.unary())))
         if tok == "O":
             self.advance()
             name, player = self.condition_ref()
-            return self.built(Opt(name, player, body := self.unary()), self.height(body) + 1)
+            return self.over(partial(Opt, name, player), self.unary())
         if tok == "rat":
             self.advance()
             name, player = self.condition_ref()
-            return Rat(name, player)
+            return Rat(name, player), 1
         if tok == "nu":
             self.advance()
             self.expect("X")
             self.expect(".")
-            return self.built(Nu(body := self.implication()), self.height(body) + 1)
+            return self.over(Nu, self.implication())
         if tok == "forall":
             self.advance()
             self.expect("X")
             self.expect(".")
-            return self.built(ForallX(body := self.implication()), self.height(body) + 1)
+            return self.over(ForallX, self.implication())
         if tok == "X":
             self.advance()
-            return X
+            return X, 1
         raise self.error(f"unexpected {tok!r}" if tok else "unexpected end of formula")
 
     def condition_ref(self) -> tuple[str, int | None]:

@@ -82,6 +82,10 @@ class ProofLine:
 class ProofScript:
     lines: tuple[ProofLine, ...]
 
+    def __post_init__(self):
+        if not self.lines:
+            raise ValueError("a proof script needs at least one line, its last being the theorem")
+
     @property
     def theorem(self) -> FormulaNu:
         return self.lines[-1].formula

@@ -437,6 +437,38 @@ def test_a_file_that_is_not_utf8_is_a_usage_error(files, tmp_path, capsys, argv)
     )
 
 
+@pytest.mark.parametrize(
+    "name, argv",
+    [
+        ("game.game", ["eliminate", "{file}", "lsd"]),
+        ("model.model", ["evaluate", "{file}", "{game}", "rat(lsd)"]),
+        ("THM-MAIN.prf", ["check-proof", "{file}"]),
+        ("conditions.txt", ["eliminate", "{game}", "{file}", "--name", "strict"]),
+        ("conditions.txt", ["evaluate", "{model}", "{game}", "rat(strict)", "--conditions", "{file}"]),
+    ],
+    ids=("game", "model", "proof", "condition-file", "conditions-option"),
+)
+def test_a_leading_byte_order_mark_is_dropped(files, tmp_path, capsys, name, argv):
+    marked = tmp_path / f"marked-{name}"
+    marked.write_bytes(b"\xef\xbb\xbf" + Path(files[name]).read_bytes())
+
+    def run(path):
+        code = main([arg.format(file=path, game=files["game.game"], model=files["model.model"]) for arg in argv])
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    plain = run(files[name])
+    assert plain[0] == 0 and plain[1]
+    assert run(marked) == plain
+
+
+def test_a_bad_byte_offset_counts_the_byte_order_mark(tmp_path, capsys):
+    bad = tmp_path / "marked-latin1.game"
+    bad.write_bytes(b"\xef\xbb\xbf" + "players: 2\n# caf\xe9\n".encode("latin-1"))
+    assert main(["eliminate", str(bad), "lsd"]) == 2
+    assert capsys.readouterr().err == f"error: {bad} is not UTF-8 text (bad byte at offset 19)\n"
+
+
 def test_condition_specs_are_builtins_or_readable_files(files, tmp_path, capsys):
     assert main(["eliminate", files["game.game"], "foo"]) == 2
     assert capsys.readouterr().err == (

@@ -164,6 +164,26 @@ def test_every_builder_counts_the_height_it_builds(parse, atoms, templates, monk
                 assert parse(text) == tree, (template, atom, k)
 
 
+@pytest.mark.parametrize(
+    "parse, text, position",
+    [
+        (parse_nu, " or ".join(["X"] * 30), (1, 113)),
+        (parse_nu, " -> ".join(["X"] * 30), (1, 147)),
+        (parse_nu, "CB " * 25 + "X", (1, 77)),
+        (parse_lo, "forall x in C . " * 20 + "C(x)", (1, 325)),
+        (parse_lo, " and\n".join(["C(x)"] * 70), (65, 6)),
+        (parse_nu, "not " * 70 + "X", (1, 257)),
+    ],
+    ids=("or", "implies", "CB", "forall-in", "and-lines", "not"),
+)
+def test_a_depth_refusal_points_where_the_bound_is_passed(parse, text, position):
+    """The refusal's line and column: the token after the part whose tree
+    first passes the bound, or the prefix that opens one level too many."""
+    with pytest.raises(FormulaSyntaxError, match="nested deeper than") as exc:
+        parse(text)
+    assert (exc.value.line, exc.value.column) == position
+
+
 def test_match_imp():
     f = imp(X, Rat("gbr", None))
     assert match_imp(f) == (X, Rat("gbr", None))

@@ -202,6 +202,11 @@ def test_a_condition_the_evaluator_refuses_fails_its_line():
         assert report.failure.reason == "condition 'focal' is not context-safe"
 
 
+def test_an_empty_script_is_refused_at_construction():
+    with pytest.raises(ValueError, match="at least one line"):
+        ProofScript(())
+
+
 def test_unknown_rule_is_rejected():
     line = ProofLine(1, Rat("gbr", None), Justification("zap"), 1)
     report = check_proof(ProofScript((line,)))
