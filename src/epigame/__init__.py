@@ -3,6 +3,8 @@ models, a modal fixpoint language, and a small proof checker.
 
 The layers, bottom up:
 
+- :mod:`epigame.value` — the immutable value classes every layer's
+  results and formula nodes are built on.
 - :mod:`epigame.games` — finite strategic games with exact rational payoffs
   and the lattice of restrictions (per-player strategy subsets); the
   bundled reference games.

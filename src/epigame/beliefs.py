@@ -19,10 +19,10 @@ evaluator's own form.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import cache
 
 from .games import FormatError, Game, Restriction, check_names, player_line, records, require_players
+from .value import Value, setfield
 
 Event = frozenset[str]
 
@@ -42,11 +42,12 @@ class ModelFormatError(FormatError):
 
 
 class EnumerationLimitError(ValueError):
-    """An exhaustive enumeration of more than :data:`MAX_ENUM_STATES` states."""
+    """An exhaustive enumeration of more than :data:`MAX_ENUM_STATES` states,
+    or a validity check over more than
+    :data:`~epigame.modal.MAX_EXHAUSTIVE_MODELS` models."""
 
 
-@dataclass(frozen=True)
-class BeliefModel:
+class BeliefModel(Value):
     """A belief model over ``game`` with the named ``states``, in the mask
     form of :data:`Masks`: ``plays`` holds a row of strategy indices per
     player, and ``possible`` a row of state masks per player."""
@@ -56,8 +57,11 @@ class BeliefModel:
     plays: Masks
     possible: Masks
 
-    def __post_init__(self):
-        states = self.states
+    def __init__(self, game: Game, states: tuple[str, ...], plays: Masks, possible: Masks):
+        setfield(self, "game", game)
+        setfield(self, "states", states)
+        setfield(self, "plays", plays)
+        setfield(self, "possible", possible)
         if not states:
             raise ModelFormatError("state set must be non-empty")
         check_names(states, _STATE_RESERVED, "state name", ModelFormatError)

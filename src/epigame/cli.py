@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
 from functools import lru_cache
 from pathlib import Path
 
@@ -203,7 +202,14 @@ def _cmd_analyze_condition(args: argparse.Namespace) -> tuple[bool, dict, str]:
             if name in found:
                 raise DuplicateNameError(f"condition {name!r} is defined twice")
             found[name] = formula
-    payload = {name: asdict(analyze(formula)) for name, formula in found.items()}
+    payload = {}
+    for name, formula in found.items():
+        analysis = analyze(formula)
+        payload[name] = {
+            "closed": analysis.closed,
+            "positive": analysis.positive,
+            "context_safe": analysis.context_safe,
+        }
     text = "\n".join(
         f"{name}: " + " ".join(f"{key}={'yes' if flag else 'no'}" for key, flag in flags.items())
         for name, flags in payload.items()

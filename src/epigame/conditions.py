@@ -47,11 +47,11 @@ reads ``not``, ``and``, ``or``, ``->`` and parentheses for both parsers.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import lru_cache, partial
 from typing import Mapping
 
 from .games import FormatError, Game, Profile, Restriction, profile_with, records
+from .value import Value, setfield
 
 CONSTANT = "o"
 #: Variables and condition names, in both formula languages and in
@@ -65,33 +65,62 @@ _KEYWORDS = {"not", "and", "or", "exists", "forall", "in", "C", CONSTANT}
 # AST (core syntax only: C(t), t >= t @ t, not, and, exists)
 
 
-@dataclass(frozen=True)
-class CtxAtom:
+class CtxAtom(Value):
     term: str
 
+    def __init__(self, term: str):
+        setfield(self, "term", term)
 
-@dataclass(frozen=True)
-class GeqAtom:
+    def __hash__(self) -> int:
+        return hash((self.term,))
+
+
+class GeqAtom(Value):
     left: str
     right: str
     ctx: str
 
+    def __init__(self, left: str, right: str, ctx: str):
+        setfield(self, "left", left)
+        setfield(self, "right", right)
+        setfield(self, "ctx", ctx)
 
-@dataclass(frozen=True)
-class Neg:
-    body: "FormulaO"
-
-
-@dataclass(frozen=True)
-class Conj:
-    left: "FormulaO"
-    right: "FormulaO"
+    def __hash__(self) -> int:
+        return hash((self.left, self.right, self.ctx))
 
 
-@dataclass(frozen=True)
-class Exists:
+class Neg(Value):
+    body: FormulaO
+
+    def __init__(self, body: FormulaO):
+        setfield(self, "body", body)
+
+    def __hash__(self) -> int:
+        return hash((self.body,))
+
+
+class Conj(Value):
+    left: FormulaO
+    right: FormulaO
+
+    def __init__(self, left: FormulaO, right: FormulaO):
+        setfield(self, "left", left)
+        setfield(self, "right", right)
+
+    def __hash__(self) -> int:
+        return hash((self.left, self.right))
+
+
+class Exists(Value):
     var: str
-    body: "FormulaO"
+    body: FormulaO
+
+    def __init__(self, var: str, body: FormulaO):
+        setfield(self, "var", var)
+        setfield(self, "body", body)
+
+    def __hash__(self) -> int:
+        return hash((self.var, self.body))
 
 
 FormulaO = CtxAtom | GeqAtom | Neg | Conj | Exists
@@ -334,11 +363,15 @@ def pretty_lo(formula: FormulaO) -> str:
 # Static analysis
 
 
-@dataclass(frozen=True)
-class ConditionAnalysis:
+class ConditionAnalysis(Value):
     closed: bool
     positive: bool
     context_safe: bool
+
+    def __init__(self, closed: bool, positive: bool, context_safe: bool):
+        setfield(self, "closed", closed)
+        setfield(self, "positive", positive)
+        setfield(self, "context_safe", context_safe)
 
 
 def _scan(formula: FormulaO, negated: bool) -> tuple[frozenset[str], bool, bool]:
@@ -374,15 +407,17 @@ def analyze(formula: FormulaO) -> ConditionAnalysis:
 # Semantics
 
 
-@dataclass(frozen=True)
-class OptimalityModel:
+class OptimalityModel(Value):
     """A game together with a context restriction and a focus profile."""
 
     game: Game
     context: Restriction
     focus: Profile
 
-    def __post_init__(self):
+    def __init__(self, game: Game, context: Restriction, focus: Profile):
+        setfield(self, "game", game)
+        setfield(self, "context", context)
+        setfield(self, "focus", focus)
         if self.context.game != self.game:
             raise ValueError("context restricts a different game")
         if len(self.focus) != self.game.n or any(
@@ -466,11 +501,15 @@ def builtin(name: str) -> FormulaO:
         raise UnknownNameError(f"unknown builtin condition {name!r}") from None
 
 
-@dataclass(frozen=True)
-class ConditionInfo:
+class ConditionInfo(Value):
     name: str
     formula: FormulaO
     analysis: ConditionAnalysis
+
+    def __init__(self, name: str, formula: FormulaO, analysis: ConditionAnalysis):
+        setfield(self, "name", name)
+        setfield(self, "formula", formula)
+        setfield(self, "analysis", analysis)
 
 
 class ConditionRegistry:

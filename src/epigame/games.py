@@ -23,14 +23,14 @@ from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from importlib import resources
 from itertools import product
 from math import prod
 from operator import and_, or_
 from typing import Container, Iterable, Iterator, Mapping, Sequence
+
+from .value import Value, setfield
 
 Profile = tuple[str, ...]
 
@@ -55,8 +55,7 @@ class GameFormatError(FormatError):
     """A malformed game description."""
 
 
-@dataclass(frozen=True)
-class Game:
+class Game(Value):
     """An n-player strategic game.
 
     ``strategies[i]`` is player i's ordered strategy tuple; ``payoffs`` maps
@@ -68,7 +67,11 @@ class Game:
     strategies: tuple[tuple[str, ...], ...]
     payoffs: Mapping[Profile, tuple[Fraction, ...]]
 
-    def __post_init__(self):
+    def __init__(
+        self, strategies: tuple[tuple[str, ...], ...], payoffs: Mapping[Profile, tuple[Fraction, ...]]
+    ):
+        setfield(self, "strategies", strategies)
+        setfield(self, "payoffs", payoffs)
         if len(self.strategies) == 0:
             raise GameFormatError("a game needs at least one player")
         for i, names in enumerate(self.strategies):
@@ -93,8 +96,15 @@ class Game:
             missing = next(p for p in product(*self.strategies) if p not in self.payoffs)
             raise GameFormatError(f"missing payoff for profile {missing}")
 
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            # tuples compare their items by identity first, so a game equals
+            # itself without walking its payoffs
+            return (self.strategies, self.payoffs) == (other.strategies, other.payoffs)
+        return NotImplemented
+
     def __hash__(self) -> int:
-        # the generated hash chokes on the payoff mapping
+        # the payoff mapping has no hash of its own
         return hash((self.strategies, tuple(sorted(self.payoffs.items()))))
 
     def __getstate__(self) -> dict:
@@ -157,8 +167,7 @@ class Game:
         return Restriction(self, tuple(masks))
 
 
-@dataclass(frozen=True)
-class Preferences:
+class Preferences(Value):
     """One player's payoffs, compared once and stored as bitmasks.
 
     The partial profiles of everyone else are numbered in
@@ -172,6 +181,10 @@ class Preferences:
 
     at_least: tuple[tuple[int, ...], ...]
     sizes: tuple[int, ...]
+
+    def __init__(self, at_least: tuple[tuple[int, ...], ...], sizes: tuple[int, ...]):
+        setfield(self, "at_least", at_least)
+        setfield(self, "sizes", sizes)
 
     @classmethod
     def of(cls, game: Game, player: int) -> Preferences:
@@ -208,15 +221,16 @@ def profile_with(profile: Profile, player: int, strategy: str) -> Profile:
     return profile[:player] + (strategy,) + profile[player + 1 :]
 
 
-@dataclass(frozen=True)
-class Restriction:
+class Restriction(Value):
     """A componentwise subset of a game's strategy sets, holding strategy k
     of player i when bit k of ``masks[i]`` is set.  Components may be empty."""
 
     game: Game
     masks: tuple[int, ...]
 
-    def __post_init__(self):
+    def __init__(self, game: Game, masks: tuple[int, ...]):
+        setfield(self, "game", game)
+        setfield(self, "masks", masks)
         if len(self.masks) != self.game.n:
             raise ValueError("restriction must have one component per player")
         for i, (mask, names) in enumerate(zip(self.masks, self.game.strategies)):
@@ -454,14 +468,22 @@ def format_game(game: Game) -> str:
     return "\n".join(lines) + "\n"
 
 
+def bundled_text(filename: str) -> str:
+    """A packaged data file's text, read through the package's loader."""
+    # pkgutil, not importlib.resources, which imports zipfile, tempfile and
+    # more: a command line that reads the bundled games would pay for them
+    import pkgutil
+
+    return pkgutil.get_data("epigame", f"data/{filename}").decode("utf-8")
+
+
 _BUNDLED: dict[str, Game] = {}
 
 
 def bundled_game(name: str) -> Game:
     """A packaged reference game, e.g. ``fig2``; parsed once, then cached."""
     if name not in _BUNDLED:
-        text = resources.files("epigame").joinpath("data", f"{name}.game").read_text()
-        _BUNDLED[name] = parse_game(text)
+        _BUNDLED[name] = parse_game(bundled_text(f"{name}.game"))
     return _BUNDLED[name]
 
 

@@ -83,9 +83,9 @@ from __future__ import annotations
 import random
 import re
 import weakref
-from dataclasses import dataclass
 from functools import cache, partial, reduce
 from itertools import accumulate, product
+from math import prod
 from operator import and_, or_, xor
 from typing import Callable, Iterator
 
@@ -95,6 +95,7 @@ from .conditions import (
 )
 from .games import Game, read_index
 from .optimality import plan
+from .value import Value, setfield
 
 
 class ModalError(ValueError):
@@ -111,6 +112,11 @@ MAX_SECOND_ORDER_STATES = 20
 #: is emptied to compile one more program: as many as the ``plan`` cache keeps.
 MAX_CACHED_PROGRAMS = 256
 
+#: The most models an exhaustive validity check sweeps, counted before any
+#: work by :func:`exhaustive_model_count`: a 5x5 game's 4.1e9 models at 3
+#: states take about 11 s, while an 8x8 game's 6.9e10 would take minutes.
+MAX_EXHAUSTIVE_MODELS = 10**10
+
 #: log2 of the most models one lane vector of an exhaustive sweep holds.  A
 #: plays block with more models is swept in slices that each fix the
 #: leading players' possibility rows.
@@ -121,38 +127,67 @@ BLOCK_BITS = 18
 # AST. ``player`` is 0-based internally; None bundles over all players.
 
 
-@dataclass(frozen=True)
-class Rat:
-    condition: str
-    player: int | None = None
-
-
-@dataclass(frozen=True)
-class Box:
-    player: int | None
-    body: "FormulaNu"
-
-
-@dataclass(frozen=True)
-class Opt:
+class Rat(Value):
     condition: str
     player: int | None
-    body: "FormulaNu"
+
+    def __init__(self, condition: str, player: int | None = None):
+        setfield(self, "condition", condition)
+        setfield(self, "player", player)
+
+    def __hash__(self) -> int:
+        return hash((self.condition, self.player))
 
 
-@dataclass(frozen=True)
-class Nu:
-    body: "FormulaNu"
+class Box(Value):
+    player: int | None
+    body: FormulaNu
+
+    def __init__(self, player: int | None, body: FormulaNu):
+        setfield(self, "player", player)
+        setfield(self, "body", body)
+
+    def __hash__(self) -> int:
+        return hash((self.player, self.body))
 
 
-@dataclass(frozen=True)
-class SetVar:
-    pass
+class Opt(Value):
+    condition: str
+    player: int | None
+    body: FormulaNu
+
+    def __init__(self, condition: str, player: int | None, body: FormulaNu):
+        setfield(self, "condition", condition)
+        setfield(self, "player", player)
+        setfield(self, "body", body)
+
+    def __hash__(self) -> int:
+        return hash((self.condition, self.player, self.body))
 
 
-@dataclass(frozen=True)
-class ForallX:
-    body: "FormulaNu"
+class Nu(Value):
+    body: FormulaNu
+
+    def __init__(self, body: FormulaNu):
+        setfield(self, "body", body)
+
+    def __hash__(self) -> int:
+        return hash((self.body,))
+
+
+class SetVar(Value):
+    def __hash__(self) -> int:
+        return hash(())
+
+
+class ForallX(Value):
+    body: FormulaNu
+
+    def __init__(self, body: FormulaNu):
+        setfield(self, "body", body)
+
+    def __hash__(self) -> int:
+        return hash((self.body,))
 
 
 FormulaNu = Rat | Neg | Conj | Box | Opt | Nu | SetVar | ForallX
@@ -905,11 +940,23 @@ def _sample_models(game: Game, count: int, max_states: int, seed: int) -> Iterat
         yield _Model(tuple(plays), tuple(profiles), possible)
 
 
-@dataclass(frozen=True)
-class ValidityReport:
+class ValidityReport(Value):
     valid: bool
     countermodel: BeliefModel | None
     models_checked: int
+
+    def __init__(self, valid: bool, countermodel: BeliefModel | None, models_checked: int):
+        setfield(self, "valid", valid)
+        setfield(self, "countermodel", countermodel)
+        setfield(self, "models_checked", models_checked)
+
+
+def exhaustive_model_count(game: Game, max_states: int) -> int:
+    """The belief models over the game with 1..max_states states: at k
+    states, one strategy per player and state, and one possibility set,
+    possibly empty, per player and state."""
+    profiles = prod(map(len, game.strategies))
+    return sum(profiles**k << game.n * k * k for k in range(1, max_states + 1))
 
 
 def check_validity(
@@ -930,9 +977,10 @@ def check_validity(
     earned on an empty corpus, and when a second-order formula or a sampled
     search comes with more than :data:`MAX_SECOND_ORDER_STATES` states;
     raises :class:`~epigame.beliefs.EnumerationLimitError` for an exhaustive
-    search past :data:`~epigame.beliefs.MAX_ENUM_STATES` states, before any
-    work.  Both searches run the formula's one program: the exhaustive one
-    on a plays block at a time, the sampled one on each drawn model.
+    search past :data:`~epigame.beliefs.MAX_ENUM_STATES` states or past
+    :data:`MAX_EXHAUSTIVE_MODELS` models, before any work.  Both searches
+    run the formula's one program: the exhaustive one on a plays block at
+    a time, the sampled one on each drawn model.
     """
     if max_states < 1:
         raise ModalError(f"models need at least 1 state, got {max_states}")
@@ -945,8 +993,15 @@ def check_validity(
         kind = "second-order" if second_order else "sampled"
         raise ModalError(f"{kind} validity checks are limited to {MAX_SECOND_ORDER_STATES} states")
     registry = registry or ConditionRegistry.standard()
-    if samples is None and max_states > MAX_ENUM_STATES:
-        raise EnumerationLimitError(f"exhaustive enumeration is limited to {MAX_ENUM_STATES} states")
+    if samples is None:
+        if max_states > MAX_ENUM_STATES:
+            raise EnumerationLimitError(f"exhaustive enumeration is limited to {MAX_ENUM_STATES} states")
+        count = exhaustive_model_count(game, max_states)
+        if count > MAX_EXHAUSTIVE_MODELS:
+            raise EnumerationLimitError(
+                f"an exhaustive search would check {count:,} models,"
+                f" more than the {MAX_EXHAUSTIVE_MODELS:,} allowed"
+            )
     run = _program(game, formula, registry)
     if samples is None:
         return _sweep_blocks(game, run, max_states)

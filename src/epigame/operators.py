@@ -8,12 +8,12 @@ the full game performs iterated elimination.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from itertools import product
 
 from .conditions import FormulaO, analyze, builtin
 from .games import Game, Restriction, lattice_size
 from .optimality import plan
+from .value import Value, setfield
 
 
 class OperatorError(ValueError):
@@ -83,8 +83,7 @@ class ContractedOperator(Operator):
         return self.base.apply(restriction).meet(restriction)
 
 
-@dataclass(frozen=True)
-class IterationTrace:
+class IterationTrace(Value):
     """Stages of iterating an operator until the first repeated stage.
 
     ``stages[0]`` is the start; each next stage is the image of the previous
@@ -95,6 +94,11 @@ class IterationTrace:
     stages: tuple[Restriction, ...]
     closure_ordinal: int
     outcome: Restriction
+
+    def __init__(self, stages: tuple[Restriction, ...], closure_ordinal: int, outcome: Restriction):
+        setfield(self, "stages", stages)
+        setfield(self, "closure_ordinal", closure_ordinal)
+        setfield(self, "outcome", outcome)
 
 
 def iterate(op: Operator) -> IterationTrace:
@@ -132,11 +136,17 @@ def format_trace(trace: IterationTrace) -> str:
     return "\n".join(lines)
 
 
-@dataclass(frozen=True)
-class MonotonicityReport:
+class MonotonicityReport(Value):
     monotone: bool
     witness: tuple[Restriction, Restriction] | None
     pairs_checked: int
+
+    def __init__(
+        self, monotone: bool, witness: tuple[Restriction, Restriction] | None, pairs_checked: int
+    ):
+        setfield(self, "monotone", monotone)
+        setfield(self, "witness", witness)
+        setfield(self, "pairs_checked", pairs_checked)
 
 
 def _subset_pairs(game: Game):

@@ -25,7 +25,6 @@ memo of survivors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 from typing import Callable, Iterable, Sequence
@@ -176,20 +175,31 @@ def _true(r: _Run) -> int:
     return r.everyone
 
 
-@dataclass(slots=True)
 class _Run:
     """The state one call of a plan evaluates under: the player's strategy
     mask, the context membership of each own strategy and each opponents'
     profile, every slot's domain and current value, and the player's
     payoff comparisons."""
 
-    everyone: int
-    own_in: list[int]
-    others_in: list[bool]
-    domains: list[tuple[Iterable[int], Iterable[int]]]
-    own: list[int]
-    others: list[int]
-    prefs: Preferences
+    __slots__ = ("everyone", "own_in", "others_in", "domains", "own", "others", "prefs")
+
+    def __init__(
+        self,
+        everyone: int,
+        own_in: list[int],
+        others_in: list[bool],
+        domains: list[tuple[Iterable[int], Iterable[int]]],
+        own: list[int],
+        others: list[int],
+        prefs: Preferences,
+    ):
+        self.everyone = everyone
+        self.own_in = own_in
+        self.others_in = others_in
+        self.domains = domains
+        self.own = own
+        self.others = others
+        self.prefs = prefs
 
 
 def optimal_strategies(

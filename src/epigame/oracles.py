@@ -22,7 +22,6 @@ it.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from typing import Iterator, Mapping
@@ -64,6 +63,7 @@ from .operators import (
     check_monotone,
     iterate,
 )
+from .value import Value, setfield
 
 # re-exported: perfbench/ imports it from here
 from .proofs import bundled_proof  # noqa: F401
@@ -227,10 +227,13 @@ def constant_table(game: Game, image: Restriction) -> TableOperator:
     return TableOperator(game, {r.masks: image for r in restrictions(game)})
 
 
-@dataclass(frozen=True)
-class InclusionReport:
+class InclusionReport(Value):
     premises_hold: bool
     conclusion_holds: bool
+
+    def __init__(self, premises_hold: bool, conclusion_holds: bool):
+        setfield(self, "premises_hold", premises_hold)
+        setfield(self, "conclusion_holds", conclusion_holds)
 
 
 def lemma_inclusion_check(first: Operator, second: Operator) -> InclusionReport:
@@ -430,10 +433,13 @@ def everyone_believes(model: BeliefModel, event: Event) -> Event:
     return result
 
 
-@dataclass(frozen=True)
-class CommonBeliefResult:
+class CommonBeliefResult(Value):
     event: Event
     chain: tuple[Event, ...]
+
+    def __init__(self, event: Event, chain: tuple[Event, ...]):
+        setfield(self, "event", event)
+        setfield(self, "chain", chain)
 
 
 def common_belief(model: BeliefModel, event: Event) -> CommonBeliefResult:

@@ -22,8 +22,6 @@ Line numbers and references are ASCII digits; a malformed script raises
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from importlib import resources
 from typing import Iterator, Sequence
 
 from .conditions import (
@@ -31,8 +29,8 @@ from .conditions import (
     UnknownNameError, models,
 )
 from .games import (
-    FormatError, Game, Profile, Restriction, bundled_games, lattice_size, read_index, records,
-    restrictions,
+    FormatError, Game, Profile, Restriction, bundled_games, bundled_text, lattice_size, read_index,
+    records, restrictions,
 )
 from .modal import (
     Box,
@@ -55,6 +53,7 @@ from .modal import (
     substitute_x,
 )
 from .optimality import plan
+from .value import Value, setfield
 
 TAUT_ATOM_LIMIT = 16
 
@@ -63,27 +62,36 @@ class ProofSyntaxError(FormatError):
     """A malformed proof script."""
 
 
-@dataclass(frozen=True)
-class Justification:
+class Justification(Value):
     rule: str
-    refs: tuple[int, ...] = ()
-    lemmas: tuple[str, ...] = ()
+    refs: tuple[int, ...]
+    lemmas: tuple[str, ...]
+
+    def __init__(self, rule: str, refs: tuple[int, ...] = (), lemmas: tuple[str, ...] = ()):
+        setfield(self, "rule", rule)
+        setfield(self, "refs", refs)
+        setfield(self, "lemmas", lemmas)
 
 
-@dataclass(frozen=True)
-class ProofLine:
+class ProofLine(Value):
     number: int
     formula: FormulaNu
     justification: Justification
     source_line: int
 
+    def __init__(self, number: int, formula: FormulaNu, justification: Justification, source_line: int):
+        setfield(self, "number", number)
+        setfield(self, "formula", formula)
+        setfield(self, "justification", justification)
+        setfield(self, "source_line", source_line)
 
-@dataclass(frozen=True)
-class ProofScript:
+
+class ProofScript(Value):
     lines: tuple[ProofLine, ...]
 
-    def __post_init__(self):
-        if not self.lines:
+    def __init__(self, lines: tuple[ProofLine, ...]):
+        setfield(self, "lines", lines)
+        if not lines:
             raise ValueError("a proof script needs at least one line, its last being the theorem")
 
     @property
@@ -181,10 +189,13 @@ def is_tautology(formula: FormulaNu) -> bool:
 # Axiom schemas
 
 
-@dataclass(frozen=True)
-class AxiomMatch:
+class AxiomMatch(Value):
     rule: str
     bindings: dict | None
+
+    def __init__(self, rule: str, bindings: dict | None):
+        setfield(self, "rule", rule)
+        setfield(self, "bindings", bindings)
 
     def __bool__(self) -> bool:
         return self.bindings is not None
@@ -233,8 +244,7 @@ def match_nudis(formula: FormulaNu, conditions: ConditionRegistry) -> AxiomMatch
 # Lemma registry (for the link rule)
 
 
-@dataclass(frozen=True)
-class SweepEvidence:
+class SweepEvidence(Value):
     """What a lemma's admission covered: the corpus games, and the
     optimality models (context, focus, owner) of those games that the
     sweep decided, whether or not each was evaluated on its own."""
@@ -242,9 +252,12 @@ class SweepEvidence:
     games: int
     models_checked: int
 
+    def __init__(self, games: int, models_checked: int):
+        setfield(self, "games", games)
+        setfield(self, "models_checked", models_checked)
 
-@dataclass(frozen=True)
-class Lemma:
+
+class Lemma(Value):
     """``lhs -> rhs``, admitted for the two names' ``formulas`` then."""
 
     name: str
@@ -253,13 +266,27 @@ class Lemma:
     formulas: tuple[FormulaO, FormulaO]
     evidence: SweepEvidence
 
+    def __init__(
+        self, name: str, lhs: str, rhs: str, formulas: tuple[FormulaO, FormulaO], evidence: SweepEvidence
+    ):
+        setfield(self, "name", name)
+        setfield(self, "lhs", lhs)
+        setfield(self, "rhs", rhs)
+        setfield(self, "formulas", formulas)
+        setfield(self, "evidence", evidence)
 
-@dataclass(frozen=True)
-class ImplicationWitness:
+
+class ImplicationWitness(Value):
     game_index: int
     context: Restriction
     focus: Profile
     owner: int
+
+    def __init__(self, game_index: int, context: Restriction, focus: Profile, owner: int):
+        setfield(self, "game_index", game_index)
+        setfield(self, "context", context)
+        setfield(self, "focus", focus)
+        setfield(self, "owner", owner)
 
 
 class LemmaRefused(Exception):
@@ -384,17 +411,24 @@ class LemmaRegistry:
 # Proof checking
 
 
-@dataclass(frozen=True)
-class ProofFailure:
+class ProofFailure(Value):
     line: int
     reason: str
 
+    def __init__(self, line: int, reason: str):
+        setfield(self, "line", line)
+        setfield(self, "reason", reason)
 
-@dataclass(frozen=True)
-class ProofReport:
+
+class ProofReport(Value):
     ok: bool
     failure: ProofFailure | None
     theorem: FormulaNu | None
+
+    def __init__(self, ok: bool, failure: ProofFailure | None, theorem: FormulaNu | None):
+        setfield(self, "ok", ok)
+        setfield(self, "failure", failure)
+        setfield(self, "theorem", theorem)
 
 
 def _check_line(
@@ -522,4 +556,4 @@ def standard_lemmas() -> LemmaRegistry:
 
 def bundled_proof(name: str) -> str:
     """The text of a packaged proof script, e.g. ``THM-MAIN``."""
-    return resources.files("epigame").joinpath("data", f"{name}.prf").read_text()
+    return bundled_text(f"{name}.prf")

@@ -9,7 +9,6 @@ swapping the conjuncts of a tautology line usually leaves a tautology.
 from __future__ import annotations
 
 import random
-from dataclasses import replace
 
 from epigame.modal import Box, Conj, ForallX, FormulaNu, Neg, Nu, Opt, Rat
 from epigame.proofs import Justification, ProofLine, ProofScript
@@ -55,6 +54,14 @@ def replace_at(formula: FormulaNu, path: Path, new: FormulaNu) -> FormulaNu:
     return ForallX(child)
 
 
+def _with_formula(line: ProofLine, formula: FormulaNu) -> ProofLine:
+    return ProofLine(line.number, formula, line.justification, line.source_line)
+
+
+def _with_justification(line: ProofLine, justification: Justification) -> ProofLine:
+    return ProofLine(line.number, line.formula, justification, line.source_line)
+
+
 def _swap_condition(line: ProofLine, rng: random.Random, total: int) -> ProofLine | None:
     spots = [
         p
@@ -70,7 +77,7 @@ def _swap_condition(line: ProofLine, rng: random.Random, total: int) -> ProofLin
         new = Rat(other, node.player)
     else:
         new = Opt(other, node.player, node.body)
-    return replace(line, formula=replace_at(line.formula, path, new))
+    return _with_formula(line, replace_at(line.formula, path, new))
 
 
 def _swap_conjuncts(line: ProofLine, rng: random.Random, total: int) -> ProofLine | None:
@@ -83,13 +90,13 @@ def _swap_conjuncts(line: ProofLine, rng: random.Random, total: int) -> ProofLin
         return None
     path = rng.choice(spots)
     node = subformula_at(line.formula, path)
-    return replace(line, formula=replace_at(line.formula, path, Conj(node.right, node.left)))
+    return _with_formula(line, replace_at(line.formula, path, Conj(node.right, node.left)))
 
 
 def _insert_negation(line: ProofLine, rng: random.Random, total: int) -> ProofLine | None:
     path = rng.choice(formula_paths(line.formula))
     node = subformula_at(line.formula, path)
-    return replace(line, formula=replace_at(line.formula, path, Neg(node)))
+    return _with_formula(line, replace_at(line.formula, path, Neg(node)))
 
 
 def _perturb_ref(line: ProofLine, rng: random.Random, total: int) -> ProofLine | None:
@@ -99,7 +106,8 @@ def _perturb_ref(line: ProofLine, rng: random.Random, total: int) -> ProofLine |
     slot = rng.randrange(len(refs))
     new_ref = rng.choice([n for n in range(1, total + 1) if n != refs[slot]])
     new_refs = refs[:slot] + (new_ref,) + refs[slot + 1 :]
-    return replace(line, justification=replace(line.justification, refs=new_refs))
+    just = line.justification
+    return _with_justification(line, Justification(just.rule, new_refs, just.lemmas))
 
 
 def _swap_rule(line: ProofLine, rng: random.Random, total: int) -> ProofLine | None:
@@ -113,7 +121,7 @@ def _swap_rule(line: ProofLine, rng: random.Random, total: int) -> ProofLine | N
         new = Justification(target, (rng.randint(1, total),))
     else:
         new = Justification(target, (), (rng.choice(LEMMA_NAMES),))
-    return replace(line, justification=new)
+    return _with_justification(line, new)
 
 
 def _swap_lemma(line: ProofLine, rng: random.Random, total: int) -> ProofLine | None:
@@ -121,7 +129,8 @@ def _swap_lemma(line: ProofLine, rng: random.Random, total: int) -> ProofLine | 
         return None
     names = line.justification.lemmas
     other = rng.choice([n for n in LEMMA_NAMES if n not in names])
-    return replace(line, justification=replace(line.justification, lemmas=(other,)))
+    just = line.justification
+    return _with_justification(line, Justification(just.rule, just.refs, (other,)))
 
 
 _OPERATORS = (

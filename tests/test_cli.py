@@ -181,6 +181,22 @@ def test_check_valid_refuses_an_exhaustive_search_past_3_states(files, capsys):
     assert captured.err == "error: exhaustive enumeration is limited to 3 states\n"
 
 
+def test_check_valid_refuses_an_exhaustive_search_past_its_model_budget(tmp_path, capsys):
+    names = " ".join(f"s{k}" for k in range(8))
+    lines = ["players: 2", f"strategies 1: {names}", f"strategies 2: {names}"]
+    lines += [f"payoff s{a} s{b} : {a} {b}" for a in range(8) for b in range(8)]
+    board = tmp_path / "board.game"
+    board.write_text("\n".join(lines) + "\n")
+    assert main(["check-valid", str(board), "rat(gbr)", "--exhaustive", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: an exhaustive search would check 68,720,525,568 models, more than the 10,000,000,000 allowed\n"
+    )
+    # sampling the same game is not refused
+    assert main(["check-valid", str(board), "rat(gbr)", "--random", "20", "3"]) in (0, 1)
+
+
 def test_an_open_condition_is_refused_at_registration(files, tmp_path, capsys):
     open_file = tmp_path / "open.cond"
     open_file.write_text("condition a: C(x)\n")
@@ -382,6 +398,20 @@ def test_analyze_condition(files, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["weak"] == {"closed": True, "positive": False, "context_safe": True}
     assert payload["strict"] == {"closed": True, "positive": True, "context_safe": True}
+
+
+def test_analyze_condition_json_is_unchanged(tmp_path, capsys):
+    specs = tmp_path / "specs.cond"
+    specs.write_text("condition open: C(x)\ncondition focus: exists x . C(o) and x >= o @ x\n")
+    assert main(["analyze-condition", "lsd", "gsd", "gbr", str(specs), "--json"]) == 0
+    # the output of the dataclass-based report, byte for byte
+    assert capsys.readouterr().out == (
+        '{"lsd": {"closed": true, "positive": false, "context_safe": true}, '
+        '"gsd": {"closed": true, "positive": true, "context_safe": true}, '
+        '"gbr": {"closed": true, "positive": true, "context_safe": true}, '
+        '"open": {"closed": false, "positive": true, "context_safe": true}, '
+        '"focus": {"closed": true, "positive": true, "context_safe": false}}\n'
+    )
 
 
 def test_analyze_condition_refuses_a_repeated_name(tmp_path, capsys):
@@ -593,3 +623,26 @@ print("epigame.oracles" in sys.modules)
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines()[-2:] == ["OK", "False"]
+
+
+#: Modules that cost a command line its start-up and that no subcommand needs.
+SLOW_IMPORTS = ("dataclasses", "inspect", "importlib.resources", "zipfile", "tempfile")
+
+
+def test_a_clean_command_line_imports_no_slow_modules():
+    # -S skips site, which may import some of these on its own
+    data = Path(epigame.__file__).parent / "data"
+    script = f"""
+import sys
+from epigame.cli import main
+assert main(["check-proof", {str(data / "THM-IMP.prf")!r}]) == 0
+assert main(["check-valid", {str(data / "fig2.game")!r}, "rat(gbr)", "--exhaustive", "1"]) == 1
+print(sorted(name for name in {SLOW_IMPORTS!r} if name in sys.modules))
+"""
+    src = str(Path(epigame.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", script], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "[]"

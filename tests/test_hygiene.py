@@ -76,3 +76,26 @@ def test_runtime_modules_do_not_import_the_oracles():
     problems = [f"{path.name}:{line}" for path in runtime for line in oracle_imports(path.read_text())]
     assert problems == []
 
+
+
+def imported_modules(source: str) -> set[str]:
+    """The top-level package of every module an import statement anywhere
+    in the source names, function bodies included; relative imports are
+    within the package and left out."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            found.add(node.module.split(".")[0])
+    return found
+
+
+def test_runtime_modules_do_not_import_dataclasses():
+    # the decorator generates each class's methods at import time, a third
+    # of the package's start-up; epigame.value writes them once instead
+    assert "dataclasses" in imported_modules("def f():\n    from dataclasses import dataclass")
+    assert "dataclasses" in imported_modules("import dataclasses as dc")
+    sources = sorted(SOURCES.glob("*.py"))
+    assert len(sources) > 5
+    assert [path.name for path in sources if "dataclasses" in imported_modules(path.read_text())] == []

@@ -2,7 +2,7 @@ import copy
 import gc
 import pickle
 import weakref
-from dataclasses import is_dataclass
+from fractions import Fraction
 from itertools import islice, product
 from math import prod
 
@@ -18,6 +18,7 @@ from epigame.modal import (
     Conj,
     ForallX,
     MAX_CACHED_PROGRAMS,
+    MAX_EXHAUSTIVE_MODELS,
     ModalError,
     Neg,
     Nu,
@@ -33,6 +34,7 @@ from epigame.modal import (
     _slices,
     check_validity,
     common_belief_formula,
+    exhaustive_model_count,
     has_free_x,
     imp,
     interpret,
@@ -58,6 +60,7 @@ from epigame.oracles import (
     nu_via_postfixpoints,
     sample_belief_models,
 )
+from epigame.value import Value
 from test_conditions import tied_games
 
 REGISTRY = ConditionRegistry.standard()
@@ -128,7 +131,7 @@ def test_deep_nesting_is_a_syntax_error():
 
 
 def tree_height(node) -> int:
-    return 1 + max((tree_height(v) for v in vars(node).values() if is_dataclass(v)), default=0)
+    return 1 + max((tree_height(v) for v in vars(node).values() if isinstance(v, Value)), default=0)
 
 
 BUILDER_TEMPLATES = (
@@ -770,6 +773,35 @@ def test_a_three_state_sweep_is_exact():
     with pytest.raises(EnumerationLimitError, match="^exhaustive enumeration is limited to 3 states$"):
         # refused before the unknown condition is looked up
         check_validity(fig1_left(), Rat("nope"), max_states=4)
+
+
+def square_game(size: int) -> Game:
+    names = tuple(f"s{k}" for k in range(size))
+    return Game((names, names), {p: (Fraction(p[0][1:]), Fraction(p[1][1:])) for p in product(names, names)})
+
+
+def test_the_model_count_is_the_enumeration_length():
+    one = Game((("a",), ("b",), ("c",)), {("a", "b", "c"): (Fraction(0),) * 3})
+    cases = [(square_game(1), 3), (fig1_right(), 2), (fig2(), 2), (one, 2), (generated_games()[0], 1)]
+    for game, states in cases:
+        for k in range(1, states + 1):
+            assert exhaustive_model_count(game, k) == sum(1 for _ in enumerate_model_masks(game, k)), (game, k)
+    assert exhaustive_model_count(fig2(), 3) == 56_632_344
+
+
+def test_exhaustive_sweeps_past_the_model_budget_are_refused_before_any_work():
+    # a 5x5 game's 3-state sweep (about 11 s) is inside the budget
+    assert exhaustive_model_count(square_game(5), 3) == 4_096_160_100 <= MAX_EXHAUSTIVE_MODELS
+    assert exhaustive_model_count(square_game(8), 2) <= MAX_EXHAUSTIVE_MODELS
+    game = square_game(8)
+    count = exhaustive_model_count(game, 3)
+    assert count == 68_720_525_568 > MAX_EXHAUSTIVE_MODELS
+    with pytest.raises(EnumerationLimitError, match="would check 68,720,525,568 models"):
+        check_validity(game, parse_nu("rat(gbr) -> box rat(gbr)"), max_states=3)
+    assert "modal_cache" not in vars(game)  # no program was compiled
+    # the largest sweep CI runs still runs
+    formula = parse_nu("rat(gbr) and CB rat(gbr) -> nu X . O(gbr) X")
+    assert check_validity(fig2(), formula, max_states=3) == ValidityReport(True, None, 56_632_344)
 
 
 def pinned(states, plays, possible):
