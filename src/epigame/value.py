@@ -28,8 +28,8 @@ class Value:
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
         cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
-        # every field in one call; the class name makes even a one-field key
-        # a tuple, whose hash is the same in every run under one hash seed
+        # every field in one call, behind the class name, so that the key is
+        # a tuple even for a class with one field
         key = attrgetter("__class__.__qualname__", *cls._fields)
 
         def __eq__(self, other: object) -> bool:
