@@ -71,9 +71,6 @@ class CtxAtom(Value):
     def __init__(self, term: str):
         setfield(self, "term", term)
 
-    def __hash__(self) -> int:
-        return hash((self.term,))
-
 
 class GeqAtom(Value):
     left: str
@@ -85,18 +82,12 @@ class GeqAtom(Value):
         setfield(self, "right", right)
         setfield(self, "ctx", ctx)
 
-    def __hash__(self) -> int:
-        return hash((self.left, self.right, self.ctx))
-
 
 class Neg(Value):
     body: FormulaO
 
     def __init__(self, body: FormulaO):
         setfield(self, "body", body)
-
-    def __hash__(self) -> int:
-        return hash((self.body,))
 
 
 class Conj(Value):
@@ -107,9 +98,6 @@ class Conj(Value):
         setfield(self, "left", left)
         setfield(self, "right", right)
 
-    def __hash__(self) -> int:
-        return hash((self.left, self.right))
-
 
 class Exists(Value):
     var: str
@@ -118,9 +106,6 @@ class Exists(Value):
     def __init__(self, var: str, body: FormulaO):
         setfield(self, "var", var)
         setfield(self, "body", body)
-
-    def __hash__(self) -> int:
-        return hash((self.var, self.body))
 
 
 FormulaO = CtxAtom | GeqAtom | Neg | Conj | Exists

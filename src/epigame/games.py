@@ -107,11 +107,6 @@ class Game(Value):
         # the payoff mapping has no hash of its own
         return hash((self.strategies, tuple(sorted(self.payoffs.items()))))
 
-    def __getstate__(self) -> dict:
-        # copies and pickles leave the caches behind: they are rebuilt on
-        # demand, and compiled modal programs cannot be pickled
-        return {"strategies": self.strategies, "payoffs": self.payoffs}
-
     @property
     def n(self) -> int:
         return len(self.strategies)

@@ -135,9 +135,6 @@ class Rat(Value):
         setfield(self, "condition", condition)
         setfield(self, "player", player)
 
-    def __hash__(self) -> int:
-        return hash((self.condition, self.player))
-
 
 class Box(Value):
     player: int | None
@@ -146,9 +143,6 @@ class Box(Value):
     def __init__(self, player: int | None, body: FormulaNu):
         setfield(self, "player", player)
         setfield(self, "body", body)
-
-    def __hash__(self) -> int:
-        return hash((self.player, self.body))
 
 
 class Opt(Value):
@@ -161,9 +155,6 @@ class Opt(Value):
         setfield(self, "player", player)
         setfield(self, "body", body)
 
-    def __hash__(self) -> int:
-        return hash((self.condition, self.player, self.body))
-
 
 class Nu(Value):
     body: FormulaNu
@@ -171,23 +162,15 @@ class Nu(Value):
     def __init__(self, body: FormulaNu):
         setfield(self, "body", body)
 
-    def __hash__(self) -> int:
-        return hash((self.body,))
-
 
 class SetVar(Value):
-    def __hash__(self) -> int:
-        return hash(())
-
+    pass
 
 class ForallX(Value):
     body: FormulaNu
 
     def __init__(self, body: FormulaNu):
         setfield(self, "body", body)
-
-    def __hash__(self) -> int:
-        return hash((self.body,))
 
 
 FormulaNu = Rat | Neg | Conj | Box | Opt | Nu | SetVar | ForallX

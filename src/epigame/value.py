@@ -6,11 +6,18 @@ gets what a frozen dataclass would give, without generating code at import
 time: equality that compares the class first and then the fields in
 order, so ``Neg(x) != Nu(x)``; a hash that agrees with it; the
 ``Name(field=value, ...)`` repr; and a refusal to assign or delete an
-attribute.  A class that defines ``__eq__`` or ``__hash__`` keeps its own:
-formula nodes hash their fields directly, since the modal layer hashes a
-whole formula tree on every call.  Instances keep a ``__dict__``, so
-``cached_property`` works on them, and copies and pickles restore their
-fields without ``__setattr__``.
+attribute.  A class that defines ``__eq__`` or ``__hash__`` keeps its own.
+Fields are read from the class's own ``__annotations__``, so every module
+that defines a value class starts with ``from __future__ import
+annotations``; a class with an ``__init__`` and no fields found there is
+refused at definition.
+
+A value computes its hash once and keeps it, since the modal layer hashes
+whole formula trees on every call.  Instances keep a ``__dict__``, so
+``cached_property`` works on them.  Copies and pickles carry the fields
+alone, restored without ``__setattr__``: cached properties are rebuilt on
+demand, and a kept hash would be wrong in another process, where a ``str``
+hashes differently.
 """
 
 from __future__ import annotations
@@ -21,6 +28,10 @@ from operator import attrgetter
 setfield = object.__setattr__
 
 
+def _no_fields(value: Value) -> tuple[()]:
+    return ()
+
+
 class Value:
     __slots__ = ()
     _fields: tuple[str, ...] = ()
@@ -28,9 +39,12 @@ class Value:
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
         cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
-        # every field in one call, behind the class name, so that the key is
-        # a tuple even for a class with one field
-        key = attrgetter("__class__.__qualname__", *cls._fields)
+        if not cls._fields and "__init__" in cls.__dict__:
+            # annotations the class body does not keep as a dict (Python
+            # 3.14 without the __future__ import) would make every instance
+            # equal to every other
+            raise TypeError(f"{cls.__qualname__} has an __init__ but no field annotations in __annotations__")
+        key = attrgetter(*cls._fields) if cls._fields else _no_fields
 
         def __eq__(self, other: object) -> bool:
             if other.__class__ is self.__class__:
@@ -38,7 +52,10 @@ class Value:
             return NotImplemented
 
         def __hash__(self) -> int:
-            return hash(key(self))
+            found = self.__dict__.get("_hash")
+            if found is None:
+                found = self.__dict__["_hash"] = hash(key(self))
+            return found
 
         for method in (__eq__, __hash__):
             if method.__name__ not in cls.__dict__:
@@ -47,6 +64,9 @@ class Value:
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{self.__class__.__qualname__}({fields})"
+
+    def __getstate__(self) -> dict:
+        return {name: getattr(self, name) for name in self._fields}
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")

@@ -13,7 +13,7 @@ from epigame.games import bundled_game
 from epigame.modal import Nu, Rat, SetVar, X, check_validity, parse_nu
 from epigame.operators import condition_operator, iterate
 from epigame.proofs import Justification, parse_proof
-from epigame.value import Value
+from epigame.value import Value, setfield
 
 
 def subclasses(cls):
@@ -31,6 +31,17 @@ def test_every_value_class_with_fields_writes_its_own_init():
     assert [cls.__qualname__ for cls in classes if cls._fields and "__init__" not in cls.__dict__] == []
     for cls in classes:
         assert cls.__eq__ is not object.__eq__ and cls.__hash__ is not None, cls
+
+
+def test_a_class_whose_fields_are_not_found_is_refused():
+    # a class body that keeps no __annotations__ dict (Python 3.14 without
+    # the __future__ import) would give a class whose instances all compare
+    # equal
+    with pytest.raises(TypeError, match="no field annotations"):
+
+        class Unannotated(Value):
+            def __init__(self, body):
+                setfield(self, "body", body)
 
 
 def test_equality_compares_the_class_first():
@@ -116,3 +127,12 @@ def test_copies_and_pickles_are_equal_values():
     for value in (trace, script, parse_nu("nu X . box (X and rat(lsd))")):
         for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
             assert twin == value and hash(twin) == hash(value) and repr(twin) == repr(value)
+
+
+def test_copies_and_pickles_leave_the_kept_hash_and_caches_behind():
+    game = bundled_game("fig2")
+    formula = parse_nu("nu X . box (X and rat(lsd))")
+    hash(formula), hash(game), game.preferences(0)
+    for value in (formula, game):
+        for twin in (copy.copy(value), pickle.loads(pickle.dumps(value))):
+            assert list(vars(twin)) == list(value._fields)
