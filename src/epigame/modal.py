@@ -57,24 +57,31 @@ A :class:`~epigame.beliefs.BeliefModel` holds the same masks, so loading
 one builds only its profile ints; state names appear only at the
 boundary, in the ``env`` argument and the result of :func:`interpret`.
 
-A :class:`_Block` is every model of a plays block at once, for exhaustive
-validity checks: the run of consecutive models, in
-:func:`~epigame.oracles.enumerate_model_masks` order, that share their
-plays.  Its event is a :class:`_Lanes`, one ``int`` per state, a bit vector
-whose bit t, or lane t, stands for the block's model t.  The players'
-possibility rows are fixed digits of t, so "player i considers v possible
-at k" is a periodic lane pattern, computed once per (player count, state
-count).  ``rat(c, i)`` at state k is the OR of the "possibility set equals
-S" patterns over the events S whose context keeps the strategy played at
-k, read from the survivor tables; ``O(c, i) E`` is the same OR over "E
-equals S" vectors.  A fixpoint is exact because each lane is its own
-model's decreasing sequence.  The verdict is the AND over the states; its
-lowest clear lane, added to the block's offset, gives the first
-countermodel and the count of models checked, so both match a sweep of
-one model at a time.  A vector holds at most ``2**BLOCK_BITS`` lanes: a
-larger block, such as one of three players at three states, is swept in
-slices that fix the leading players' rows.  One model is not run as a
-block of one lane, nor a block event held as one flat ``int``: both were
+A :class:`_Block` is a window of an exhaustive sweep: up to
+``2**BLOCK_BITS`` consecutive models in
+:func:`~epigame.oracles.enumerate_model_masks` order, held at once.  Its
+event is a :class:`_Lanes`, one ``int`` per state, a bit vector whose bit
+t, or lane t, stands for the window's model t.  A plays block is the run of
+consecutive models that share their plays; in it the players' possibility
+rows are fixed digits of the lane, so "player i considers v possible at k"
+is a periodic lane pattern, computed once per (player count, state count).
+Where a plays block has fewer models than the budget, as every one of a
+two-player game at one or two states, a window holds several whole plays
+blocks side by side, lane t being model ``t % L`` of its plays block
+``t // L`` of L lanes each, and the patterns are repeated once per plays
+block.  The first window of each state count holds one plays block, so a
+countermodel there costs no more than that block.  A larger plays block,
+such as one of three players at three states, is swept in slices that fix
+the leading players' rows, one slice to a window.  ``rat(c, i)`` at state
+k is the OR of the "possibility set equals S" patterns over the events S
+whose context keeps the strategy played at k, each cut to the lanes of the
+plays blocks where it does, read from the survivor tables; ``O(c, i) E`` is
+the same OR over "E equals S" vectors.  A fixpoint is exact because each
+lane is its own model's decreasing sequence.  The verdict is the AND over
+the states; its lowest clear lane, added to the count of models before the
+window, gives the first countermodel and the count of models checked, so
+both match a sweep of one model at a time.  One model is not run as a
+window of one lane, nor a window event held as one flat ``int``: both were
 measured slower.
 """
 
@@ -84,7 +91,7 @@ import random
 import re
 import weakref
 from functools import cache, partial, reduce
-from itertools import accumulate, product
+from itertools import accumulate, islice, product
 from math import prod
 from operator import and_, or_, xor
 from typing import Callable, Iterator
@@ -119,7 +126,7 @@ MAX_EXHAUSTIVE_MODELS = 10**10
 
 #: log2 of the most models one lane vector of an exhaustive sweep holds.  A
 #: plays block with more models is swept in slices that each fix the
-#: leading players' possibility rows.
+#: leading players' possibility rows; smaller ones share a vector.
 BLOCK_BITS = 18
 
 
@@ -588,50 +595,112 @@ def _lanes(players: int, states: int) -> tuple[int, tuple, tuple]:
     return full, seen, tuple(tuple(_minterms(vs, full) for vs in row) for row in seen)
 
 
-def _any_of(vectors: list[int], events: tuple[int, ...]) -> int:
-    return reduce(or_, map(vectors.__getitem__, events), 0)
+def _any_of(vectors: list[int], keep: tuple[list[int], list[tuple[int, int]]]) -> int:
+    """The OR of the vectors of the events of a :meth:`_Block.keeps` entry,
+    each cut to the lanes that keep.  An event that keeps in every lane is
+    not cut, so a window of one plays block costs one OR per event."""
+    whole, some = keep
+    return reduce(or_, (vectors[e] & lanes for e, lanes in some), reduce(or_, map(vectors.__getitem__, whole), 0))
+
+
+def _spread(flags: tuple[int, ...], lanes: int) -> int:
+    """The lane vector whose b-th run of ``lanes`` lanes is full where
+    ``flags[b]`` is 1 and empty where it is 0.  The runs are joined as
+    bytes, since shifting each into place costs a copy of the vector per
+    run; runs of fewer than 8 lanes go a byte's worth to a code."""
+    group = max(1, 8 // lanes)
+    full = (1 << lanes) - 1
+    runs = [
+        sum(full << i * lanes for i in range(group) if code >> i & 1).to_bytes(max(1, lanes // 8), "little")
+        for code in range(1 << group)
+    ]
+    codes = flags if group == 1 else [
+        sum(flag << i for i, flag in enumerate(flags[j : j + group])) for j in range(0, len(flags), group)
+    ]
+    return int.from_bytes(b"".join(map(runs.__getitem__, codes)), "little")
+
+
+def _tile(vector: int, lanes: int, times: int) -> int:
+    """``times`` copies of a vector of ``lanes`` lanes, side by side, built
+    by doubling.  For a result of about 2**18 lanes (2-core machine,
+    Python 3.11) that took 24-35 us, byte repetition 33-54 us and a
+    multiplication by the repunit 84-994 us."""
+    tiled = shift = 0
+    while True:
+        if times & 1:
+            tiled |= vector << shift
+            shift += lanes
+        times >>= 1
+        if not times:
+            return tiled
+        vector |= vector << lanes
+        lanes *= 2
 
 
 class _Block:
-    """The models of one plays block, or of one slice of it, in lane form:
-    every event is a :class:`_Lanes`, bit t of a vector standing for the
-    slice's model t.  ``plays`` is in the form of :attr:`_Model.plays`,
-    ``contexts`` holds the packed context of every event,
-    ``full`` is every lane, ``universe`` the universe event, and ``seen``
-    and ``rows`` are the :func:`_lanes` patterns of every player, constant
-    vectors for the ``fixed`` leading rows of the slice.  ``rational``
-    memoises the slice's rationality vectors per (survivor table, player)."""
+    """A window of an exhaustive sweep in lane form: consecutive models in
+    :func:`~epigame.oracles.enumerate_model_masks` order, either several
+    whole plays blocks of ``lanes`` lanes each or one slice of one plays
+    block.  Lane t is model ``t % lanes`` of plays block ``t // lanes``;
+    every event is a :class:`_Lanes`.  ``plays`` holds each plays block's
+    plays in the form of :attr:`_Model.plays` and ``contexts`` the packed
+    context of each of its events; ``full`` is every lane, ``universe``
+    the universe event, and ``seen`` and ``rows`` are the :func:`_lanes`
+    patterns of every player, repeated once per plays block, and constant
+    vectors for the ``fixed`` leading rows of a slice.  ``rational``
+    memoises the window's rationality vectors per (survivor table,
+    player)."""
 
-    __slots__ = ("plays", "contexts", "kept", "rational", "full", "universe", "fixed", "seen", "rows")
+    __slots__ = ("plays", "lanes", "contexts", "kept", "rational", "full", "universe", "fixed", "seen", "rows")
 
-    def __init__(self, layout: tuple[tuple[int, ...], ...], plays: Masks):
+    def __init__(self, layout: tuple[tuple[int, ...], ...], plays: list[Masks], lanes: int):
         self.plays = plays
-        # contexts[e]: the packed context of event e, which adds its lowest
-        # state's profile to e's other states
-        profiles = _profiles(layout, plays)
-        contexts = self.contexts = [0]
-        for e in range(1, 1 << len(profiles)):
-            contexts.append(contexts[e & e - 1] | profiles[(e & -e).bit_length() - 1])
-        self.kept: dict[tuple[SurvivorTable, int], tuple[tuple[int, ...], ...]] = {}
+        self.lanes = lanes
+        self.contexts = []
+        for block in plays:
+            # contexts[e]: the packed context of event e, which adds its
+            # lowest state's profile to e's other states
+            profiles = _profiles(layout, block)
+            contexts = [0]
+            for e in range(1, 1 << len(profiles)):
+                contexts.append(contexts[e & e - 1] | profiles[(e & -e).bit_length() - 1])
+            self.contexts.append(contexts)
+        self.kept: dict[tuple[SurvivorTable, int], list[tuple[list[int], list[tuple[int, int]]]]] = {}
 
-    def keeps(self, ask: tuple[SurvivorTable, int]) -> tuple[tuple[int, ...], ...]:
+    def keeps(self, ask: tuple[SurvivorTable, int]) -> list[tuple[list[int], list[tuple[int, int]]]]:
         """Per state k, the events (state masks) whose context keeps the
-        strategy the player plays at k, for ``ask`` = (table, player)."""
+        strategy the player plays at k, for ``ask`` = (table, player): those
+        that keep it in every plays block of the window, then (event, lanes)
+        for those that keep it in some, the lanes being those blocks'."""
         found = self.kept.get(ask)
         if found is None:
             table, player = ask
-            held = [table.survivors(player, context) for context in self.contexts]
-            found = self.kept[ask] = tuple(
-                tuple(e for e, survivors in enumerate(held) if survivors >> s & 1) for s in self.plays[player]
-            )
+            survivors = partial(table.survivors, player)
+            # per plays block, state and event: 1 where the event's context
+            # keeps the strategy played at the state
+            flags = []
+            for plays, contexts in zip(self.plays, self.contexts):
+                held = list(map(survivors, contexts))
+                flags.append([[mask >> s & 1 for mask in held] for s in plays[player]])
+            found = self.kept[ask] = []
+            for state in zip(*flags):
+                whole, some = [], []
+                for e, column in enumerate(zip(*state)):
+                    if all(column):
+                        whole.append(e)
+                    elif any(column):
+                        some.append((e, _spread(column, self.lanes)))
+                found.append((whole, some))
         return found
 
-    def possible(self, lane: int) -> tuple[tuple[int, ...], ...]:
-        """The possibility rows of the lane's model, as a sweep yields them."""
-        states = len(self.plays[0])
+    def masks(self, lane: int) -> tuple[Masks, Masks]:
+        """The plays and possibility rows of the lane's model, as a sweep
+        yields them."""
+        block, lane = divmod(lane, self.lanes)
+        states = len(self.universe)
         free = len(self.seen) - len(self.fixed)
         digits = (lane >> (free - 1 - f) * states * states for f in range(free))
-        return self.fixed + tuple(_row(d & (1 << states * states) - 1, states) for d in digits)
+        return self.plays[block], self.fixed + tuple(_row(d & (1 << states * states) - 1, states) for d in digits)
 
     def rat(self, asks: tuple[tuple[SurvivorTable, int], ...]) -> _Lanes:
         """:meth:`_Model.rat` in every lane."""
@@ -760,16 +829,19 @@ def _row(index: int, states: int) -> tuple[int, ...]:
     return tuple(index >> (states - 1 - k) * states & (1 << states) - 1 for k in range(states))
 
 
-def _slices(game: Game, states: int) -> Iterator[tuple[tuple[tuple[int, ...], ...], _Block]]:
-    """(plays, block) for every slice of every plays block of the models
-    with ``states`` states, in the order of
-    :func:`~epigame.oracles.enumerate_model_masks`.  The slices of one plays
-    block are one :class:`_Block`, updated in place."""
+def _slices(game: Game, states: int) -> Iterator[_Block]:
+    """Every window of the models with ``states`` states, in the order of
+    :func:`~epigame.oracles.enumerate_model_masks`.  A plays block of more
+    than ``2**BLOCK_BITS`` models is cut into slices that fix the leading
+    players' rows, one window each, updated in place.  Smaller plays blocks
+    are swept whole, as many to a window as fit in ``2**BLOCK_BITS``
+    lanes, except that the first window holds one: a countermodel there
+    costs no more than one plays block."""
     row_bits = states * states
     free = min(game.n, max(1, BLOCK_BITS // row_bits))
     full, seen, rows = _lanes(free, states)
+    lanes = full.bit_length()
     layout = _game_layout(game)
-    universe = _Lanes((full,) * states)
     # per slice: the fixed leading rows, then every player's patterns
     slices = []
     for leading in product(range(1 << row_bits), repeat=game.n - free):
@@ -781,25 +853,39 @@ def _slices(game: Game, states: int) -> Iterator[tuple[tuple[tuple[int, ...], ..
             tuple(tuple([full if e == m else 0 for e in range(1 << states)] for m in row) for row in fixed)
             + rows,
         ))
-    for plays in product(*(product(range(len(names)), repeat=states) for names in game.strategies)):
-        block = _Block(layout, plays)
-        block.full, block.universe = full, universe
-        for block.fixed, block.seen, block.rows in slices:
+    # per window size in plays blocks: full, universe and slices
+    sizes = {1: (full, _Lanes((full,) * states), slices)}
+    per = max(1, (1 << BLOCK_BITS) // lanes) if free == game.n else 1
+    blocks = product(*(product(range(len(names)), repeat=states) for names in game.strategies))
+    size = 1
+    while window := list(islice(blocks, size)):
+        if len(window) not in sizes:
+            tile = partial(_tile, lanes=lanes, times=len(window))
+            wide = tile(full)
+            sizes[len(window)] = (wide, _Lanes((wide,) * states), [(
+                (),
+                tuple(tuple(tuple(map(tile, row)) for row in player) for player in seen),
+                tuple(tuple(list(map(tile, row)) for row in player) for player in rows),
+            )])
+        block = _Block(layout, window, lanes)
+        block.full, block.universe, window_slices = sizes[len(window)]
+        for block.fixed, block.seen, block.rows in window_slices:
             block.rational = {}
-            yield plays, block
+            yield block
+        size = per
 
 
 def _sweep_blocks(game: Game, run: Callable, max_states: int) -> ValidityReport:
     """Run a program over every model with up to ``max_states`` states, a
-    block at a time, in the order of
+    window of consecutive models at a time, in the order of
     :func:`~epigame.oracles.enumerate_model_masks`."""
     checked = 0
     for states in range(1, max_states + 1):
-        for plays, block in _slices(game, states):
+        for block in _slices(game, states):
             failed = block.full ^ reduce(and_, run(block, block.universe))
             if failed:
                 lane = (failed & -failed).bit_length() - 1
-                return ValidityReport(False, model_of_masks(game, plays, block.possible(lane)), checked + lane + 1)
+                return ValidityReport(False, model_of_masks(game, *block.masks(lane)), checked + lane + 1)
             checked += block.full.bit_length()
     return ValidityReport(True, None, checked)
 
@@ -962,8 +1048,8 @@ def check_validity(
     raises :class:`~epigame.beliefs.EnumerationLimitError` for an exhaustive
     search past :data:`~epigame.beliefs.MAX_ENUM_STATES` states or past
     :data:`MAX_EXHAUSTIVE_MODELS` models, before any work.  Both searches
-    run the formula's one program: the exhaustive one on a plays block at
-    a time, the sampled one on each drawn model.
+    run the formula's one program: the exhaustive one on a window of
+    consecutive models at a time, the sampled one on each drawn model.
     """
     if max_states < 1:
         raise ModalError(f"models need at least 1 state, got {max_states}")

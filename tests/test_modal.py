@@ -4,7 +4,6 @@ import pickle
 import weakref
 from fractions import Fraction
 from itertools import islice, product
-from math import prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -675,16 +674,17 @@ def per_model_sweep(game, formula, max_states):
 
 
 def check_lanes(game, formula, states, env, picked):
-    """Every lane of the picked slices of a sweep against the same program
+    """Every lane of the picked windows of a sweep against the same program
     on the lane's single model, with X denoting the state mask env."""
     run = _program(game, formula, REGISTRY)
     checked = 0
-    for index, (plays, block) in enumerate(_slices(game, states)):
+    for index, block in enumerate(_slices(game, states)):
         if index not in picked:
             continue
         result = run(block, _Lanes(block.full if env >> v & 1 else 0 for v in range(states)))
         for lane in range(block.full.bit_length()):
-            model = _Model(plays, _profiles(_game_layout(game), plays), block.possible(lane))
+            plays, possible = block.masks(lane)
+            model = _Model(plays, _profiles(_game_layout(game), plays), possible)
             held = sum((vector >> lane & 1) << k for k, vector in enumerate(result))
             assert held == run(model, env), (index, lane)
             checked += 1
@@ -692,9 +692,7 @@ def check_lanes(game, formula, states, env, picked):
 
 
 def slice_count(game, states):
-    return prod(len(names) ** states for names in game.strategies) * (
-        1 << states * states * (game.n - min(game.n, max(1, modal.BLOCK_BITS // (states * states))))
-    )
+    return sum(1 for _ in _slices(game, states))
 
 
 @settings(max_examples=60, deadline=None)
@@ -723,6 +721,33 @@ def test_sliced_blocks_match_the_per_model_program(data):
         check_lanes(game, formula, states, data.draw(st.integers(0, (1 << states) - 1)), picked)
 
 
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_merged_and_sliced_windows_match_the_per_model_program(data):
+    """Three players with windows of at most 16 lanes: a 1-state window
+    holds two plays blocks of 8 lanes, and a 2-state plays block of 4,096
+    models is cut into slices of 16."""
+    game = data.draw(tied_games().filter(lambda g: g.n == 3))
+    formula = data.draw(modal_formulas(3))
+    states = data.draw(st.integers(1, 2))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(modal, "BLOCK_BITS", 4)
+        picked = data.draw(st.sets(st.integers(0, slice_count(game, states) - 1), min_size=1, max_size=3))
+        check_lanes(game, formula, states, data.draw(st.integers(0, (1 << states) - 1)), picked)
+
+
+def test_the_first_window_holds_one_plays_block():
+    """A countermodel in the first plays block costs that block alone: the
+    kernel is asked only about contexts of its plays."""
+    game = parse_game(format_game(fig1_right()))  # its survivor tables start empty
+    report = check_validity(game, parse_nu("rat(gbr)"), max_states=2)
+    assert (report.valid, report.models_checked) == (False, 1)
+    # plays U and L at the one state: possibility sets {} or {w1}
+    first = {0, _profiles(_game_layout(game), ((0,), (0,)))[0]}
+    memo = survivor_table(game, builtin("gbr")).memo
+    assert any(memo) and all(set(contexts) <= first for contexts in memo)
+
+
 THEOREMS = (
     "rat(gbr) and CB rat(gbr) -> nu X . O(gbr) X",
     "rat(gsd) and CB rat(gsd) -> nu X . O(gsd) X",
@@ -730,7 +755,7 @@ THEOREMS = (
 )
 
 
-@pytest.mark.parametrize("block_bits", [modal.BLOCK_BITS, 1], ids=["whole", "sliced"])
+@pytest.mark.parametrize("block_bits", [modal.BLOCK_BITS, 1, 10], ids=["whole", "sliced", "merged"])
 def test_exhaustive_counts_and_countermodels_are_exact(block_bits, monkeypatch):
     monkeypatch.setattr(modal, "BLOCK_BITS", block_bits)
     for game, valid_count in zip(bundled_games(), (4_112, 4_112, 9_240)):
