@@ -748,6 +748,20 @@ def test_the_first_window_holds_one_plays_block():
     assert any(memo) and all(set(contexts) <= first for contexts in memo)
 
 
+def test_windows_of_plays_blocks_shorter_than_a_byte():
+    """A one-player game's 1-state plays blocks have 2 lanes, so a window
+    packs the lanes of four of them into one byte."""
+    names = tuple(f"s{k}" for k in range(5))
+    game = Game((names,), {(name,): (Fraction(k % 3),) for k, name in enumerate(names)})
+    assert [len(block.plays) for block in _slices(game, 1)] == [1, 4]
+    for text in REFUTABLE + THEOREMS + ("O(gbr) X -> O(lsd) X",):
+        formula = parse_nu(text)
+        for states in (1, 2):
+            report = check_validity(game, formula, max_states=states)
+            assert (report.models_checked, report.countermodel) == per_model_sweep(game, formula, states), text
+            check_lanes(game, formula, states, 1, {1})
+
+
 THEOREMS = (
     "rat(gbr) and CB rat(gbr) -> nu X . O(gbr) X",
     "rat(gsd) and CB rat(gsd) -> nu X . O(gsd) X",
