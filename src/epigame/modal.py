@@ -29,10 +29,13 @@ refuse alike.  A context is one ``int``: player i's strategy s is bit
 ``offset_i + s``, ``offset_i`` being the strategy count of the players
 before i (:func:`_layout`, built once per game shape).  A state's profile
 is then one int, and the context of an event is the OR of its states'
-profiles.  A survivor table keys its memo on that int and unpacks it into
-the per-player masks of :attr:`~epigame.games.Restriction.masks`, the form
-a condition's :func:`~epigame.optimality.plan` reads, only on a miss.  The
-program runs on a model in either of two forms.  Each gives ``rat``,
+profiles.  A survivor table keys its memo on that int.  On a miss it
+forms the context's canonical key, which keeps the components the
+condition's :func:`~epigame.optimality.plan` reads in full and cuts each
+other non-empty one to its lowest bit, so contexts with the same survivors
+share one entry; only when that key misses too is it unpacked into the
+per-player masks of :attr:`~epigame.games.Restriction.masks`, the form the
+plan reads.  The program runs on a model in either of two forms.  Each gives ``rat``,
 belief, ``O`` and the constant events that ``forall X`` ranges over;
 negation, conjunction, X and the fixpoint are one closure for both,
 written with ``^``, ``&`` and truth, and a conjunction skips its right
@@ -407,14 +410,19 @@ def _profiles(layout: tuple[tuple[int, ...], ...], plays: Masks) -> tuple[int, .
 class SurvivorTable:
     """One condition's survivors in one game: :meth:`survivors` is the
     mask of player i's strategies that satisfy it in a packed context (see
-    :func:`_layout`), computed once per (player, context) by the
-    condition's :func:`~epigame.optimality.plan`, which reads the context
-    unpacked into per-player masks.  Belief models of one game keep asking
-    about the same few contexts, which is what makes the memo pay; the
-    operators and lemma admission visit each context once and call the plan
-    directly."""
+    :func:`_layout`), computed by the condition's
+    :func:`~epigame.optimality.plan`, which reads the context unpacked into
+    per-player masks.  The memo is looked up on the packed context first,
+    so a hit costs one dict read.  A miss forms the canonical key: the bits
+    of the components the plan reads in full (``reads_in_full``), plus bit
+    0 of each other component that is non-empty, since of those only
+    emptiness reaches the survivors.  The plan runs only when the key
+    misses too, and the result is stored under both.  Belief models of one
+    game keep asking about the same few contexts, which is what makes the
+    memo pay; the operators and lemma admission visit each context once and
+    call the plan directly."""
 
-    __slots__ = ("plan", "prefs", "fields", "memo")
+    __slots__ = ("plan", "prefs", "fields", "keys", "memo")
 
     def __init__(self, game: Game, formula: FormulaO):
         # holds no reference to the game, which holds the table
@@ -424,14 +432,33 @@ class SurvivorTable:
         self.fields = tuple(
             (bits[0].bit_length() - 1, (1 << len(bits)) - 1) for bits in _layout(self.prefs[0].sizes)
         )
+        # per player: the context bits the plan reads in full, and (field,
+        # bit 0 of the field) of each component it reads only for emptiness
+        self.keys = []
+        for player in game.players:
+            kept, cut = 0, []
+            for j, (offset, mask) in enumerate(self.fields):
+                if self.plan.reads_in_full[j != player]:
+                    kept |= mask << offset
+                else:
+                    cut.append((mask << offset, 1 << offset))
+            self.keys.append((kept, cut))
         self.memo: tuple[dict[int, int], ...] = tuple({} for _ in game.players)
 
     def survivors(self, player: int, context: int) -> int:
         memo = self.memo[player]
         found = memo.get(context)
         if found is None:
-            masks = tuple(context >> offset & mask for offset, mask in self.fields)
-            found = memo[context] = self.plan(self.prefs[player], player, masks)
+            kept, cut = self.keys[player]
+            key = context & kept
+            for field, low in cut:
+                if context & field:
+                    key |= low
+            found = memo.get(key)
+            if found is None:
+                masks = tuple(key >> offset & mask for offset, mask in self.fields)
+                found = memo[key] = self.plan(self.prefs[player], player, masks)
+            memo[context] = found
         return found
 
 

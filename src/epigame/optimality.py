@@ -11,8 +11,15 @@ strategies, and payoffs compared through
 becomes the binder's domain instead of a test run on every value of the
 whole game.  Any other component the condition reads, by ``>=`` or by a
 ``C(.)`` that stays a test, ranges over its whole domain, and one it never
-reads takes a single value.  It agrees with the naive
-reference :func:`epigame.conditions.models`, which the tests check.  Each
+reads takes a single value.  So a part of the context, the owner's
+component or the opponents' components, is read in full only when a
+guarded binder reads it or some ``C(.)`` stays a test; otherwise a guarded
+binder takes its lowest in-context value, which no atom reads, and only
+whether the part is empty matters.  A plan says which parts it reads in
+full (``reads_in_full``): for ``gbr`` and ``gsd`` the owner's component is
+read for emptiness only, for ``lsd`` both parts in full.  It agrees with
+the naive reference :func:`epigame.conditions.models`, which the tests
+check.  Each
 condition is compiled once, in one walk, into a survivors function whose
 subformulas are closures that take the state of one call (strategy mask,
 membership flags, slot domains and values, payoff table) as their
@@ -64,6 +71,15 @@ def plan(formula: FormulaO) -> Callable[[Preferences, int, Sequence[int]], int]:
     conjunct is dropped from the compiled body and ``v`` ranges over the
     context instead (see :func:`_domain`).  A ``C(.)`` of any other
     variable, or one under a negation or a nested binder, stays a test.
+
+    ``survivors.reads_in_full`` is a pair of flags for the owner's
+    component of the context and for the opponents' components: a part is
+    read in full when a guarded binder reads it or some ``C(.)`` stays a
+    test.  Otherwise only whether it is empty reaches the result, since a
+    guarded binder that does not read it takes ``values[:1]``, which no
+    atom reads, and an unguarded one ignores the context.  Two contexts
+    that agree on the parts read in full and on which other components are
+    empty have the same survivors.
     """
     analysis = analyze(formula)
     if not analysis.closed:
@@ -73,6 +89,7 @@ def plan(formula: FormulaO) -> Callable[[Preferences, int, Sequence[int]], int]:
             "condition must be context-safe (the focus may appear only as a compared term)"
         )
     reads: list[list[bool]] = []
+    tested = False  # whether some C(.) stays a test
 
     def compile_(f: FormulaO, scope: dict[str, int], guard: int | None = None) -> _Node:
         # ``guard`` is the slot of the binder whose top-level conjunction
@@ -82,6 +99,8 @@ def plan(formula: FormulaO) -> Callable[[Preferences, int, Sequence[int]], int]:
             if slot == guard:
                 reads[slot][2] = True
                 return _true
+            nonlocal tested
+            tested = True
             reads[slot][:2] = True, True
             return lambda r: r.everyone if r.own_in[r.own[slot]] and r.others_in[r.others[slot]] else 0
         if isinstance(f, GeqAtom):
@@ -155,6 +174,12 @@ def plan(formula: FormulaO) -> Callable[[Preferences, int, Sequence[int]], int]:
             )
         )
 
+    # (owner's component, opponents' components): True when a guarded
+    # binder reads that part or a C(.) stays a test; else only whether the
+    # part is empty reaches the survivors
+    survivors.reads_in_full = tuple(
+        tested or any(slot[part] and slot[2] for slot in reads) for part in (0, 1)
+    )
     return survivors
 
 
