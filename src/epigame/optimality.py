@@ -11,16 +11,13 @@ strategies, and payoffs compared through
 becomes the binder's domain instead of a test run on every value of the
 whole game.  Any other component the condition reads, by ``>=`` or by a
 ``C(.)`` that stays a test, ranges over its whole domain, and one it never
-reads takes a single value.  So a part of the context, the owner's
-component or the opponents' components, is read in full only when a
-guarded binder reads it or some ``C(.)`` stays a test; otherwise a guarded
-binder takes its lowest in-context value, which no atom reads, and only
-whether the part is empty matters.  A plan says which parts it reads in
-full (``reads_in_full``): for ``gbr`` and ``gsd`` the owner's component is
-read for emptiness only, for ``lsd`` both parts in full.  It agrees with
-the naive reference :func:`epigame.conditions.models`, which the tests
-check.  Each
-condition is compiled once, in one walk, into a survivors function whose
+reads takes a single value.  So of a part of the context, the owner's
+component or the opponents' components, a plan reads either every member
+or only whether it is empty, and says which (``reads_in_full``): for
+``gbr`` and ``gsd`` the owner's component is read for emptiness only, for
+``lsd`` both parts in full.  It agrees with the naive reference
+:func:`epigame.conditions.models`, which the tests check.  Each condition
+is compiled once, in one walk, into a survivors function whose
 subformulas are closures that take the state of one call (strategy mask,
 membership flags, slot domains and values, payoff table) as their
 argument, so one compiled plan serves every game, player and context.  A
@@ -94,12 +91,12 @@ def plan(formula: FormulaO) -> Callable[[Preferences, int, Sequence[int]], int]:
     def compile_(f: FormulaO, scope: dict[str, int], guard: int | None = None) -> _Node:
         # ``guard`` is the slot of the binder whose top-level conjunction
         # chain ``f`` lies in; a C(.) of that binder becomes its domain
+        nonlocal tested
         if isinstance(f, CtxAtom):
             slot = scope[f.term]
             if slot == guard:
                 reads[slot][2] = True
                 return _true
-            nonlocal tested
             tested = True
             reads[slot][:2] = True, True
             return lambda r: r.everyone if r.own_in[r.own[slot]] and r.others_in[r.others[slot]] else 0
@@ -174,9 +171,6 @@ def plan(formula: FormulaO) -> Callable[[Preferences, int, Sequence[int]], int]:
             )
         )
 
-    # (owner's component, opponents' components): True when a guarded
-    # binder reads that part or a C(.) stays a test; else only whether the
-    # part is empty reaches the survivors
     survivors.reads_in_full = tuple(
         tested or any(slot[part] and slot[2] for slot in reads) for part in (0, 1)
     )

@@ -25,8 +25,8 @@ from epigame.conditions import (
     pretty_lo,
     satisfies,
 )
-from epigame.games import Game, Restriction, bundled_games, restrictions
-from epigame.modal import ModalError, Rat, interpret, parse_nu, survivor_table
+from epigame.games import Game, Restriction, bundled_games, bundled_text, parse_game, restrictions
+from epigame.modal import ModalError, Rat, SurvivorTable, check_validity, interpret, parse_nu, survivor_table
 from epigame.operators import ConditionOperator, OperatorError, condition_operator, iterate
 from epigame.optimality import optimal_strategies, plan
 from epigame.oracles import (
@@ -594,6 +594,73 @@ def test_survivor_table_matches_restriction_path(game, contexts, naive_every):
                     assert found == naive_optimal_strategies(game, player, formula, context), where
         checked += 1
     assert empty and checked > empty
+
+
+def packed(context):
+    """The context as one int: player i's strategy k is bit k past the
+    strategies of the players before i."""
+    sizes = (len(names) for names in context.game.strategies[:-1])
+    return sum(mask << offset for mask, offset in zip(context.masks, accumulate(sizes, initial=0)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_survivor_table_keys_agree_with_the_full_context(data):
+    """One table asked about contexts that differ only in parts the
+    condition reads for emptiness answers each from its canonical key; every
+    answer equals the plan run on the full masks and the naive reference."""
+    game = data.draw(tied_games())
+    formula = data.draw(st.one_of(st.sampled_from(GUARDED_SHAPES).map(parse_lo), guarded_formulas()))
+    table, kernel = SurvivorTable(game, formula), plan(formula)
+    for drawn in data.draw(st.lists(restriction_of(game), min_size=1, max_size=3)):
+        for context in with_emptied_components(drawn):
+            for owner in game.players:
+                mask = kernel(game.preferences(owner), owner, context.masks)
+                assert table.survivors(owner, packed(context)) == mask, (context, owner, pretty_lo(formula))
+                names = game.strategies[owner]
+                expected = naive_optimal_strategies(game, owner, formula, context)
+                assert frozenset(s for k, s in enumerate(names) if mask >> k & 1) == expected
+
+
+@pytest.mark.parametrize(
+    "text, levels",
+    [
+        (BUILTIN_CONDITION_TEXT["gbr"], (False, True)),
+        (BUILTIN_CONDITION_TEXT["gsd"], (False, True)),
+        (BUILTIN_CONDITION_TEXT["lsd"], (True, True)),
+        ("exists x . C(x)", (False, False)),
+        ("exists x . C(x) and o >= x @ x", (True, True)),
+        # a C(.) that stays a test reads both parts, whatever the binders read
+        ("exists z in C . forall y . C(y) -> o >= y @ z", (True, True)),
+        ("exists w . not exists v . C(w) and v >= o @ v", (True, True)),
+        ("forall y . exists z . o >= y @ z", (False, False)),
+    ],
+)
+def test_plans_say_which_context_parts_they_read_in_full(text, levels):
+    """(owner's component, opponents' components): read in full, or only
+    for emptiness."""
+    assert plan(parse_lo(text)).reads_in_full == levels
+
+
+def test_a_cold_sampled_sweep_runs_the_plan_once_per_key():
+    """gbr reads the owner's component only for emptiness, so a table runs
+    its plan at most twice per opponents' component: 2 x 2**3 times per
+    player of fig2 (3 x 2) however many contexts 400 draws meet."""
+    game = parse_game(bundled_text("fig2.game"))  # a fresh game, with empty tables
+    table = survivor_table(game, builtin("gbr"))
+    kernel, runs = table.plan, [0] * game.n
+
+    def counted(prefs, player, context):
+        runs[player] += 1
+        return kernel(prefs, player, context)
+
+    table.plan = counted
+    formula = parse_nu("rat(gbr) and CB rat(gbr) -> nu X . O(gbr) X")
+    report = check_validity(game, formula, samples=400, max_states=4)
+    assert report.valid and report.models_checked == 400
+    assert all(0 < count <= 2 * 2**3 for count in runs), runs
+    # the tighter bound: owner's emptiness times the opponent's subsets
+    assert all(runs[i] <= 2 * 2 ** len(game.strategies[1 - i]) for i in game.players), runs
 
 
 def test_kernel_refuses_open_and_context_unsafe_conditions():
