@@ -644,8 +644,9 @@ def test_plans_say_which_context_parts_they_read_in_full(text, levels):
 
 def test_a_cold_sampled_sweep_runs_the_plan_once_per_key():
     """gbr reads the owner's component only for emptiness, so a table runs
-    its plan at most twice per opponents' component: 2 x 2**3 times per
-    player of fig2 (3 x 2) however many contexts 400 draws meet."""
+    its plan at most once per (owner's component empty or not, subset of
+    the opponent's strategies): 2 x 2**3 times per player of fig2 (3 x 2),
+    however many contexts 400 draws meet."""
     game = parse_game(bundled_text("fig2.game"))  # a fresh game, with empty tables
     table = survivor_table(game, builtin("gbr"))
     kernel, runs = table.plan, [0] * game.n
