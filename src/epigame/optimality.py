@@ -19,18 +19,18 @@ or only whether it is empty, and says which (``reads_in_full``): for
 :func:`epigame.conditions.models`, which the tests check.  Each condition
 is compiled once, in one walk, into a survivors function whose
 subformulas are closures that take the state of one call (strategy mask,
-membership flags, slot domains and values, payoff table) as their
-argument, so one compiled plan serves every game, player and context.  A
-context is read as :attr:`epigame.games.Restriction.masks`, one bitmask
-per player, and :func:`optimal_strategies` names the survivors.  The
-kernel keeps no state but its compile cache; the modal layer keeps its own
-memo of survivors.
+two context masks, slot domains sharing their member lists, slot values,
+payoff table) as their argument, so one compiled plan serves every game,
+player and context.  A context is read as
+:attr:`epigame.games.Restriction.masks`, one bitmask per player, the
+opponents' masks shifted into one over their profiles, and
+:func:`optimal_strategies` names the survivors.  The kernel keeps no state
+but its compile cache; the modal layer keeps its own memo of survivors.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import product
 from typing import Callable, Iterable, Sequence
 
 from .conditions import (
@@ -63,11 +63,14 @@ def plan(formula: FormulaO) -> Callable[[Preferences, int, Sequence[int]], int]:
     environment copies.  ``reads[slot]`` says whether the owner's component
     and the opponents' partial profile of that variable are read, and
     whether the variable is guarded, which fixes the domains of each call.
+    A call reads the context as two masks, the owner's component and one
+    over the opponents' partial profiles, and lists the members of each
+    once: every guarded slot that reads a part ranges over its list.
     ``exists v . body`` is guarded when the top-level conjunction chain of
     ``body`` has a ``C(v)`` conjunct of that binder, in any position: that
     conjunct is dropped from the compiled body and ``v`` ranges over the
-    context instead (see :func:`_domain`).  A ``C(.)`` of any other
-    variable, or one under a negation or a nested binder, stays a test.
+    context instead.  A ``C(.)`` of any other variable, or one under a
+    negation or a nested binder, stays a test, which reads a bit of each.
 
     ``survivors.reads_in_full`` is a pair of flags for the owner's
     component of the context and for the opponents' components: a part is
@@ -99,7 +102,7 @@ def plan(formula: FormulaO) -> Callable[[Preferences, int, Sequence[int]], int]:
                 return _true
             tested = True
             reads[slot][:2] = True, True
-            return lambda r: r.everyone if r.own_in[r.own[slot]] and r.others_in[r.others[slot]] else 0
+            return lambda r: r.everyone if (r.own_in >> r.own[slot]) & (r.others_in >> r.others[slot]) & 1 else 0
         if isinstance(f, GeqAtom):
             left, right = (None if t == CONSTANT else scope[t] for t in (f.left, f.right))
             for compared in (left, right):
@@ -149,24 +152,33 @@ def plan(formula: FormulaO) -> Callable[[Preferences, int, Sequence[int]], int]:
         return exists
 
     root = compile_(formula, {})
+    # each slot's domain per part, as an index 2 * guarded + read (see below)
+    kinds = [(2 * guarded + own, 2 * guarded + others) for own, others, guarded in reads]
 
     def survivors(prefs: Preferences, player: int, context: Sequence[int]) -> int:
-        inside = [[mask >> k & 1 for k in range(size)] for mask, size in zip(context, prefs.sizes)]
-        own_in = inside[player]
-        # membership of each opponents' partial profile, in the table's order
-        others_in = [all(flags) for flags in product(*inside[:player], *inside[player + 1 :])]
-        domains = [
-            (_domain(own, own_in, guarded), _domain(others, others_in, guarded))
-            for own, others, guarded in reads
-        ]
+        sizes = prefs.sizes
+        own_in = context[player]
+        # bit r: whether opponents' profile r, row r of prefs, is inside.  From
+        # the last opponent back, each strategy s of one shifts a copy of the
+        # later ones' ``stride`` profiles s * stride rows up.
+        others_in, stride = 1, 1
+        for k in reversed(range(len(sizes))):
+            if k != player:
+                others_in *= context[k] if stride == 1 else sum(1 << s * stride for s in _members(context[k]))
+                stride *= sizes[k]
+        own_members, others_members = _members(own_in), _members(others_in)
+        # unguarded: any single value, or every one when read; guarded: one
+        # value inside (none if the part is empty), or every one when read
+        own_domains = ((0,), range(sizes[player]), own_members[:1], own_members)
+        others_domains = ((0,), range(stride), others_members[:1], others_members)
         return root(
             _Run(
-                everyone=(1 << len(own_in)) - 1,
+                everyone=(1 << sizes[player]) - 1,
                 own_in=own_in,
                 others_in=others_in,
-                domains=domains,
-                own=[0] * len(domains),
-                others=[0] * len(domains),
+                domains=[(own_domains[own], others_domains[others]) for own, others in kinds],
+                own=[0] * len(kinds),
+                others=[0] * len(kinds),
                 prefs=prefs,
             )
         )
@@ -177,16 +189,14 @@ def plan(formula: FormulaO) -> Callable[[Preferences, int, Sequence[int]], int]:
     return survivors
 
 
-def _domain(read: bool, inside: list[int], guarded: bool) -> Iterable[int]:
-    """The values one component of a bound variable must take.  Under a
-    ``C(.)`` guard: the values inside the context when the component is
-    read, by ``>=`` or by a ``C(.)`` that stays a test, else one of them,
-    or none when no value is inside.  Without one: every value when read,
-    else any single one."""
-    if guarded:
-        values = [k for k, flag in enumerate(inside) if flag]
-        return values if read else values[:1]
-    return range(len(inside)) if read else (0,)
+def _members(mask: int) -> list[int]:
+    """The positions of the set bits of a mask, lowest first."""
+    found = []
+    while mask:
+        low = mask & -mask
+        found.append(low.bit_length() - 1)
+        mask ^= low
+    return found
 
 
 def _true(r: _Run) -> int:
@@ -196,17 +206,17 @@ def _true(r: _Run) -> int:
 
 class _Run:
     """The state one call of a plan evaluates under: the player's strategy
-    mask, the context membership of each own strategy and each opponents'
-    profile, every slot's domain and current value, and the player's
-    payoff comparisons."""
+    mask, the context's own mask and its mask over the opponents' profiles,
+    every slot's domain (the guarded ones sharing the two masks' member
+    lists) and current value, and the player's payoff comparisons."""
 
     __slots__ = ("everyone", "own_in", "others_in", "domains", "own", "others", "prefs")
 
     def __init__(
         self,
         everyone: int,
-        own_in: list[int],
-        others_in: list[bool],
+        own_in: int,
+        others_in: int,
         domains: list[tuple[Iterable[int], Iterable[int]]],
         own: list[int],
         others: list[int],
