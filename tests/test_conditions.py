@@ -344,10 +344,10 @@ def test_kernel_matches_reference_on_corpus():
 
 
 @st.composite
-def tied_games(draw):
+def tied_games(draw, players=(1, 3), strategies=(1, 3)):
     """Games with 1-3 players, 1-3 strategies each and payoffs in 0..2, so
-    ties are common."""
-    shape = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    ties are common; ``players`` and ``strategies`` widen the ranges."""
+    shape = draw(st.lists(st.integers(*strategies), min_size=players[0], max_size=players[1]))
     strategies = tuple(tuple(f"p{i}s{k}" for k in range(m)) for i, m in enumerate(shape))
     payoffs = {
         profile: tuple(Fraction(draw(st.integers(0, 2))) for _ in shape)
@@ -467,6 +467,23 @@ def test_kernel_matches_reference_on_guarded_binders(data):
     assert analyze(formula).closed and analyze(formula).context_safe
     for context in with_emptied_components(data.draw(restriction_of(game))):
         for owner in game.players:
+            expected = naive_optimal_strategies(game, owner, formula, context)
+            assert optimal_strategies(game, owner, formula, context) == expected, (
+                context, owner, pretty_lo(formula)
+            )
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_kernel_matches_reference_on_wide_three_player_games(data):
+    """Three players with 2-5 strategies each: the kernel's mask over the
+    opponents' profiles spans up to 25 bits, past the 9 of tied_games.
+    Every builtin is checked, and a guarded formula of at most two nested
+    binders, which the naive reference decides in time on 125 profiles."""
+    game = data.draw(tied_games(players=(3, 3), strategies=(2, 5)))
+    formulas = [builtin(n) for n in BUILTIN_CONDITION_TEXT] + [data.draw(guarded_formulas(depth=2))]
+    for context in with_emptied_components(data.draw(restriction_of(game))):
+        for owner, formula in product(game.players, formulas):
             expected = naive_optimal_strategies(game, owner, formula, context)
             assert optimal_strategies(game, owner, formula, context) == expected, (
                 context, owner, pretty_lo(formula)
