@@ -159,8 +159,8 @@ def plan(formula: FormulaO) -> Callable[[Preferences, int, Sequence[int]], int]:
         sizes = prefs.sizes
         own_in = context[player]
         # bit r: whether opponents' profile r, row r of prefs, is inside.  From
-        # the last opponent back, each strategy s of one shifts a copy of the
-        # later ones' ``stride`` profiles s * stride rows up.
+        # the last opponent back, multiplying by its strategies s inside, as
+        # bits s * stride, lays a copy of the later ones' profiles at each.
         others_in, stride = 1, 1
         for k in reversed(range(len(sizes))):
             if k != player:
