@@ -344,10 +344,10 @@ def test_kernel_matches_reference_on_corpus():
 
 
 @st.composite
-def tied_games(draw, players=(1, 3), strategies=(1, 3)):
+def tied_games(draw, players=(1, 3), sizes=(1, 3)):
     """Games with 1-3 players, 1-3 strategies each and payoffs in 0..2, so
-    ties are common; ``players`` and ``strategies`` widen the ranges."""
-    shape = draw(st.lists(st.integers(*strategies), min_size=players[0], max_size=players[1]))
+    ties are common; ``players`` and ``sizes`` set other ranges."""
+    shape = draw(st.lists(st.integers(*sizes), min_size=players[0], max_size=players[1]))
     strategies = tuple(tuple(f"p{i}s{k}" for k in range(m)) for i, m in enumerate(shape))
     payoffs = {
         profile: tuple(Fraction(draw(st.integers(0, 2))) for _ in shape)
@@ -480,7 +480,7 @@ def test_kernel_matches_reference_on_wide_three_player_games(data):
     opponents' profiles spans up to 25 bits, past the 9 of tied_games.
     Every builtin is checked, and a guarded formula of at most two nested
     binders, which the naive reference decides in time on 125 profiles."""
-    game = data.draw(tied_games(players=(3, 3), strategies=(2, 5)))
+    game = data.draw(tied_games(players=(3, 3), sizes=(2, 5)))
     formulas = [builtin(n) for n in BUILTIN_CONDITION_TEXT] + [data.draw(guarded_formulas(depth=2))]
     for context in with_emptied_components(data.draw(restriction_of(game))):
         for owner, formula in product(game.players, formulas):
