@@ -165,21 +165,27 @@ class Game(Value):
 class Preferences(Value):
     """One player's payoffs, compared once and stored as bitmasks.
 
-    The partial profiles of everyone else are numbered in
-    :func:`itertools.product` order over their strategy lists; the
-    player's own strategies are numbered by position, strategy k being
-    bit k of a mask.  ``at_least[r][t]`` is the mask of own strategies
+    The player's own strategies are numbered by position, strategy k being
+    bit k of a mask.  The partial profiles of everyone else are numbered in
+    :func:`itertools.product` order over their strategy lists, the last
+    opponent fastest, and ``at_least[r][t]`` is the mask of own strategies
     whose payoff against opponents' profile r is at least strategy t's.
-    ``sizes`` holds every player's strategy count, by which a context's
-    masks are read.
+    ``opponents`` holds the (index, stride) of each opponent, from the last
+    one back; a stride is the number of profiles of the opponents after it.
+    So row r decodes from the first opponent on, the end of ``opponents``:
+    ``s, r = divmod(r, stride)`` gives each one's strategy s in turn.
     """
 
+    player: int
     at_least: tuple[tuple[int, ...], ...]
-    sizes: tuple[int, ...]
+    opponents: tuple[tuple[int, int], ...]
 
-    def __init__(self, at_least: tuple[tuple[int, ...], ...], sizes: tuple[int, ...]):
+    def __init__(
+        self, player: int, at_least: tuple[tuple[int, ...], ...], opponents: tuple[tuple[int, int], ...]
+    ):
+        setfield(self, "player", player)
         setfield(self, "at_least", at_least)
-        setfield(self, "sizes", sizes)
+        setfield(self, "opponents", opponents)
 
     @classmethod
     def of(cls, game: Game, player: int) -> Preferences:
@@ -194,7 +200,12 @@ class Preferences(Value):
                 for s in game.strategies[player]
             ]
             at_least.append(tuple(_mask(r >= pivot for r in ranks) for pivot in ranks))
-        return cls(tuple(at_least), tuple(map(len, game.strategies)))
+        opponents, stride = [], 1
+        for j in reversed(game.players):
+            if j != player:
+                opponents.append((j, stride))
+                stride *= len(game.strategies[j])
+        return cls(player, tuple(at_least), tuple(opponents))
 
     @cached_property
     def at_most(self) -> tuple[tuple[int, ...], ...]:

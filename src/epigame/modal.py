@@ -429,9 +429,7 @@ class SurvivorTable:
         self.plan = plan(formula)
         self.prefs = tuple(map(game.preferences, game.players))
         # (offset, mask) of each player's strategies in a packed context
-        self.fields = tuple(
-            (bits[0].bit_length() - 1, (1 << len(bits)) - 1) for bits in _layout(self.prefs[0].sizes)
-        )
+        self.fields = tuple((bits[0].bit_length() - 1, (1 << len(bits)) - 1) for bits in _game_layout(game))
         # per player: the context bits the plan reads in full, and (field,
         # bit 0 of the field) of each component it reads only for emptiness
         self.keys = []
@@ -457,7 +455,7 @@ class SurvivorTable:
             found = memo.get(key)
             if found is None:
                 masks = tuple(key >> offset & mask for offset, mask in self.fields)
-                found = memo[key] = self.plan(self.prefs[player], player, masks)
+                found = memo[key] = self.plan(self.prefs[player], masks)
             memo[context] = found
         return found
 

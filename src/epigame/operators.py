@@ -62,7 +62,7 @@ class ConditionOperator(Operator):
         if restriction.game != game:
             raise OperatorError("restriction belongs to a different game")
         masks = restriction.masks
-        kept = (self.plan(game.preferences(i), i, masks) & mask for i, mask in enumerate(masks))
+        kept = (self.plan(game.preferences(i), masks) & mask for i, mask in enumerate(masks))
         return Restriction(game, tuple(kept))
 
 

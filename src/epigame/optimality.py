@@ -21,11 +21,14 @@ is compiled once, in one walk, into a survivors function whose
 subformulas are closures that take the state of one call (strategy mask,
 two context masks, slot domains sharing their member lists, slot values,
 payoff table) as their argument, so one compiled plan serves every game,
-player and context.  A context is read as
+player and context.  The owner's :class:`~epigame.games.Preferences` is
+all a call needs of the game: it names the owner and lays out the
+opponents' profiles.  A context is read as
 :attr:`epigame.games.Restriction.masks`, one bitmask per player, the
-opponents' masks shifted into one over their profiles, and
-:func:`optimal_strategies` names the survivors.  The kernel keeps no state
-but its compile cache; the modal layer keeps its own memo of survivors.
+opponents' masks shifted into one over their profiles by the strides the
+table holds, and :func:`optimal_strategies` names the survivors.  The
+kernel keeps no state but its compile cache; the modal layer keeps its
+own memo of survivors.
 """
 
 from __future__ import annotations
@@ -49,10 +52,10 @@ _Node = Callable[["_Run"], int]
 
 
 @lru_cache(maxsize=256)
-def plan(formula: FormulaO) -> Callable[[Preferences, int, Sequence[int]], int]:
+def plan(formula: FormulaO) -> Callable[[Preferences, Sequence[int]], int]:
     """A closed, context-safe condition compiled once, as its survivors
-    function: ``survivors(prefs, player, context)`` is the mask of the
-    player's strategies that satisfy it, given the player's payoff
+    function: ``survivors(prefs, context)`` is the mask of the strategies
+    of ``prefs.player`` that satisfy it, given that player's payoff
     comparisons and the context as one mask per player (strategy k of
     player i is bit k of ``context[i]``).  One plan serves every game,
     player and context.
@@ -64,8 +67,10 @@ def plan(formula: FormulaO) -> Callable[[Preferences, int, Sequence[int]], int]:
     and the opponents' partial profile of that variable are read, and
     whether the variable is guarded, which fixes the domains of each call.
     A call reads the context as two masks, the owner's component and one
-    over the opponents' partial profiles, and lists the members of each
-    once: every guarded slot that reads a part ranges over its list.
+    over the opponents' partial profiles, laid out as the rows of
+    ``prefs`` by the strides in ``prefs.opponents``, and lists the members
+    of each once: every guarded slot that reads a part ranges over its
+    list.
     ``exists v . body`` is guarded when the top-level conjunction chain of
     ``body`` has a ``C(v)`` conjunct of that binder, in any position: that
     conjunct is dropped from the compiled body and ``v`` ranges over the
@@ -155,25 +160,23 @@ def plan(formula: FormulaO) -> Callable[[Preferences, int, Sequence[int]], int]:
     # each slot's domain per part, as an index 2 * guarded + read (see below)
     kinds = [(2 * guarded + own, 2 * guarded + others) for own, others, guarded in reads]
 
-    def survivors(prefs: Preferences, player: int, context: Sequence[int]) -> int:
-        sizes = prefs.sizes
-        own_in = context[player]
+    def survivors(prefs: Preferences, context: Sequence[int]) -> int:
+        own_in = context[prefs.player]
         # bit r: whether opponents' profile r, row r of prefs, is inside.  From
         # the last opponent back, multiplying by its strategies s inside, as
         # bits s * stride, lays a copy of the later ones' profiles at each.
-        others_in, stride = 1, 1
-        for k in reversed(range(len(sizes))):
-            if k != player:
-                others_in *= context[k] if stride == 1 else sum(1 << s * stride for s in _members(context[k]))
-                stride *= sizes[k]
+        others_in = 1
+        for k, stride in prefs.opponents:
+            others_in *= context[k] if stride == 1 else sum(1 << s * stride for s in _members(context[k]))
         own_members, others_members = _members(own_in), _members(others_in)
         # unguarded: any single value, or every one when read; guarded: one
         # value inside (none if the part is empty), or every one when read
-        own_domains = ((0,), range(sizes[player]), own_members[:1], own_members)
-        others_domains = ((0,), range(stride), others_members[:1], others_members)
+        own_count = len(prefs.at_least[0])
+        own_domains = ((0,), range(own_count), own_members[:1], own_members)
+        others_domains = ((0,), range(len(prefs.at_least)), others_members[:1], others_members)
         return root(
             _Run(
-                everyone=(1 << sizes[player]) - 1,
+                everyone=(1 << own_count) - 1,
                 own_in=own_in,
                 others_in=others_in,
                 domains=[(own_domains[own], others_domains[others]) for own, others in kinds],
@@ -245,6 +248,6 @@ def optimal_strategies(
         raise ValueError(f"owner {player} out of range")
     if context.game != game:
         raise ValueError("context restricts a different game")
-    mask = plan(formula)(game.preferences(player), player, context.masks)
+    mask = plan(formula)(game.preferences(player), context.masks)
     names = game.strategies[player]
     return frozenset(s for k, s in enumerate(names) if mask >> k & 1)

@@ -22,6 +22,7 @@ Line numbers and references are ASCII digits; a malformed script raises
 from __future__ import annotations
 
 import re
+from itertools import product
 from typing import Iterator, Sequence
 
 from .conditions import (
@@ -327,20 +328,18 @@ def _first_counterexample(
     game: Game, lhs: FormulaO, rhs: FormulaO
 ) -> tuple[Restriction, Profile, int] | None:
     """The first item of :func:`implication_counterexamples`, found with the
-    optimality kernel: per context, one survivor-mask difference per player."""
+    optimality kernel: per context, one survivor-mask difference per player.
+    Contexts are walked as masks, in :func:`~epigame.games.restrictions`
+    order, and only the witness's is built as a restriction."""
     lhs_plan, rhs_plan = plan(lhs), plan(rhs)
     prefs = tuple(map(game.preferences, game.players))
-    for context in restrictions(game):
-        masks = context.masks
-        escaping = [
-            lhs_plan(prefs[player], player, masks) & ~rhs_plan(prefs[player], player, masks)
-            for player in game.players
-        ]
+    for masks in product(*(range(1 << len(names)) for names in game.strategies)):
+        escaping = [lhs_plan(p, masks) & ~rhs_plan(p, masks) for p in prefs]
         if any(escaping):
             for focus in game.profiles():
                 for owner in game.players:
                     if escaping[owner] >> game.strategies[owner].index(focus[owner]) & 1:
-                        return context, focus, owner
+                        return Restriction(game, masks), focus, owner
     return None
 
 

@@ -473,14 +473,10 @@ def test_kernel_matches_reference_on_guarded_binders(data):
             )
 
 
-@settings(max_examples=30, deadline=None)
-@given(st.data())
-def test_kernel_matches_reference_on_wide_three_player_games(data):
-    """Three players with 2-5 strategies each: the kernel's mask over the
-    opponents' profiles spans up to 25 bits, past the 9 of tied_games.
-    Every builtin is checked, and a guarded formula of at most two nested
-    binders, which the naive reference decides in time on 125 profiles."""
-    game = data.draw(tied_games(players=(3, 3), sizes=(2, 5)))
+def check_builtins_and_a_shallow_guarded_formula(data, game):
+    """Every builtin, and a guarded formula of at most two nested binders,
+    which the naive reference decides in time, for every owner in a drawn
+    context and in each variant with one component emptied."""
     formulas = [builtin(n) for n in BUILTIN_CONDITION_TEXT] + [data.draw(guarded_formulas(depth=2))]
     for context in with_emptied_components(data.draw(restriction_of(game))):
         for owner, formula in product(game.players, formulas):
@@ -488,6 +484,26 @@ def test_kernel_matches_reference_on_wide_three_player_games(data):
             assert optimal_strategies(game, owner, formula, context) == expected, (
                 context, owner, pretty_lo(formula)
             )
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_kernel_matches_reference_on_wide_three_player_games(data):
+    """Three players with 2-5 strategies each: the kernel's mask over the
+    opponents' profiles spans up to 25 bits, past the 9 of tied_games."""
+    check_builtins_and_a_shallow_guarded_formula(data, data.draw(tied_games(players=(3, 3), sizes=(2, 5))))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_kernel_matches_reference_on_four_player_games(data):
+    """Four players with 2 strategies each: every owner has two opponents
+    whose stride in the mask over the opponents' profiles is past 1.  Three
+    contexts per game, since two opponents' strides swapped give the same
+    mask whenever their components are equal."""
+    game = data.draw(tied_games(players=(4, 4), sizes=(2, 2)))
+    for _ in range(3):
+        check_builtins_and_a_shallow_guarded_formula(data, game)
 
 
 @pytest.mark.parametrize("text", GUARDED_SHAPES)
@@ -519,7 +535,7 @@ def test_commuted_builtins_have_the_builtin_survivors(name):
         for context in restrictions(game):
             for owner in game.players:
                 prefs = game.preferences(owner)
-                assert late(prefs, owner, context.masks) == builtin_plan(prefs, owner, context.masks), (
+                assert late(prefs, context.masks) == builtin_plan(prefs, context.masks), (
                     game, context, owner
                 )
                 checked += 1
@@ -632,7 +648,7 @@ def test_survivor_table_keys_agree_with_the_full_context(data):
     for drawn in data.draw(st.lists(restriction_of(game), min_size=1, max_size=3)):
         for context in with_emptied_components(drawn):
             for owner in game.players:
-                mask = kernel(game.preferences(owner), owner, context.masks)
+                mask = kernel(game.preferences(owner), context.masks)
                 assert table.survivors(owner, packed(context)) == mask, (context, owner, pretty_lo(formula))
                 names = game.strategies[owner]
                 expected = naive_optimal_strategies(game, owner, formula, context)
@@ -668,9 +684,9 @@ def test_a_cold_sampled_sweep_runs_the_plan_once_per_key():
     table = survivor_table(game, builtin("gbr"))
     kernel, runs = table.plan, [0] * game.n
 
-    def counted(prefs, player, context):
-        runs[player] += 1
-        return kernel(prefs, player, context)
+    def counted(prefs, context):
+        runs[prefs.player] += 1
+        return kernel(prefs, context)
 
     table.plan = counted
     formula = parse_nu("rat(gbr) and CB rat(gbr) -> nu X . O(gbr) X")

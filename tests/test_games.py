@@ -1,5 +1,6 @@
 from fractions import Fraction
 from itertools import product
+from math import prod
 
 import pytest
 from hypothesis import given, strategies as st
@@ -9,6 +10,7 @@ from epigame.games import (
     GameFormatError,
     Restriction,
     bundled_game,
+    bundled_games,
     format_game,
     lattice_size,
     parse_game,
@@ -170,6 +172,39 @@ def test_payoff_preorder_allows_ties():
     # preorder, not linear: distinct profiles with equal payoff for player 1
     assert g.payoff(0, ("U", "L")) == g.payoff(0, ("U", "R"))
 
+
+
+def uneven_game(shape):
+    """A game with the given strategy counts and tied payoffs in 0..4, so
+    that the opponents' strides differ from their strategy counts."""
+    strategies = tuple(tuple(f"p{i}s{k}" for k in range(m)) for i, m in enumerate(shape))
+    payoffs = {
+        profile: tuple(Fraction((7 * n + 3 * i) % 5) for i in range(len(shape)))
+        for n, profile in enumerate(product(*strategies))
+    }
+    return Game(strategies, payoffs)
+
+
+def test_preference_rows_decode_by_the_opponents_strides():
+    """Row r of a player's table, decoded by ``opponents``, is the
+    opponents' profile at which ``at_least[r]`` compares the payoffs."""
+    games = [*bundled_games(), *generated_games(), uneven_game((2, 3, 2)), uneven_game((2, 1, 3, 2))]
+    for game in games:
+        for player in game.players:
+            prefs = game.preferences(player)
+            assert prefs.player == player
+            assert [j for j, _ in prefs.opponents] == [j for j in reversed(game.players) if j != player]
+            names = game.strategies[player]
+            for r, row in enumerate(prefs.at_least):
+                profile, rest = [None] * game.n, r
+                for j, stride in reversed(prefs.opponents):
+                    s, rest = divmod(rest, stride)
+                    profile[j] = game.strategies[j][s]
+                payoffs = [game.payoff(player, tuple(profile[:player] + [t] + profile[player + 1 :])) for t in names]
+                assert row == tuple(
+                    sum(1 << k for k, value in enumerate(payoffs) if value >= pivot) for pivot in payoffs
+                ), (game, player, r)
+            assert len(prefs.at_least) == prod(len(game.strategies[j]) for j, _ in prefs.opponents)
 
 # --- restriction lattice ---------------------------------------------------
 
