@@ -7,7 +7,7 @@ possibility sets chase each other in a two-cycle: everyone believes each
 event somewhere, yet common belief of either one is empty.
 """
 from epigame.beliefs import parse_model
-from epigame.oracles import believes, common_belief, everyone_believes, fig1_right
+from epigame.oracles import believes, everyone_believes, fig1_right, naive_common_belief
 
 game = fig1_right()
 
@@ -36,9 +36,15 @@ def show(name, text, event_states):
         held = believes(model, player, event)
         print(f"  player {player + 1} believes it at: {sorted(held) or '-'}")
     print(f"  everyone believes it at:  {sorted(everyone_believes(model, event)) or '-'}")
-    result = common_belief(model, event)
-    print(f"  chain of iterates:        {[sorted(e) for e in result.chain]}")
-    print(f"  common belief at:         {sorted(result.event) or '-'}")
+    # everyone-believes, iterated until a level repeats: without
+    # introspection the levels need not shrink and may cycle
+    chain = []
+    level = everyone_believes(model, event)
+    while level not in chain:
+        chain.append(level)
+        level = everyone_believes(model, level)
+    print(f"  chain of iterates:        {[sorted(e) for e in chain]}")
+    print(f"  common belief at:         {sorted(naive_common_belief(model, event)) or '-'}")
     print()
 
 

@@ -433,37 +433,6 @@ def everyone_believes(model: BeliefModel, event: Event) -> Event:
     return result
 
 
-class CommonBeliefResult(Value):
-    event: Event
-    chain: tuple[Event, ...]
-
-    def __init__(self, event: Event, chain: tuple[Event, ...]):
-        setfield(self, "event", event)
-        setfield(self, "chain", chain)
-
-
-def common_belief(model: BeliefModel, event: Event) -> CommonBeliefResult:
-    """Intersection of all levels of iterated everyone-believes.
-
-    The chain records each level up to (excluding) the first repeated value;
-    since levels of a finite model must eventually repeat, intersecting the
-    recorded levels already equals the full infinite intersection.  The
-    value-repeat stop matters: without transitivity the levels need not
-    shrink monotonically and may cycle.
-    """
-    chain: list[Event] = []
-    seen: set[Event] = set()
-    level = everyone_believes(model, event)
-    while level not in seen:
-        seen.add(level)
-        chain.append(level)
-        level = everyone_believes(model, level)
-    result = model.universe
-    for entry in chain:
-        result &= entry
-    return CommonBeliefResult(result, tuple(chain))
-
-
 def naive_common_belief(model: BeliefModel, event: Event) -> Event:
     """Common belief by brute force: intersect enough iterated levels that
     the level sequence must already have repeated."""

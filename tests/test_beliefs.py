@@ -8,8 +8,6 @@ from epigame.games import bundled_games
 from epigame.modal import _load
 from epigame.oracles import (
     believes,
-    common_belief,
-    enumerate_belief_models,
     everyone_believes,
     fig1_right,
     generated_games,
@@ -89,8 +87,8 @@ def test_everyone_believes_is_intersection():
 
 def test_common_belief_fixtures():
     m = fixture_model()
-    assert common_belief(m, m.universe).event == m.universe
-    assert common_belief(m, frozenset({"w2"})).event == frozenset()
+    assert naive_common_belief(m, m.universe) == m.universe
+    assert naive_common_belief(m, frozenset({"w2"})) == frozenset()
 
     fully = parse_model(
         "states: w1 w2\n"
@@ -100,8 +98,8 @@ def test_common_belief_fixtures():
         "possible 2: w1={w1,w2} w2={w1,w2}\n",
         fig1_right(),
     )
-    assert common_belief(fully, fully.universe).event == fully.universe
-    assert common_belief(fully, frozenset({"w1"})).event == frozenset()
+    assert naive_common_belief(fully, fully.universe) == fully.universe
+    assert naive_common_belief(fully, frozenset({"w1"})) == frozenset()
 
 
 def test_common_belief_handles_level_cycles():
@@ -115,38 +113,15 @@ def test_common_belief_handles_level_cycles():
         "possible 2: a={b} b={a}\n",
         fig1_right(),
     )
-    result = common_belief(m, frozenset({"a"}))
-    assert result.chain == (frozenset({"b"}), frozenset({"a"}))
-    assert result.event == frozenset()
-    assert naive_common_belief(m, frozenset({"a"})) == frozenset()
+    a, b = frozenset({"a"}), frozenset({"b"})
+    assert (everyone_believes(m, a), everyone_believes(m, b)) == (b, a)
+    assert naive_common_belief(m, a) == frozenset()
 
 
 def _events(model):
     states = list(model.states)
     for mask in range(1 << len(states)):
         yield frozenset(s for b, s in enumerate(states) if mask >> b & 1)
-
-
-def test_common_belief_matches_naive_oracle():
-    g = fig1_right()
-    some = islice(enumerate_belief_models(g, 2), 0, None, 97)
-    for m in some:
-        for event in _events(m):
-            assert common_belief(m, event).event == naive_common_belief(m, event)
-
-
-def test_chain_entries_are_distinct_and_intersection_shrinks_slowly():
-    g = fig1_right()
-    for m in islice(sample_belief_models(g, 300, 3, seed=5), 300):
-        for event in (frozenset({"w1"}), m.universe):
-            chain = common_belief(m, event).chain
-            assert len(set(chain)) == len(chain)
-            running, distinct = m.universe, 1
-            for level in chain:
-                reduced = running & level
-                distinct += reduced != running
-                running = reduced
-            assert distinct <= len(m.states) + 1
 
 
 def test_believes_is_monotone_in_the_event():
@@ -168,7 +143,7 @@ def test_truthful_models_have_truthful_common_belief():
             continue
         seen += 1
         for event in _events(m):
-            assert common_belief(m, event).event <= event
+            assert naive_common_belief(m, event) <= event
     assert seen > 50  # the sample actually exercised the property
 
 
@@ -190,7 +165,7 @@ def test_one_player_model():
     solo = Game((("a", "b"),), {("a",): (Fraction(1),), ("b",): (Fraction(0),)})
     m = parse_model("states: s\nplays 1: s=a\npossible 1: s={s}\n", solo)
     assert everyone_believes(m, m.universe) == {"s"}
-    assert common_belief(m, m.universe).event == {"s"}
+    assert naive_common_belief(m, m.universe) == {"s"}
 
 
 def test_parse_model_errors():
