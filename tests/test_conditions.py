@@ -473,10 +473,14 @@ def test_kernel_matches_reference_on_guarded_binders(data):
             )
 
 
-def check_builtins_and_a_shallow_guarded_formula(data, game):
-    """Every builtin, and a guarded formula of at most two nested binders,
-    which the naive reference decides in time, for every owner in a drawn
-    context and in each variant with one component emptied."""
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_kernel_matches_reference_on_wide_three_player_games(data):
+    """Three players with 2-5 strategies each: the kernel's mask over the
+    opponents' profiles spans up to 25 bits, past the 9 of tied_games.
+    Every builtin is checked, and a guarded formula of at most two nested
+    binders, which the naive reference decides in time on 125 profiles."""
+    game = data.draw(tied_games(players=(3, 3), sizes=(2, 5)))
     formulas = [builtin(n) for n in BUILTIN_CONDITION_TEXT] + [data.draw(guarded_formulas(depth=2))]
     for context in with_emptied_components(data.draw(restriction_of(game))):
         for owner, formula in product(game.players, formulas):
@@ -488,22 +492,22 @@ def check_builtins_and_a_shallow_guarded_formula(data, game):
 
 @settings(max_examples=30, deadline=None)
 @given(st.data())
-def test_kernel_matches_reference_on_wide_three_player_games(data):
-    """Three players with 2-5 strategies each: the kernel's mask over the
-    opponents' profiles spans up to 25 bits, past the 9 of tied_games."""
-    check_builtins_and_a_shallow_guarded_formula(data, data.draw(tied_games(players=(3, 3), sizes=(2, 5))))
-
-
-@settings(max_examples=30, deadline=None)
-@given(st.data())
 def test_kernel_matches_reference_on_four_player_games(data):
     """Four players with 2 strategies each: every owner has two opponents
-    whose stride in the mask over the opponents' profiles is past 1.  Three
-    contexts per game, since two opponents' strides swapped give the same
-    mask whenever their components are equal."""
+    whose stride in the mask over the opponents' profiles is past 1.  As
+    on the wide 3-player games, every builtin and a guarded formula of at
+    most two nested binders, but in three drawn contexts (and each with
+    one component emptied), since two opponents' strides swapped give the
+    same mask whenever their components are equal."""
     game = data.draw(tied_games(players=(4, 4), sizes=(2, 2)))
     for _ in range(3):
-        check_builtins_and_a_shallow_guarded_formula(data, game)
+        formulas = [builtin(n) for n in BUILTIN_CONDITION_TEXT] + [data.draw(guarded_formulas(depth=2))]
+        for context in with_emptied_components(data.draw(restriction_of(game))):
+            for owner, formula in product(game.players, formulas):
+                expected = naive_optimal_strategies(game, owner, formula, context)
+                assert optimal_strategies(game, owner, formula, context) == expected, (
+                    context, owner, pretty_lo(formula)
+                )
 
 
 @pytest.mark.parametrize("text", GUARDED_SHAPES)
