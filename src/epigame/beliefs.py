@@ -21,7 +21,7 @@ from __future__ import annotations
 import re
 from functools import cache
 
-from .games import FormatError, Game, Restriction, check_names, player_line, records, require_players
+from .games import FormatError, Game, InputError, Restriction, check_names, player_line, records, require_players
 from .value import Value, setfield
 
 Event = frozenset[str]
@@ -41,7 +41,7 @@ class ModelFormatError(FormatError):
     """A malformed belief-model description."""
 
 
-class EnumerationLimitError(ValueError):
+class EnumerationLimitError(ValueError, InputError):
     """An exhaustive enumeration of more than :data:`MAX_ENUM_STATES` states,
     or a validity check over more than
     :data:`~epigame.modal.MAX_EXHAUSTIVE_MODELS` models."""

@@ -3,8 +3,9 @@
 Subcommands: ``eliminate``, ``evaluate``, ``check-valid``, ``check-proof``,
 ``analyze-condition``.  Exit codes: 0 on success (and for positive semantic
 verdicts), 1 for negative semantic verdicts (invalid formula, failed proof),
-2 for usage, file, or parse errors, 3 for an internal error.  Every
-subcommand accepts ``--json``.  Subcommands return their verdict as
+2 for usage, file, or parse errors (an :class:`~epigame.games.InputError`
+or :class:`OSError`), 3 for any other exception, a fault of the program.
+Every subcommand accepts ``--json``.  Subcommands return their verdict as
 ``(positive, payload, text)``; ``main`` alone prints it and picks the exit code.
 """
 
@@ -16,22 +17,20 @@ import sys
 from functools import lru_cache
 from pathlib import Path
 
-from .beliefs import EnumerationLimitError, format_model, parse_model
+from .beliefs import format_model, parse_model
 from .conditions import (
     BUILTIN_CONDITION_TEXT,
     ConditionRegistry,
     DuplicateNameError,
     FormulaO,
-    UnboundVariableError,
     UnknownNameError,
     analyze,
     builtin,
     parse_condition_file,
 )
-from .games import FormatError, parse_game
+from .games import FormatError, InputError, parse_game
 from .modal import (
     FormulaNu,
-    ModalError,
     Nu,
     check_validity,
     interpret,
@@ -40,31 +39,13 @@ from .modal import (
     positive_in_x,
     pretty_nu,
 )
-from .operators import (
-    ConditionOperator,
-    OperatorError,
-    format_trace,
-    iterate,
-)
+from .operators import ConditionOperator, format_trace, iterate
 from .proofs import LemmaRegistry, check_proof, parse_proof, standard_lemmas
 
 
-class UsageError(ValueError):
+class UsageError(ValueError, InputError):
     """A command line that does not pick out one condition to act on, or
     whose options do not go together."""
-
-
-_USER_ERRORS = (
-    FormatError,
-    OperatorError,
-    ModalError,
-    OSError,
-    UnknownNameError,
-    DuplicateNameError,
-    EnumerationLimitError,
-    UnboundVariableError,
-    UsageError,
-)
 
 
 def _read(path: str) -> str:
@@ -285,7 +266,7 @@ def main(argv: list[str] | None = None) -> int:
         positive, payload, text = args.func(args)
         print(json.dumps(payload) if args.json else text)
         return 0 if positive else 1
-    except _USER_ERRORS as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

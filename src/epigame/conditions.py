@@ -17,16 +17,19 @@ Three conditions are built in:
 
 Two evaluators share the core AST.  :func:`satisfies` (and :func:`models`)
 is the naive reference: quantifiers range over full profiles and payoffs
-are compared as fractions.  :func:`epigame.optimality.optimal_strategies` is the fast path
-used by the elimination operators and the modal layer; on closed,
-context-safe conditions it decides every strategy of the owner at once and
-agrees with the reference.  It compiles each condition once into closures
-that are handed the game's payoff table and the context on every call.
-It rests on *quantifier projection*: a bound profile is seen only through
-its owner component and its opponents' partial profile, a component the
-formula reads, by ``>=`` or by ``C(.)``, ranges over its whole domain, and
-one it never reads takes any single value, since the formula sees nothing
-of it.  A guard narrows this further: in ``exists v . body`` whose
+are compared as fractions.  The fast path is the optimality kernel: the
+elimination operators and the modal layer call
+``epigame.optimality.plan(formula)(prefs, masks)`` directly, and
+:func:`epigame.optimality.optimal_strategies` names the strategies that
+call keeps.  On closed, context-safe conditions it decides every strategy
+of the owner at once and agrees with the reference.  It compiles each
+condition once into closures that are handed the owner's payoff table
+(:class:`~epigame.games.Preferences`) and the context's per-player masks on
+every call.  It rests on *quantifier projection*: a bound profile is seen
+only through its owner component and its opponents' partial profile, a
+component the formula reads, by ``>=`` or by ``C(.)``, ranges over its
+whole domain, and one it never reads takes any single value, since the
+formula sees nothing of it.  A guard narrows this further: in ``exists v . body`` whose
 top-level conjunction chain has a ``C(v)`` conjunct of that binder, in any
 position, ``v`` ranges over the profiles inside the context and the
 conjunct is dropped.  This is sound because ``C(v)`` is false at every
@@ -50,7 +53,7 @@ import re
 from functools import lru_cache, partial
 from typing import Mapping
 
-from .games import FormatError, Game, Profile, Restriction, profile_with, records
+from .games import FormatError, Game, InputError, Profile, Restriction, profile_with, records
 from .value import Value, setfield
 
 CONSTANT = "o"
@@ -115,15 +118,15 @@ class FormulaSyntaxError(FormatError):
     """A syntax error in a condition or modal formula."""
 
 
-class UnboundVariableError(ValueError):
+class UnboundVariableError(ValueError, InputError):
     pass
 
 
-class DuplicateNameError(ValueError):
+class DuplicateNameError(ValueError, InputError):
     """A condition name that is already defined."""
 
 
-class UnknownNameError(KeyError):
+class UnknownNameError(KeyError, InputError):
     """A condition or lemma name that nothing defines.  Its ``str()`` is the
     plain message, where a bare :class:`KeyError` quotes it."""
 

@@ -38,7 +38,13 @@ Profile = tuple[str, ...]
 _STRATEGY_RESERVED = re.compile(r"[\s:]")
 
 
-class FormatError(ValueError):
+class InputError(Exception):
+    """Input the program refuses: the command line exits 2 on it, with its
+    message as one ``error:`` line.  Each subclass keeps a builtin base too,
+    such as :class:`ValueError`."""
+
+
+class FormatError(ValueError, InputError):
     """Malformed text input, at a 1-based ``line`` and ``column`` when known."""
 
     def __init__(self, message: str, line: int | None = None, column: int | None = None):

@@ -103,12 +103,12 @@ from .beliefs import MAX_ENUM_STATES, BeliefModel, EnumerationLimitError, Event,
 from .conditions import (
     NAME, ConditionInfo, ConditionRegistry, Conj, FormulaO, Neg, _DescentParser, is_name,
 )
-from .games import Game, read_index
+from .games import Game, InputError, read_index
 from .optimality import plan
 from .value import Value, setfield
 
 
-class ModalError(ValueError):
+class ModalError(ValueError, InputError):
     pass
 
 
@@ -858,28 +858,21 @@ def _slices(game: Game, states: int) -> Iterator[_Block]:
     """Every window of the models with ``states`` states, in the order of
     :func:`~epigame.oracles.enumerate_model_masks`.  A plays block of more
     than ``2**BLOCK_BITS`` models is cut into slices that fix the leading
-    players' rows, one window each, updated in place.  Smaller plays blocks
-    are swept whole, as many to a window as fit in ``2**BLOCK_BITS``
-    lanes, except that the first window holds one: a countermodel there
-    costs no more than one plays block."""
+    players' rows, one window each, updated in place and built as it comes
+    up.  Smaller plays blocks are swept whole, as many to a window as fit
+    in ``2**BLOCK_BITS`` lanes, except that the first window holds one: a
+    countermodel there costs no more than one plays block."""
     row_bits = states * states
     free = min(game.n, max(1, BLOCK_BITS // row_bits))
     full, seen, rows = _lanes(free, states)
     lanes = full.bit_length()
     layout = _game_layout(game)
-    # per slice: the fixed leading rows, then every player's patterns
-    slices = []
-    for leading in product(range(1 << row_bits), repeat=game.n - free):
-        fixed = tuple(_row(r, states) for r in leading)
-        slices.append((
-            fixed,
-            tuple(tuple(tuple(full if m >> v & 1 else 0 for v in range(states)) for m in row) for row in fixed)
-            + seen,
-            tuple(tuple([full if e == m else 0 for e in range(1 << states)] for m in row) for row in fixed)
-            + rows,
-        ))
-    # per window size in plays blocks: full, universe and slices
-    sizes = {1: (full, _Lanes((full,) * states), slices)}
+    # per leading row index, if any row leads: the row, and its patterns as constant vectors
+    fixed_rows = [_row(r, states) for r in range(1 << row_bits)] if free < game.n else []
+    fixed_seen = [tuple(tuple(full if m >> v & 1 else 0 for v in range(states)) for m in row) for row in fixed_rows]
+    fixed_sets = [tuple([full if e == m else 0 for e in range(1 << states)] for m in row) for row in fixed_rows]
+    # per window size in plays blocks: full, universe and the free players' patterns
+    sizes = {1: (full, _Lanes((full,) * states), seen, rows)}
     per = max(1, (1 << BLOCK_BITS) // lanes) if free == game.n else 1
     blocks = product(*(product(range(len(names)), repeat=states) for names in game.strategies))
     size = 1
@@ -887,14 +880,19 @@ def _slices(game: Game, states: int) -> Iterator[_Block]:
         if len(window) not in sizes:
             tile = partial(_tile, lanes=lanes, times=len(window))
             wide = tile(full)
-            sizes[len(window)] = (wide, _Lanes((wide,) * states), [(
-                (),
+            sizes[len(window)] = (
+                wide,
+                _Lanes((wide,) * states),
                 tuple(tuple(tuple(map(tile, row)) for row in player) for player in seen),
                 tuple(tuple(list(map(tile, row)) for row in player) for player in rows),
-            )])
+            )
         block = _Block(layout, window, lanes)
-        block.full, block.universe, window_slices = sizes[len(window)]
-        for block.fixed, block.seen, block.rows in window_slices:
+        block.full, block.universe, free_seen, free_rows = sizes[len(window)]
+        # per slice: the fixed leading rows' patterns, then the free players'
+        for leading in product(range(1 << row_bits), repeat=game.n - free):
+            block.fixed = tuple(map(fixed_rows.__getitem__, leading))
+            block.seen = tuple(map(fixed_seen.__getitem__, leading)) + free_seen
+            block.rows = tuple(map(fixed_sets.__getitem__, leading)) + free_rows
             block.rational = {}
             yield block
         size = per

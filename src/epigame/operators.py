@@ -11,12 +11,12 @@ import random
 from itertools import product
 
 from .conditions import FormulaO, analyze, builtin
-from .games import Game, Restriction, lattice_size
+from .games import Game, InputError, Restriction, lattice_size
 from .optimality import plan
 from .value import Value, setfield
 
 
-class OperatorError(ValueError):
+class OperatorError(ValueError, InputError):
     pass
 
 

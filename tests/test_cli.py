@@ -10,9 +10,9 @@ import epigame
 from epigame.beliefs import parse_model
 from epigame import cli
 from epigame.cli import build_parser, main
-from epigame.games import parse_game
+from epigame.games import InputError, Restriction, parse_game
 from epigame.modal import interpret, parse_nu
-from epigame.proofs import LemmaRegistry, bundled_proof
+from epigame.proofs import ImplicationWitness, LemmaRefused, LemmaRegistry, bundled_proof
 
 GAME = """\
 players: 2
@@ -214,6 +214,38 @@ def test_an_internal_error_exits_3_with_one_line(files, capsys, monkeypatch):
     assert main(["eliminate", files["game.game"], "lsd"]) == 3
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", "internal error: ValueError: no stage repeated\n")
+
+
+def input_errors(cls=InputError):
+    """Every subclass of cls, at any depth."""
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from input_errors(sub)
+
+
+@pytest.mark.parametrize("error", list(input_errors()), ids=lambda cls: cls.__name__)
+def test_every_input_error_exits_2_with_one_line(error, files, capsys, monkeypatch):
+    def refuse(*args):
+        raise error("refused here")
+
+    monkeypatch.setattr("epigame.cli.iterate", refuse)
+    assert main(["eliminate", files["game.game"], "lsd"]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: refused here\n")
+
+
+def test_a_refused_lemma_is_an_internal_error(files, capsys, monkeypatch):
+    game = parse_game(GAME)
+    refusal = LemmaRefused("gbr-lsd", ImplicationWitness(0, Restriction(game, (1, 3)), ("U", "L"), 0))
+
+    def broken(*args):
+        raise refusal
+
+    monkeypatch.setattr("epigame.cli.iterate", broken)
+    assert main(["eliminate", files["game.game"], "lsd"]) == 3
+    captured = capsys.readouterr()
+    message = " ".join(str(refusal).split())
+    assert (captured.out, captured.err) == ("", f"internal error: LemmaRefused: {message}\n")
 
 
 def test_deeply_nested_formula_is_a_usage_error(files, capsys):

@@ -1,9 +1,11 @@
 """Source hygiene checks that need nothing beyond the standard library."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import epigame
+from epigame.games import InputError
 
 SOURCES = Path(epigame.__file__).parent
 TESTS = Path(__file__).parent
@@ -99,3 +101,22 @@ def test_runtime_modules_do_not_import_dataclasses():
     sources = sorted(SOURCES.glob("*.py"))
     assert len(sources) > 5
     assert [path.name for path in sources if "dataclasses" in imported_modules(path.read_text())] == []
+
+
+#: The exceptions no input reaches, so that one escaping to the command
+#: line is a fault of the program and exits 3 where refused input exits 2.
+INTERNAL_ERRORS = {"NoFixpointError", "LemmaRefused", "UndecidableLemmaError", "AtomBudgetExceeded"}
+
+
+def test_every_exception_is_refused_input_or_internal():
+    defined = {}
+    for path in sorted(SOURCES.glob("*.py")):
+        if path.name == "__main__.py":  # runs the command line on import
+            continue
+        module = importlib.import_module(f"epigame.{path.stem}")
+        for name, value in vars(module).items():
+            if isinstance(value, type) and issubclass(value, BaseException) and value.__module__ == module.__name__:
+                defined[name] = value
+    assert InputError in defined.values()
+    outside = {name for name, cls in defined.items() if not issubclass(cls, InputError)}
+    assert outside == INTERNAL_ERRORS

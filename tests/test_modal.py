@@ -1,6 +1,7 @@
 import copy
 import gc
 import pickle
+import tracemalloc
 import weakref
 from fractions import Fraction
 from itertools import islice, product
@@ -760,6 +761,20 @@ def test_windows_of_plays_blocks_shorter_than_a_byte():
             report = check_validity(game, formula, max_states=states)
             assert (report.models_checked, report.countermodel) == per_model_sweep(game, formula, states), text
             check_lanes(game, formula, states, 1, {1})
+
+
+def test_a_slice_is_built_when_its_window_comes_up():
+    """Eight players of one strategy each: one plays block of 2**32
+    2-state models, cut into 65,536 slices.  The first window costs its own
+    vectors, not every slice's."""
+    game = Game((("s",),) * 8, {("s",) * 8: (Fraction(0),) * 8})
+    tracemalloc.start()
+    try:
+        next(_slices(game, 2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
 
 
 THEOREMS = (
